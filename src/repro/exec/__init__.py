@@ -11,10 +11,7 @@ probes use every core **without changing a single output byte**:
   unpicklable) :class:`~repro.graph.model.SystemGraph` inside workers;
 * :class:`ResultCache` / :func:`graph_fingerprint` — content-addressed
   golden-run and periodicity cache (memory + optional disk layer under
-  ``~/.cache/repro-lid/``, byte-budgeted by an mtime-ordered GC);
-* :class:`SingleFlight` — keyed in-flight coalescing: concurrent
-  callers computing the same key share one execution (the campaign
-  service's thundering-herd guard).
+  ``~/.cache/repro-lid/``, byte-budgeted by an mtime-ordered GC).
 
 The determinism contract and the cache layout are documented in
 ``docs/parallelism.md``.
@@ -30,7 +27,6 @@ from .cache import (
     default_cache_dir,
     graph_fingerprint,
 )
-from .flight import SingleFlight
 from .graphs import GraphRef
 from .pool import (
     TraceCollection,
@@ -50,7 +46,6 @@ __all__ = [
     "DEFAULT_CACHE_MAX_BYTES",
     "GraphRef",
     "ResultCache",
-    "SingleFlight",
     "TraceCollection",
     "WorkUnit",
     "WorkerTrace",

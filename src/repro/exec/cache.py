@@ -144,9 +144,10 @@ class CacheStats:
     """Hit/miss/eviction counters — surfaced in campaign headers.
 
     ``coalesced`` counts callers that shared an in-flight computation
-    instead of re-running it (single-flight request coalescing, see
-    :mod:`repro.exec.flight`); ``gc_files`` / ``gc_bytes`` account for
-    disk entries reclaimed by :meth:`ResultCache.gc`.  The newer
+    instead of re-running it (the campaign service's request
+    coalescing, see :mod:`repro.serve.coalesce`); ``gc_files`` /
+    ``gc_bytes`` account for disk entries reclaimed by
+    :meth:`ResultCache.gc`.  The newer
     counters appear in :meth:`to_dict` only when nonzero, so reports
     from flows that never coalesce or collect stay byte-stable.
     """

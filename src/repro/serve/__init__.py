@@ -7,22 +7,17 @@ content-addressed :class:`~repro.exec.ResultCache`, collapses
 concurrent identical requests onto a single golden run
 (:class:`AsyncSingleFlight`), applies token-bucket rate limiting and
 bounded-queue backpressure, and shards cold work across a persistent
-worker pool.  Served responses are byte-identical to the offline CLI
-(`docs/serving.md` states the exact contract) and served runs land in
-the same run ledger with the same content-addressed ids.
+worker pool.  The offline ``repro-lid inject``/``deadlock``/``series``
+commands run the same :func:`execute_manifest`, so served responses are
+byte-identical to them (`docs/serving.md` states the exact contract)
+and served runs land in the same run ledger with the same
+content-addressed ids.
 
 Layering: ``repro.serve`` sits above the engines and ``repro.exec`` /
 ``repro.obs`` and must never import ``repro.cli`` (enforced by
 ``tools/check_layering.py``); the CLI imports *this* package.
 """
 
-from .app import (
-    CampaignServer,
-    ServerHandle,
-    run_server,
-    start_in_thread,
-)
-from .coalesce import AsyncSingleFlight
 from .dispatch import (
     DispatchError,
     ServeOutcome,
@@ -30,13 +25,32 @@ from .dispatch import (
     manifest_fingerprint,
 )
 from .manifest import Manifest, ManifestError
-from .ratelimit import RateLimiter, TokenBucket
-from .scheduler import (
-    DEFAULT_QUEUE_DEPTH,
-    CampaignScheduler,
-    ServeRejected,
-    ServeStats,
-)
+
+#: The service half loads on first use, so the offline CLI commands,
+#: which only build and execute manifests, never import asyncio.
+_SERVICE = {
+    "AsyncSingleFlight": "coalesce",
+    "CampaignServer": "app",
+    "ServerHandle": "app",
+    "run_server": "app",
+    "start_in_thread": "app",
+    "RateLimiter": "ratelimit",
+    "TokenBucket": "ratelimit",
+    "DEFAULT_QUEUE_DEPTH": "scheduler",
+    "CampaignScheduler": "scheduler",
+    "ServeRejected": "scheduler",
+    "ServeStats": "scheduler",
+}
+
+
+def __getattr__(name: str):
+    if name not in _SERVICE:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_SERVICE[name]}", __name__), name)
+
 
 __all__ = [
     "AsyncSingleFlight",

@@ -1,10 +1,10 @@
 """In-flight request coalescing for the asyncio service.
 
-:class:`AsyncSingleFlight` is the event-loop twin of
-:class:`repro.exec.SingleFlight`: the first caller for a key becomes
-the **leader** and actually runs the work; every caller that arrives
-while the leader is in flight becomes a **follower** and awaits the
-leader's future instead of spawning a duplicate execution.  For the
+:class:`AsyncSingleFlight` is keyed duplicate suppression on the
+event loop: the first caller for a key becomes the **leader** and
+actually runs the work; every caller that arrives while the leader is
+in flight becomes a **follower** and awaits the leader's future instead
+of spawning a duplicate execution.  For the
 campaign service the key is the run's span id (kind x design
 fingerprint x canonical params), so N clients POSTing the identical
 manifest concurrently cost exactly one golden simulation.

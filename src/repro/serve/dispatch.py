@@ -1,19 +1,21 @@
-"""Manifest execution: the worker-side half of the campaign service.
+"""Manifest execution: the one pipeline behind campaigns, deadlock
+checks and data series.
 
-:func:`execute_manifest` is a **module-level, picklable** function so
-the scheduler can ship it into a persistent ``ProcessPoolExecutor``
-worker (or call it on a thread for streamed runs).  It replicates the
-CLI handlers (``_inject`` / ``_deadlock`` / ``series``) step for step —
-same topology parsing, same engine calls, same report rendering — which
-is what makes served response bodies *byte-identical* to the offline
-``repro-lid`` commands and served ledger records share the offline
-``run_id`` (run ids are content-addressed over the payload only; the
-non-deterministic ``meta`` block never enters them).
+:func:`execute_manifest` parses the topology, calls the engine, renders
+the report and builds the ledger record.  Both front ends run it: the
+``repro-lid inject``/``deadlock``/``series`` handlers turn their flags
+into a :class:`~repro.serve.manifest.Manifest` and call it in-process,
+and the campaign service ships it into a persistent worker (it is a
+**module-level, picklable** function for that reason).  Served response
+bodies are therefore byte-identical to the offline commands, and served
+ledger records share the offline ``run_id``, by construction (run ids
+are content-addressed over the payload only; the non-deterministic
+``meta`` block never enters them).
 
-Everything returned travels back to the parent as a
+Everything returned travels back to the caller as a
 :class:`ServeOutcome`: the response body bytes, the ready-to-append
-ledger record, and the worker's golden-run cache counters (merged into
-the server-wide stats).
+ledger record, and the golden-run cache counters (merged into the
+server-wide stats).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class ServeOutcome:
 
 
 def manifest_fingerprint(manifest: Manifest) -> Optional[str]:
-    """The design fingerprint the CLI would record (``None`` for
+    """The design fingerprint the ledger records (``None`` for
     series work, which has no topology).  Raises :class:`DispatchError`
     for topology *parameter* errors — family names were already
     validated by the manifest."""
@@ -107,50 +109,81 @@ def execute_manifest(
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     progress: Optional[Any] = None,
+    telemetry: Optional[Any] = None,
+    trace: Optional[Any] = None,
 ) -> ServeOutcome:
     """Run one manifest to completion and package the result.
 
-    *progress* is an optional :class:`repro.obs.ProgressReporter`
-    (thread-mode streamed runs only — it cannot cross a process
-    boundary).  *use_cache*/*cache_dir* control the golden-run
-    :class:`~repro.exec.ResultCache` exactly like the CLI's
-    ``--no-cache``/``--cache-dir``.
+    *use_cache*/*cache_dir* control the golden-run
+    :class:`~repro.exec.ResultCache` (the CLI's ``--no-cache``/
+    ``--cache-dir``).  The remaining arguments are in-process side
+    channels that cannot cross a worker boundary and never change the
+    body bytes: *progress* (a :class:`repro.obs.ProgressReporter`),
+    *telemetry* (a :class:`repro.obs.Telemetry` instrumenting the
+    engines; the record carries the digest of its metrics snapshot) and
+    *trace* (a campaign's :class:`repro.exec.TraceCollection`, tagged
+    with the run's span).
     """
     if isinstance(manifest, dict):
         manifest = Manifest.from_dict(manifest)
-    if manifest.kind == "campaign":
-        return _execute_campaign(manifest, jobs=jobs, use_cache=use_cache,
-                                 cache_dir=cache_dir, progress=progress)
+    if manifest.kind == "series":
+        return _execute_series(manifest)
+    cache = None
+    if use_cache:
+        from ..exec import ResultCache
+
+        cache = ResultCache.disk(cache_dir)
     if manifest.kind == "deadlock":
-        return _execute_deadlock(manifest, jobs=jobs, use_cache=use_cache,
-                                 cache_dir=cache_dir)
-    return _execute_series(manifest)
+        return _execute_deadlock(manifest, jobs=jobs, cache=cache,
+                                 telemetry=telemetry)
+    return _execute_campaign(manifest, jobs=jobs, cache=cache,
+                             progress=progress, telemetry=telemetry,
+                             trace=trace)
 
 
-def _execute_campaign(manifest: Manifest, *, jobs: int, use_cache: bool,
-                      cache_dir: Optional[str],
-                      progress: Optional[Any]) -> ServeOutcome:
+def _outcome(record: Dict[str, Any], text: str, fmt: str, wall: float,
+             cache=None, exit_code: int = 0) -> ServeOutcome:
+    return ServeOutcome(
+        body=text.encode(),
+        content_type=_CONTENT_TYPES[fmt],
+        exit_code=exit_code,
+        span=record["payload"]["span"],
+        run_id=record["run_id"],
+        record=record,
+        wall_seconds=wall,
+        cache=cache.stats.to_dict() if cache is not None else None)
+
+
+def _metrics(telemetry) -> Optional[Dict[str, Any]]:
+    if telemetry is None or telemetry.metrics is None:
+        return None
+    return telemetry.metrics.snapshot()
+
+
+def _execute_campaign(manifest: Manifest, *, jobs: int, cache, progress,
+                      telemetry, trace) -> ServeOutcome:
     from time import perf_counter
 
     from ..errors import InjectionError
-    from ..exec import GraphRef, ResultCache, graph_fingerprint
+    from ..exec import GraphRef, graph_fingerprint
     from ..inject import run_campaign, skeleton_campaign
     from ..lid.variant import ProtocolVariant
     from ..obs import make_record
 
     graph = _parse(manifest)
     variant = ProtocolVariant(manifest.variant)
-    cache = ResultCache.disk(cache_dir) if use_cache else None
     fingerprint = graph_fingerprint(graph)
     if progress is not None and cache is not None:
         progress.cache = cache.stats
+    if trace is not None:
+        trace.run_id = manifest.span(fingerprint)
 
     common = dict(variant=variant, classes=manifest.faults,
                   cycles=manifest.cycles, window=manifest.window,
                   exhaustive=manifest.exhaustive,
                   samples=manifest.samples, seed=manifest.seed,
-                  telemetry=None, jobs=jobs, cache=cache,
-                  progress=progress, trace=None)
+                  telemetry=telemetry, jobs=jobs, cache=cache,
+                  progress=progress, trace=trace)
     started = perf_counter()
     try:
         if manifest.engine == "skeleton":
@@ -182,38 +215,35 @@ def _execute_campaign(manifest: Manifest, *, jobs: int, use_cache: bool,
         variant=str(variant),
         params=manifest.params(),
         verdict=dict(report.counts()),
+        metrics=_metrics(telemetry),
         meta=meta)
-    return ServeOutcome(
-        body=text.encode(),
-        content_type=_CONTENT_TYPES[manifest.format],
-        exit_code=0,
-        span=record["payload"]["span"],
-        run_id=record["run_id"],
-        record=record,
-        wall_seconds=wall,
-        cache=cache.stats.to_dict() if cache is not None else None)
+    return _outcome(record, text, manifest.format, wall, cache)
 
 
-def _execute_deadlock(manifest: Manifest, *, jobs: int, use_cache: bool,
-                      cache_dir: Optional[str]) -> ServeOutcome:
+def _execute_deadlock(manifest: Manifest, *, jobs: int, cache,
+                      telemetry) -> ServeOutcome:
     from time import perf_counter
 
-    from ..exec import GraphRef, ResultCache, graph_fingerprint
+    from ..exec import GraphRef, graph_fingerprint
     from ..lid.variant import ProtocolVariant
     from ..obs import make_record
     from ..skeleton import check_deadlock
 
     graph = _parse(manifest)
     variant = ProtocolVariant(manifest.variant)
-    cache = ResultCache.disk(cache_dir) if use_cache else None
     started = perf_counter()
-    verdict = check_deadlock(graph, variant=variant,
-                             max_cycles=manifest.max_cycles,
-                             jobs=jobs,
-                             graph_ref=GraphRef.from_spec(
-                                 manifest.topology, seed=manifest.seed),
-                             cache=cache,
-                             backend=manifest.deadlock_backend)
+    try:
+        verdict = check_deadlock(graph, variant=variant,
+                                 max_cycles=manifest.max_cycles,
+                                 jobs=jobs,
+                                 graph_ref=GraphRef.from_spec(
+                                     manifest.topology, seed=manifest.seed),
+                                 cache=cache,
+                                 telemetry=telemetry,
+                                 backend=manifest.deadlock_backend)
+    except ValueError as exc:
+        # Capability refusal (e.g. codegen on a GALS graph).
+        raise DispatchError(str(exc)) from None
     wall = perf_counter() - started
     record = make_record(
         "deadlock-check",
@@ -228,17 +258,11 @@ def _execute_deadlock(manifest: Manifest, *, jobs: int, use_cache: bool,
             "transient": verdict.transient,
             "period": verdict.period,
         },
+        metrics=_metrics(telemetry),
         meta={"wall_seconds": round(wall, 6), "jobs": jobs})
     exit_code = 2 if verdict.inconclusive else (0 if verdict.live else 1)
-    return ServeOutcome(
-        body=(verdict.detail + "\n").encode(),
-        content_type=_CONTENT_TYPES["detail"],
-        exit_code=exit_code,
-        span=record["payload"]["span"],
-        run_id=record["run_id"],
-        record=record,
-        wall_seconds=wall,
-        cache=cache.stats.to_dict() if cache is not None else None)
+    return _outcome(record, verdict.detail + "\n", "detail", wall, cache,
+                    exit_code)
 
 
 def _execute_series(manifest: Manifest) -> ServeOutcome:
@@ -256,12 +280,4 @@ def _execute_series(manifest: Manifest) -> ServeOutcome:
         params=manifest.params(),
         verdict={"lines": len(text.splitlines())},
         meta={"wall_seconds": round(wall, 6)})
-    return ServeOutcome(
-        body=text.encode(),
-        content_type=_CONTENT_TYPES["csv"],
-        exit_code=0,
-        span=record["payload"]["span"],
-        run_id=record["run_id"],
-        record=record,
-        wall_seconds=wall,
-        cache=None)
+    return _outcome(record, text, "csv", wall)

@@ -1,24 +1,23 @@
 """Campaign manifests: the validated request schema of ``repro-lid serve``.
 
-A **manifest** is the JSON body a client POSTs to the campaign
-service: which kind of work to run (fault campaign, deadlock check, or
-a figure-style data series), on which topology spec, with which
-parameters.  Every field mirrors the corresponding ``repro-lid`` CLI
-flag — same names, same defaults — because the service's determinism
-contract is *byte-identity with the offline CLI*: a manifest and the
-equivalent ``repro-lid inject``/``deadlock``/``series`` invocation
-produce the same output bytes and the same content-addressed ledger
-``run_id``.
+A **manifest** is one unit of work: which kind to run (fault
+campaign, deadlock check, or a figure-style data series), on which
+topology spec, with which parameters.  Clients POST it to the campaign
+service, and the ``repro-lid inject``/``deadlock``/``series`` handlers
+build one from their flags; both hand it to
+:func:`repro.serve.execute_manifest`.  Fields carry the CLI flag
+names.
 
 Validation happens entirely up front (:meth:`Manifest.from_dict`):
-unknown kinds, topologies, variants, fault classes and malformed
-windows raise :class:`ManifestError` with a one-line message that maps
-to an HTTP 400 — nothing reaches the worker pool that could surface as
-a traceback from deep inside the engines.
+unknown kinds, topologies, variants, fault classes, counts below 1 and
+windows outside the run raise :class:`ManifestError` with a one-line
+message, which the service maps to an HTTP 400 and the CLI to an
+argparse exit 2 — nothing reaches the engines that could surface as a
+traceback from deep inside them.
 
-:meth:`Manifest.params` renders the **canonical parameter dict** — the
-exact dict the CLI puts into ledger records — so the service's span and
-run ids line up with offline runs by construction.
+:meth:`Manifest.params` renders the **canonical parameter dict** that
+goes into ledger records and span ids, so served and offline runs of
+the same work share span and run ids.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from typing import Any, Dict, Optional, Tuple
 #: Work kinds the service dispatches.
 KINDS = ("campaign", "deadlock", "series")
 
-#: CLI parity: `repro-lid inject --engine/--backend` choices.
+#: Allowed values; also the CLI's ``--engine``/``--backend``/
+#: ``--format`` and ``deadlock --backend`` choices.
 ENGINES = ("lid", "skeleton")
 BACKENDS = ("auto", "scalar", "vectorized", "bitsim", "codegen")
 DEADLOCK_BACKENDS = ("scalar", "codegen")
@@ -117,7 +117,8 @@ def validate_window(window: Any,
 class Manifest:
     """One validated unit of service work (picklable, hashable).
 
-    Field defaults mirror the CLI's argparse defaults exactly;
+    Field defaults match the CLI's argparse defaults except
+    :attr:`format`: ``json`` here, ``table`` on the command line.
     :attr:`stream` is transport-level (NDJSON progress) and never
     enters the canonical identity.
     """
@@ -280,8 +281,8 @@ class Manifest:
                 "series": "series"}[self.kind]
 
     def params(self) -> Dict[str, Any]:
-        """The canonical params dict — key-for-key the CLI's ledger
-        params, so served and offline runs share span and run ids."""
+        """The canonical params dict of the ledger record, so served
+        and offline runs share span and run ids."""
         if self.kind == "campaign":
             return {
                 "engine": self.engine,

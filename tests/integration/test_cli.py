@@ -326,6 +326,11 @@ class TestArgparseValidation:
         ["serve", "--jobs", "0"],
         ["serve", "--queue-depth", "0"],
         ["client", "--concurrency", "0"],
+        ["inject", "--cycles", "0"],
+        ["inject", "--samples", "0"],
+        ["inject", "--window", "150:250"],
+        ["inject", "--smoke", "--window", "60:70"],
+        ["deadlock", "figure2", "--max-cycles", "0"],
     ])
     def test_bad_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

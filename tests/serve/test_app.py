@@ -119,6 +119,14 @@ class TestRoutes:
         assert headers["X-Repro-Exit"] == "0"
         assert body.startswith(b"live:")
 
+    def test_codegen_refusing_gals_deadlock_400(self, server):
+        """codegen refuses multi-clock graphs: a client error, not 500."""
+        status, _h, body = post(server, {
+            "kind": "deadlock", "topology": "gals-ring:rates=1+1/2,shells=2",
+            "deadlock_backend": "codegen"})
+        assert status == 400
+        assert "single_clock" in json.loads(body)["error"]
+
 
 class TestCoalescingAndParity:
     def test_concurrent_identical_one_golden_run(self, server,

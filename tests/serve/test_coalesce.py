@@ -1,89 +1,16 @@
-"""Single-flight coalescing: the thread and asyncio implementations.
+"""Single-flight coalescing on the event loop.
 
-The contract under test (satellite of the campaign-service PR): K
-concurrent callers for one key perform exactly ONE execution; every
-caller sees the same value; an exception propagates to all; the key is
-retired afterwards so later callers start fresh.
+The contract under test: K concurrent callers for one key perform
+exactly ONE execution; every caller sees the same value; an exception
+propagates to all; the key is retired afterwards so later callers start
+fresh.
 """
 
 import asyncio
-import threading
 
 import pytest
 
-from repro.exec import CacheStats, SingleFlight
 from repro.serve import AsyncSingleFlight
-
-
-class TestThreadSingleFlight:
-    def test_concurrent_callers_one_execution(self):
-        flight = SingleFlight()
-        stats = CacheStats()
-        calls = []
-        gate = threading.Event()
-        started = threading.Barrier(8 + 1)
-
-        def work():
-            calls.append(1)
-            gate.wait(10)
-            return "golden"
-
-        results = []
-
-        def caller():
-            started.wait(10)
-            results.append(flight.do("k", work, stats=stats))
-
-        threads = [threading.Thread(target=caller) for _ in range(8)]
-        for t in threads:
-            t.start()
-        started.wait(10)  # all callers racing before the leader returns
-        while stats.coalesced < 7:  # every follower is parked in do()
-            pass
-        gate.set()
-        for t in threads:
-            t.join(10)
-
-        assert len(calls) == 1, "exactly one golden execution"
-        assert [value for value, _leader in results] == ["golden"] * 8
-        assert sum(leader for _v, leader in results) == 1
-        assert stats.coalesced == 7
-        assert flight.inflight() == 0
-
-    def test_exception_propagates_to_followers(self):
-        flight = SingleFlight()
-        stats = CacheStats()
-        gate = threading.Event()
-
-        def boom():
-            gate.wait(10)
-            raise RuntimeError("golden failed")
-
-        errors = []
-
-        def caller():
-            try:
-                flight.do("k", boom, stats=stats)
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        threads = [threading.Thread(target=caller) for _ in range(2)]
-        for t in threads:
-            t.start()
-        while stats.coalesced < 1:  # the follower is parked in do()
-            pass
-        gate.set()
-        for t in threads:
-            t.join(10)
-        assert errors == ["golden failed"] * 2
-
-    def test_sequential_calls_do_not_coalesce(self):
-        flight = SingleFlight()
-        calls = []
-        for _ in range(3):
-            value, leader = flight.do("k", lambda: calls.append(1))
-            assert leader
-        assert len(calls) == 3
 
 
 class TestAsyncSingleFlight:
