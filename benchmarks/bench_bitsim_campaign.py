@@ -5,7 +5,8 @@ integer and advances every experiment with the same handful of bitwise
 operations per signal per cycle.  On the paper's feedback example
 (figure 2) an exhaustive boundary campaign is ~160 columns; the scalar
 backend pays one full simulation per column while bitsim pays one
-word-level run per 63-experiment plane group.  Both backends classify
+bit-parallel run for all of them (one plane each, one golden plane
+0).  Both backends classify
 the identical precomputed fault list (fault-list generation is not
 part of the claim), and the contract is twofold — both halves are
 asserted, not just reported:

@@ -35,7 +35,7 @@ from repro.skeleton.codegen import STATS, clear_plan_cache, plan_for
 CYCLES = 4000
 ROUNDS = 5
 MIN_SPEEDUP = 5.0
-BACKENDS = ("scalar", "vectorized", "bitsim", "codegen")
+BACKENDS = ("scalar", "bitsim", "codegen")
 
 
 def _best_wall(graph, backend):
@@ -107,7 +107,7 @@ def test_bench_codegen_speedup(benchmark, emit):
     counters["compile_cold_us"] = round(cold_wall * 1e6)
     counters["compile_disk_hit_us"] = round(warm_wall * 1e6)
 
-    # Byte-identity: the whole campaign report, all four backends.
+    # Byte-identity: the whole campaign report, every backend.
     kwargs = dict(variant=ProtocolVariant.CASU,
                   classes=("stop", "void"), cycles=64, samples=24,
                   seed=11)

@@ -50,33 +50,32 @@ def test_bench_full_sim_cycles(benchmark, stages):
 
 @pytest.mark.parametrize("batch", [8, 64])
 def test_bench_batch_skeleton(benchmark, batch):
-    """Vectorized batch sweeps: per-instance cost drops with width."""
-    from repro.skeleton import BatchSkeletonSim
+    """Bit-plane batch sweeps: per-instance cost drops with width."""
+    from repro.skeleton import select
 
     graph = pipeline(8, relays_per_hop=2)
     patterns = [
         {"out": tuple((i >> b) & 1 == 1 for b in range(4))}
         for i in range(batch)
     ]
-    sim = BatchSkeletonSim(graph, patterns)
+    handle = select(graph, sink_patterns=patterns, backend="bitsim")
 
     def run():
-        sim.run(50)
+        handle.run_cycles(50)
 
     benchmark(run)
 
 
 def test_bench_sweep_speedup(benchmark, emit):
     """EXP-D2b: 64-instance stop-script sweep, scalar loop vs the
-    vectorized backend behind ``repro.skeleton.backend.select``.
+    bit-plane batch backend behind ``repro.skeleton.backend.select``.
 
-    The acceptance bar for the generalized engine: a design-space sweep
-    over 64 back-pressure scripts must cost roughly one scalar run —
-    at least 12x faster than looping the scalar engine, with identical
+    The acceptance bar for the batch engine: a design-space sweep over
+    64 back-pressure scripts must cost roughly one scalar run — at
+    least 12x faster than looping the scalar engine, with identical
     (bit-exact) per-instance counts.  (The bar was 20x before the
     scalar hot loops were optimized in EXP-M1; the scalar baseline —
-    the denominator — got ~30% faster, the vectorized engine did not
-    regress.)
+    the denominator — got ~30% faster.)
     """
     import time
 
@@ -101,36 +100,36 @@ def test_bench_sweep_speedup(benchmark, emit):
         return time.perf_counter() - start, handle
 
     def measure():
-        once("vectorized")  # warm numpy dispatch paths
-        scalar_times, vec_times = [], []
+        once("bitsim")  # warm the import and table-building paths
+        scalar_times, batch_times = [], []
         for _ in range(3):
             t_s, scalar = once("scalar")
-            t_v, vec = once("vectorized")
+            t_b, batch = once("bitsim")
             assert np.array_equal(np.asarray(scalar.accept_counts()),
-                                  np.asarray(vec.accept_counts()))
+                                  np.asarray(batch.accept_counts()))
             assert np.array_equal(np.asarray(scalar.fire_counts()),
-                                  np.asarray(vec.fire_counts()))
+                                  np.asarray(batch.fire_counts()))
             scalar_times.append(t_s)
-            vec_times.append(t_v)
-        return min(scalar_times), min(vec_times)
+            batch_times.append(t_b)
+        return min(scalar_times), min(batch_times)
 
-    scalar_s, vec_s = benchmark.pedantic(measure, rounds=1,
-                                         iterations=1)
-    speedup = scalar_s / vec_s
+    scalar_s, batch_s = benchmark.pedantic(measure, rounds=1,
+                                           iterations=1)
+    speedup = scalar_s / batch_s
     table = format_table(
         ("backend", "total", "per instance", "speedup"),
         [
             ("scalar loop", f"{scalar_s * 1e3:.1f} ms",
              f"{scalar_s / 64 * 1e3:.2f} ms", "1.0x"),
-            ("vectorized", f"{vec_s * 1e3:.1f} ms",
-             f"{vec_s / 64 * 1e3:.2f} ms", f"{speedup:.1f}x"),
+            ("bitsim", f"{batch_s * 1e3:.1f} ms",
+             f"{batch_s / 64 * 1e3:.2f} ms", f"{speedup:.1f}x"),
         ],
         title=f"64-instance stop-script sweep ({graph.name}, "
               f"{cycles} cycles, best of 3)",
     )
     emit("EXP-D2b-sweep-speedup", table)
     assert speedup >= 12.0, (
-        f"vectorized sweep only {speedup:.1f}x faster than scalar loop")
+        f"bit-plane sweep only {speedup:.1f}x faster than scalar loop")
 
 
 def test_bench_batch_amortization(benchmark, emit):
@@ -138,7 +137,7 @@ def test_bench_batch_amortization(benchmark, emit):
     import time
 
     from repro.bench.tables import format_table
-    from repro.skeleton import BatchSkeletonSim
+    from repro.skeleton import select
 
     graph = pipeline(8, relays_per_hop=2)
     cycles = 300
@@ -151,10 +150,9 @@ def test_bench_batch_amortization(benchmark, emit):
             scalar.step()
         scalar_s = time.perf_counter() - start
         for width in (1, 8, 64):
-            patterns = [{} for _ in range(width)]
-            batch = BatchSkeletonSim(graph, patterns)
+            batch = select(graph, batch=width, backend="bitsim")
             start = time.perf_counter()
-            batch.run(cycles)
+            batch.run_cycles(cycles)
             elapsed = time.perf_counter() - start
             rows.append((width, f"{elapsed * 1e3:.1f} ms",
                          f"{elapsed / width * 1e3:.2f} ms",

@@ -171,7 +171,7 @@ def backpressure_series(
 
     The design-space question the paper answers with skeleton sweeps:
     how much back pressure can the system absorb before the delivery
-    rate drops?  One vectorized run covers every duty level.
+    rate drops?  One batched run covers every duty level.
     """
     from .throughput import throughput_sweep
 

@@ -237,7 +237,7 @@ def throughput_sweep(
     design-space sweep (back-pressure scripts, source availability).
     The simulation runs through :func:`repro.skeleton.backend.select`,
     so a wide sweep costs roughly one scalar run (the paper's
-    "absolutely negligible" skeleton cost, vectorized); results are
+    "absolutely negligible" skeleton cost, bit-parallel); results are
     exact fractions per shell and sink, per instance.
 
     ``jobs > 1`` splits the instance list into contiguous chunks, each

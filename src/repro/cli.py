@@ -211,10 +211,11 @@ def main(argv=None) -> int:
                                "valid/stop-only engine (boundary "
                                "control faults)")
     p_inject.add_argument("--backend", choices=BACKENDS, default="auto",
-                          help="skeleton engine backend (bitsim: "
-                               "bit-parallel planes, ~64 faults per "
-                               "word-level run; codegen: per-topology "
-                               "compiled cycle functions)")
+                          help="skeleton engine backend (auto/bitsim: "
+                               "one bit-parallel run, one plane per "
+                               "fault; scalar: the reference engine; "
+                               "codegen: per-topology compiled cycle "
+                               "functions)")
     p_inject.add_argument("--strict", action="store_true",
                           help="arm the strict stop-shape monitor "
                                "(detects stops landing on voids under "

@@ -34,7 +34,6 @@ from .pool import (
     WorkUnit,
     chunk_units,
     map_deterministic,
-    plane_chunks,
     resolve_callable,
     run_unit,
     worker_telemetry,
@@ -55,7 +54,6 @@ __all__ = [
     "default_cache_dir",
     "graph_fingerprint",
     "map_deterministic",
-    "plane_chunks",
     "resolve_callable",
     "run_unit",
     "worker_telemetry",

@@ -170,24 +170,6 @@ def chunk_units(units: Sequence[Any], jobs: int,
             for i in range(0, len(units), chunk_size)]
 
 
-def plane_chunks(units: Sequence[Any],
-                 width: int = 64) -> List[Sequence[Any]]:
-    """Split *units* into bit-plane groups for the bitsim engine.
-
-    Each group holds at most ``width - 1`` units: the campaign packs a
-    golden (fault-free) baseline into plane 0 of every group, so a
-    group of 63 experiments plus its golden fills one 64-bit machine
-    word — Python integers beyond that are exact but slower.  The
-    split depends only on ``(len(units), width)``, never on timing, so
-    chunked campaigns stay byte-reproducible.
-    """
-    if width < 2:
-        raise ExecutionError(f"width must be >= 2, got {width}")
-    per_group = width - 1
-    return [units[i:i + per_group]
-            for i in range(0, len(units), per_group)]
-
-
 def map_deterministic(
     fn: Callable[[Any], Any],
     units: Iterable[Any],

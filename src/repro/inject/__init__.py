@@ -15,7 +15,7 @@ This package turns that argument into experiments:
   each outcome as ``detected`` / ``silent-corruption`` / ``masked`` /
   ``deadlock`` / ``timeout`` against a golden run, and renders
   byte-reproducible reports; boundary control faults batch onto the
-  vectorized skeleton engine.
+  bit-plane skeleton engine.
 
 CLI: ``repro-lid inject --topology feedback --faults stop,void``.
 """

@@ -612,12 +612,12 @@ def skeleton_campaign(
     0); the whole campaign is two ``run_cycles`` calls.  Faults that
     are not boundary control faults are reported as ``skipped``.
 
-    ``backend="bitsim"`` packs the same columns into bit planes of
-    Python integers instead (one experiment per bit): the fault list is
-    chunked into word-sized groups by :func:`repro.exec.plane_chunks`,
-    each group carrying its own golden plane 0.  Every group replays
-    identical golden dynamics, so classification — and therefore the
-    report bytes — is independent of the chunking and of the backend.
+    The default backend packs the columns into bit planes of Python
+    integers (one experiment per bit, any number of planes), so the
+    golden run is simulated once for the whole fault list;
+    ``backend="scalar"`` runs one reference simulator per column.
+    Classification reads only per-column counters, so the report bytes
+    are independent of the backend.
 
     ``backend="codegen"`` runs each column on a per-topology compiled
     cycle function (:mod:`repro.skeleton.codegen`); the columns stay
@@ -635,13 +635,13 @@ def skeleton_campaign(
 
     ``jobs`` is accepted for CLI symmetry and recorded in the
     execution header, but the engine itself is already data-parallel:
-    the whole campaign is one vectorized batch, so there is nothing
-    left to fan across processes.  ``cache`` is likewise recorded; the
+    the whole campaign is one batch, so there is nothing left to fan
+    across processes.  ``cache`` is likewise recorded; the
     golden run here is column 0 of the same batch, not a separate
     simulation to skip.  ``trace`` is accepted for symmetry too — with
     no process fan-out there are no worker lanes to collect, and the
     *telemetry* passthrough already captures the batch's events.
-    ``progress`` advances per plane group (the engine's unit of
+    ``progress`` advances once for the batch (the engine's unit of
     forward progress) and per classified payload fault.
 
     Payload corruption on a *sink-boundary* channel rides the same
@@ -772,91 +772,74 @@ def skeleton_campaign(
     backend_name = "scalar"
     strict_detect = strict and variant.discards_void_stops
     if expressible or payload_specs:
-        # The bit-plane engine is fastest at machine-word batches, so
-        # chunk the fault list into word-sized plane groups (each with
-        # its own golden plane 0 — identical dynamics in every group,
-        # so the classification cannot depend on the chunking).  The
-        # other backends take the whole list as one batch.
-        if backend == "bitsim" and expressible:
-            from ..exec import plane_chunks
-
-            groups = plane_chunks(expressible)
-        else:
-            groups = [expressible]
         if progress is not None:
             progress.set_total(len(expressible) + len(payload_specs))
-        accept_hist = None
-        sink_index: Dict[str, int] = {}
         tail = tail_window(cycles)
-        for group in groups:
-            source_patterns = [dict(baseline_source)] + [
-                src for _spec, src, _snk in group]
-            sink_patterns = [dict(baseline_sink)] + [
-                snk for _spec, _src, snk in group]
-            handle = select(
-                graph, variant=variant, batch=len(group) + 1,
-                source_patterns=source_patterns,
-                sink_patterns=sink_patterns,
-                detect_ambiguity=False, backend=backend,
-                telemetry=telemetry)
-            backend_name = handle.name
-            for column, (spec, _src, _snk) in enumerate(group, start=1):
-                poke = bridge_pokes.get(id(spec))
-                if poke is not None:
-                    bridge, at, delta, span = poke
-                    handle.poke_bridge(column, bridge, at, delta,
-                                       duration=span)
-            handle.run_cycles(cycles - tail)
-            head_fires = handle.fire_counts()
-            handle.run_cycles(tail)
-            fires = handle.fire_counts()
-            accepts = handle.accept_counts()
-            tail_fires = fires - head_fires
-            voids = handle.void_stop_counts()
+        source_patterns = [dict(baseline_source)] + [
+            src for _spec, src, _snk in expressible]
+        sink_patterns = [dict(baseline_sink)] + [
+            snk for _spec, _src, snk in expressible]
+        handle = select(
+            graph, variant=variant, batch=len(expressible) + 1,
+            source_patterns=source_patterns,
+            sink_patterns=sink_patterns,
+            detect_ambiguity=False, backend=backend,
+            telemetry=telemetry)
+        backend_name = handle.name
+        for column, (spec, _src, _snk) in enumerate(expressible, start=1):
+            poke = bridge_pokes.get(id(spec))
+            if poke is not None:
+                bridge, at, delta, span = poke
+                handle.poke_bridge(column, bridge, at, delta,
+                                   duration=span)
+        handle.run_cycles(cycles - tail)
+        head_fires = handle.fire_counts()
+        handle.run_cycles(tail)
+        fires = handle.fire_counts()
+        accepts = handle.accept_counts()
+        tail_fires = fires - head_fires
+        voids = handle.void_stop_counts()
 
-            golden_fires = [int(x) for x in fires[:, 0]]
-            golden_accepts = [int(x) for x in accepts[:, 0]]
-            golden_tail = int(tail_fires[:, 0].sum())
-            golden_voids = int(voids[0])
-            for column, (spec, _src, _snk) in enumerate(group, start=1):
-                col_fires = [int(x) for x in fires[:, column]]
-                col_accepts = [int(x) for x in accepts[:, column]]
-                col_tail = int(tail_fires[:, column].sum())
-                col_voids = int(voids[column])
-                if strict_detect and col_voids > golden_voids:
-                    verdict, detail = "detected", (
-                        f"strict stop-shape monitor: "
-                        f"{col_voids - golden_voids} stop(s) landed on "
-                        f"void tokens beyond the golden run")
-                elif (col_fires == golden_fires
-                        and col_accepts == golden_accepts):
-                    verdict, detail = "masked", (
-                        "fire and accept counts match the golden column")
-                elif col_tail == 0 and golden_tail > 0:
-                    verdict, detail = "deadlock", (
-                        f"no shell fired in the tail window (golden "
-                        f"fired {golden_tail} times)")
-                else:
-                    verdict, detail = "timeout", (
-                        f"activity diverged from golden "
-                        f"(fires {sum(col_fires)} vs "
-                        f"{sum(golden_fires)}, "
-                        f"accepts {sum(col_accepts)} vs "
-                        f"{sum(golden_accepts)}); shells still live")
-                results.append(ExperimentResult(spec, verdict, detail,
-                                                True, 0))
-            if progress is not None:
-                progress.advance(len(group))
-            if accept_hist is None:
-                # Golden accepts are identical in every group; keep the
-                # first group's history for payload classification.
-                accept_hist = handle.accept_history()
-                sink_index = {name: i
-                              for i, name in enumerate(handle.sink_names)}
+        golden_fires = [int(x) for x in fires[:, 0]]
+        golden_accepts = [int(x) for x in accepts[:, 0]]
+        golden_tail = int(tail_fires[:, 0].sum())
+        golden_voids = int(voids[0])
+        for column, (spec, _src, _snk) in enumerate(expressible, start=1):
+            col_fires = [int(x) for x in fires[:, column]]
+            col_accepts = [int(x) for x in accepts[:, column]]
+            col_tail = int(tail_fires[:, column].sum())
+            col_voids = int(voids[column])
+            if strict_detect and col_voids > golden_voids:
+                verdict, detail = "detected", (
+                    f"strict stop-shape monitor: "
+                    f"{col_voids - golden_voids} stop(s) landed on "
+                    f"void tokens beyond the golden run")
+            elif (col_fires == golden_fires
+                    and col_accepts == golden_accepts):
+                verdict, detail = "masked", (
+                    "fire and accept counts match the golden column")
+            elif col_tail == 0 and golden_tail > 0:
+                verdict, detail = "deadlock", (
+                    f"no shell fired in the tail window (golden "
+                    f"fired {golden_tail} times)")
+            else:
+                verdict, detail = "timeout", (
+                    f"activity diverged from golden "
+                    f"(fires {sum(col_fires)} vs "
+                    f"{sum(golden_fires)}, "
+                    f"accepts {sum(col_accepts)} vs "
+                    f"{sum(golden_accepts)}); shells still live")
+            results.append(ExperimentResult(spec, verdict, detail,
+                                            True, 0))
+        if progress is not None:
+            progress.advance(len(expressible))
 
         if payload_specs:
             # Payload corruption is control-transparent: classify it
             # from the golden column's per-cycle accepts (column 0).
+            accept_hist = handle.accept_history()
+            sink_index = {name: i
+                          for i, name in enumerate(handle.sink_names)}
             for spec, sink_name in payload_specs:
                 accepts_at = accept_hist[:, sink_index[sink_name], 0]
                 stop_at = cycles if spec.stuck else min(

@@ -1,8 +1,8 @@
 """Canonical lowered IR: one graph -> backend construction path.
 
 ``repro.ir`` sits between the topology layer (:mod:`repro.graph`) and
-every consumer of a topology: lid elaboration, the scalar and
-vectorized skeleton engines, the analysis walkers and the exec cache.
+every consumer of a topology: lid elaboration, the skeleton engines,
+the analysis walkers and the exec cache.
 :func:`lower` normalizes a :class:`~repro.graph.model.SystemGraph`
 into a frozen :class:`LoweredSystem` — integer-indexed node/edge/
 relay/hop tables with relay chains fully expanded, capability flags

@@ -2,7 +2,7 @@
 
 Every backend used to re-walk the :class:`~repro.graph.model.SystemGraph`
 and re-expand relay chains with private logic — lid elaboration, the
-scalar skeleton, the vectorized skeleton and the analysis walkers each
+scalar skeleton, the batch skeleton and the analysis walkers each
 had their own copy of "edge -> relay chain -> wire segments".  A
 :class:`LoweredSystem` is that expansion done once: frozen,
 integer-indexed node/edge/relay/hop tables, produced by the single
@@ -398,7 +398,7 @@ class LoweredSystem:
                 f"has_bridges={self.has_bridges}); GALS graphs run on "
                 f"the skeleton engines — use "
                 f"repro.skeleton.select(graph, backend='scalar'|"
-                f"'vectorized')")
+                f"'bitsim')")
         from .._registry import resolve
 
         return resolve("lid.build_system")(

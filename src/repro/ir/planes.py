@@ -8,8 +8,7 @@ experiments, and one bitwise operation advances every plane at once.
 
 These helpers are the single definition of that layout.  They work for
 arbitrary plane counts (Python integers are arbitrary-width, so a batch
-is not limited to the machine word; ``repro.exec.plane_chunks`` keeps
-campaign batches word-sized for speed, not correctness).
+is not limited to the machine word).
 """
 
 from __future__ import annotations

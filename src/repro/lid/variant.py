@@ -42,25 +42,12 @@ class ProtocolVariant(enum.Enum):
     def discards_void_stops(self) -> bool:
         """True when stops landing on void signals are discarded.
 
-        This is the single semantic switch between the variants; both
-        the scalar and the vectorized skeleton engines branch on this
-        flag (never on enum identity) so that a future variant only has
-        to declare its flags to be simulatable by every backend.
+        This is the single semantic switch between the variants; every
+        skeleton engine branches on this flag (never on enum identity)
+        so that a future variant only has to declare its flags to be
+        simulatable by every backend.
         """
         return self is ProtocolVariant.CASU
-
-    @property
-    def capabilities(self) -> frozenset:
-        """Semantic capability tags for backend selection.
-
-        ``repro.skeleton.backend.select`` checks these against what an
-        engine implements instead of hard-coding variant lists.
-        """
-        tags = {"skeleton-scalar", "skeleton-vectorized",
-                "skeleton-bitsim", "skeleton-codegen"}
-        if self.discards_void_stops:
-            tags.add("discards-void-stops")
-        return frozenset(tags)
 
     # -- decision helpers (used by shell and relay stations) -----------
 

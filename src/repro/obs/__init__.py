@@ -7,7 +7,7 @@ The observability substrate shared by every layer of the toolkit:
   occupancy change, monitor violation, fixpoint ambiguity);
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — typed
   counters/gauges/histograms with deterministic snapshots, guaranteed
-  identical across the scalar and vectorized skeleton backends;
+  identical across the scalar and bit-plane skeleton backends;
 * :class:`Profiler` (:mod:`repro.obs.profiler`) — phase-level wall-time
   accounting (us/cycle, events/sec);
 * :mod:`repro.obs.exporters` — JSONL and Chrome-trace (Perfetto)

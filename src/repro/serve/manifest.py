@@ -31,7 +31,7 @@ KINDS = ("campaign", "deadlock", "series")
 #: Allowed values; also the CLI's ``--engine``/``--backend``/
 #: ``--format`` and ``deadlock --backend`` choices.
 ENGINES = ("lid", "skeleton")
-BACKENDS = ("auto", "scalar", "vectorized", "bitsim", "codegen")
+BACKENDS = ("auto", "scalar", "bitsim", "codegen")
 DEADLOCK_BACKENDS = ("scalar", "codegen")
 FORMATS = ("json", "table")
 VARIANTS = ("casu", "carloni")

@@ -4,11 +4,8 @@ from .backend import (
     BitplaneBackend,
     CodegenBackend,
     ScalarBackend,
-    VectorizedBackend,
-    bitsim_supported,
     codegen_supported,
     select,
-    vectorized_supported,
 )
 from .bitsim import BitplaneSkeletonSim
 from .codegen import CodegenSkeletonSim
@@ -21,10 +18,8 @@ from .periodicity import (
     transient_estimate,
 )
 from .sim import SkeletonResult, SkeletonSim
-from .vectorized import BatchSkeletonSim
 
 __all__ = [
-    "BatchSkeletonSim",
     "BitplaneBackend",
     "BitplaneSkeletonSim",
     "CodegenBackend",
@@ -34,8 +29,6 @@ __all__ = [
     "ScalarBackend",
     "SkeletonResult",
     "SkeletonSim",
-    "VectorizedBackend",
-    "bitsim_supported",
     "check_deadlock",
     "codegen_supported",
     "compare_cost",
@@ -47,5 +40,4 @@ __all__ = [
     "transient_and_period",
     "transient_bound",
     "transient_estimate",
-    "vectorized_supported",
 ]

@@ -1,14 +1,12 @@
 """Unified backend selection for skeleton simulation.
 
-Four engines implement the exact same valid/stop semantics:
+Three engines implement the exact same valid/stop semantics:
 
 * :class:`~repro.skeleton.sim.SkeletonSim` — the scalar reference,
   one Python object per instance;
-* :class:`~repro.skeleton.vectorized.BatchSkeletonSim` — numpy
-  bit-matrix state, all instances of a sweep as columns;
 * :class:`~repro.skeleton.bitsim.BitplaneSkeletonSim` — SBFI-style
-  bit planes, one experiment per bit of a Python integer (the
-  fault-campaign engine);
+  bit planes, one instance per bit of a Python integer (the batch
+  engine: sweeps, fault campaigns and GALS graphs);
 * :class:`~repro.skeleton.codegen.CodegenSkeletonSim` — per-topology
   compiled straight-line Python (one ``compile()`` per structural
   fingerprint, reused across every instance and run).
@@ -21,15 +19,12 @@ test_backend_conformance.py``) is the contract that keeps the
 engines interchangeable — any future engine must join that suite
 before :func:`select` may return it.
 
-Selection policy: the vectorized engine is used whenever numpy is
-importable, the variant advertises the ``skeleton-vectorized``
-capability (see :attr:`ProtocolVariant.capabilities`) and the sweep is
-wider than one instance; otherwise the scalar engine is fanned out.
-``backend="scalar"``/``"vectorized"``/``"bitsim"``/``"codegen"``
-forces the choice — the bit-plane and codegen engines are opt-in
-(campaigns pick them explicitly; bitsim wins when the batch is many
-scripts over one topology, codegen when the same topology is stepped
-for many cycles or many runs and the one-time compile amortizes).
+Selection policy: ``backend="auto"`` runs a batch wider than one
+instance on the bit-plane engine and a single instance on the scalar
+engine.  ``backend="scalar"``/``"bitsim"``/``"codegen"`` forces the
+choice; codegen is opt-in (it wins when the same topology is stepped
+for many cycles or many runs and the one-time compile amortizes) and
+is the only engine that refuses GALS (multi-clock) graphs.
 """
 
 from __future__ import annotations
@@ -45,80 +40,25 @@ PatternMap = Mapping[str, Sequence[bool]]
 Patterns = Union[None, PatternMap, Sequence[Optional[PatternMap]]]
 
 #: Every name :func:`select` accepts for ``backend=``.
-BACKEND_CHOICES = ("auto", "scalar", "vectorized", "bitsim", "codegen")
-
-
-def _single_clock_reason(graph, engine: str) -> str:
-    """Refusal message for an engine without multi-clock support.
-
-    Names the specific capability flags that failed so callers can see
-    exactly why the lowering was rejected (the GALS capability
-    contract: ``single_clock`` / ``has_bridges`` on the lowered IR).
-    """
-    lowered = graph if isinstance(graph, LoweredSystem) else lower(graph)
-    return (f"graph {lowered.name!r} is multi-clock "
-            f"(capability flags: single_clock={lowered.single_clock}, "
-            f"has_bridges={lowered.has_bridges}) and the {engine} "
-            f"engine requires single_clock=True; use the scalar or "
-            f"vectorized engine for GALS workloads")
-
-
-def _is_single_clock(graph) -> bool:
-    lowered = graph if isinstance(graph, LoweredSystem) else lower(graph)
-    return lowered.single_clock
-
-
-def vectorized_supported(graph: SystemGraph,
-                         variant: ProtocolVariant) -> Tuple[bool, str]:
-    """Can the vectorized engine run this (graph, variant)?
-
-    Returns ``(supported, reason)``; *reason* explains a refusal.
-    """
-    if "skeleton-vectorized" not in variant.capabilities:
-        return False, (f"variant {variant} lacks the "
-                       f"'skeleton-vectorized' capability")
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        return False, "numpy is not importable"
-    return True, ""
-
-
-def bitsim_supported(graph: SystemGraph,
-                     variant: ProtocolVariant) -> Tuple[bool, str]:
-    """Can the bit-plane engine run this (graph, variant)?
-
-    Returns ``(supported, reason)``; *reason* explains a refusal.  The
-    engine's state is plain Python integers, but the boundary accessors
-    (``accept_history`` et al.) return numpy arrays to stay
-    interchangeable with the other backends.
-    """
-    if "skeleton-bitsim" not in variant.capabilities:
-        return False, (f"variant {variant} lacks the "
-                       f"'skeleton-bitsim' capability")
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        return False, "numpy is not importable"
-    if not _is_single_clock(graph):
-        return False, _single_clock_reason(graph, "bitsim")
-    return True, ""
+BACKEND_CHOICES = ("auto", "scalar", "bitsim", "codegen")
 
 
 def codegen_supported(graph: SystemGraph,
                       variant: ProtocolVariant) -> Tuple[bool, str]:
     """Can the compiled-codegen engine run this (graph, variant)?
 
-    Returns ``(supported, reason)``; *reason* explains a refusal.  The
-    engine itself is pure Python (no numpy in the hot path), but the
-    unified handle's count accessors are inherited from the scalar
-    backend and return numpy arrays like every other backend.
+    Returns ``(supported, reason)``; *reason* explains a refusal by
+    naming the capability flags of the lowered IR that failed (the
+    GALS capability contract: ``single_clock`` / ``has_bridges``).
     """
-    if "skeleton-codegen" not in variant.capabilities:
-        return False, (f"variant {variant} lacks the "
-                       f"'skeleton-codegen' capability")
-    if not _is_single_clock(graph):
-        return False, _single_clock_reason(graph, "codegen")
+    lowered = graph if isinstance(graph, LoweredSystem) else lower(graph)
+    if not lowered.single_clock:
+        return False, (
+            f"graph {lowered.name!r} is multi-clock "
+            f"(capability flags: single_clock={lowered.single_clock}, "
+            f"has_bridges={lowered.has_bridges}) and the codegen "
+            f"engine requires single_clock=True; use the scalar or "
+            f"bitsim engine for GALS workloads")
     return True, ""
 
 
@@ -126,17 +66,14 @@ def available_backends(graph: SystemGraph,
                        variant: ProtocolVariant) -> Tuple[str, ...]:
     """The backend names able to run this (graph, variant) right now.
 
-    The scalar reference engine supports everything; the rest are
-    probed through their ``*_supported`` predicates.  Used by
-    :func:`select` to make refusal messages actionable.
+    The scalar and bit-plane engines support everything; codegen is
+    probed through :func:`codegen_supported`.  Used by :func:`select`
+    to make refusal messages actionable.
     """
-    names = ["scalar"]
-    for name, probe in (("vectorized", vectorized_supported),
-                        ("bitsim", bitsim_supported),
-                        ("codegen", codegen_supported)):
-        if probe(graph, variant)[0]:
-            names.append(name)
-    return tuple(names)
+    names = ("scalar", "bitsim")
+    if codegen_supported(graph, variant)[0]:
+        names += ("codegen",)
+    return names
 
 
 def _normalize(patterns: Patterns, batch: int) -> List[Dict]:
@@ -164,7 +101,7 @@ def _infer_batch(batch: Optional[int], *pattern_seqs: Patterns) -> int:
 class _Backend:
     """Backend-independent interface shared by all handles."""
 
-    #: "scalar", "vectorized" or "bitsim"
+    #: "scalar", "bitsim" or "codegen"
     name: str
 
     def run(self, max_cycles: int = 10_000) -> List[SkeletonResult]:
@@ -210,7 +147,7 @@ class _Backend:
         """One canonical metrics snapshot per instance.
 
         Snapshots are backend-independent: the conformance suite
-        asserts scalar and vectorized snapshots are equal dicts.
+        asserts scalar and bit-plane snapshots are equal dicts.
         """
         raise NotImplementedError
 
@@ -221,11 +158,9 @@ class _Backend:
         The CDC fault models of GALS campaigns: *delta* of ``+1`` is a
         bridge overflow (phantom write), ``-1`` an underflow (lost
         token); applied after the normal update on each cycle in
-        ``[cycle, cycle + duration)``, clamped to ``[0, depth]``.  Only
-        the scalar and vectorized engines model bridges.
+        ``[cycle, cycle + duration)``, clamped to ``[0, depth]``.
         """
-        raise NotImplementedError(
-            f"{self.name} backend does not model bridges")
+        raise NotImplementedError
 
 
 class ScalarBackend(_Backend):
@@ -257,7 +192,7 @@ class ScalarBackend(_Backend):
         self.source_names = first.source_names
         self.sink_names = first.sink_names
         # The scalar engine silently ignores unknown script names;
-        # the vectorized engine rejects them.  The unified API must
+        # the bit-plane engine rejects them.  The unified API must
         # behave the same regardless of the engine picked.
         for mappings, known in ((sink_patterns, set(self.sink_names)),
                                 (source_patterns,
@@ -353,57 +288,6 @@ class CodegenBackend(ScalarBackend):
             sim.run_cycles(cycles)
 
 
-class VectorizedBackend(_Backend):
-    """A :class:`BatchSkeletonSim` behind the shared interface."""
-
-    name = "vectorized"
-
-    def __init__(self, graph: SystemGraph, variant: ProtocolVariant,
-                 source_patterns: List[Dict], sink_patterns: List[Dict],
-                 fixpoint: str, detect_ambiguity: bool,
-                 telemetry=None):
-        from .vectorized import BatchSkeletonSim
-
-        self.graph = graph
-        self.batch = len(sink_patterns)
-        self.sim = BatchSkeletonSim(
-            graph, sink_patterns, source_patterns=source_patterns,
-            variant=variant, fixpoint=fixpoint,
-            detect_ambiguity=detect_ambiguity, telemetry=telemetry)
-        self.shell_names = self.sim.shell_names
-        self.source_names = self.sim.source_names
-        self.sink_names = self.sim.sink_names
-
-    def run(self, max_cycles: int = 10_000) -> List[SkeletonResult]:
-        return self.sim.run_to_period(max_cycles=max_cycles)
-
-    def run_cycles(self, cycles: int) -> None:
-        self.sim.run(cycles)
-
-    def fire_counts(self):
-        return self.sim.shell_fired.copy()
-
-    def accept_counts(self):
-        return self.sim.sink_accepted.copy()
-
-    def accept_history(self):
-        return self.sim.accept_history()
-
-    def stop_assertion_counts(self):
-        return self.sim.stop_assertions_total.copy()
-
-    def void_stop_counts(self):
-        return self.sim.stops_on_voids_total.copy()
-
-    def metrics_snapshots(self) -> List[Dict]:
-        return [self.sim.metrics_snapshot(i) for i in range(self.batch)]
-
-    def poke_bridge(self, instance: int, bridge, cycle: int,
-                    delta: int, duration: int = 1) -> None:
-        self.sim.poke_bridge(instance, bridge, cycle, delta,
-                             duration=duration)
-
-
 class BitplaneBackend(_Backend):
     """A :class:`BitplaneSkeletonSim` behind the shared interface.
 
@@ -469,6 +353,11 @@ class BitplaneBackend(_Backend):
     def metrics_snapshots(self) -> List[Dict]:
         return [self.sim.metrics_snapshot(i) for i in range(self.batch)]
 
+    def poke_bridge(self, instance: int, bridge, cycle: int,
+                    delta: int, duration: int = 1) -> None:
+        self.sim.poke_bridge(instance, bridge, cycle, delta,
+                             duration=duration)
+
 
 def select(
     graph: SystemGraph,
@@ -495,15 +384,15 @@ def select(
         Either one mapping (applied to every instance) or one mapping
         per instance — the sweep dimensions.
     backend:
-        ``"auto"`` (default policy), ``"scalar"``, ``"vectorized"``,
-        ``"bitsim"`` (opt-in bit-plane engine; never auto-picked) or
+        ``"auto"`` (bit-plane engine for batches wider than one,
+        scalar for a single instance), ``"scalar"``, ``"bitsim"`` or
         ``"codegen"`` (opt-in compiled engine; never auto-picked —
         the compile cost only pays off over many cycles or runs, a
         judgement left to the caller).
     telemetry:
         Optional :class:`repro.obs.Telemetry` bundle.  Metric
-        accumulation is per-instance on either engine; event streams
-        are per-instance (scalar) or aggregate per cycle (vectorized).
+        accumulation is per-instance on every engine; event streams
+        are per-instance (scalar) or aggregate per cycle (bit-plane).
 
     Returns a handle with ``run()`` / ``run_cycles()`` / count accessors
     that behave identically regardless of the engine chosen.
@@ -520,29 +409,17 @@ def select(
     sources = _normalize(source_patterns, width)
     sinks = _normalize(sink_patterns, width)
 
-    def _unavailable(name: str, reason: str) -> ValueError:
-        return ValueError(
-            f"{name} backend unavailable: {reason}; available "
-            f"backends: "
-            + ", ".join(available_backends(graph, variant)))
-
-    if backend == "bitsim":
-        supported, reason = bitsim_supported(graph, variant)
-        if not supported:
-            raise _unavailable("bitsim", reason)
-        cls = BitplaneBackend
-    elif backend == "codegen":
+    if backend == "codegen":
         supported, reason = codegen_supported(graph, variant)
         if not supported:
-            raise _unavailable("codegen", reason)
+            raise ValueError(
+                f"codegen backend unavailable: {reason}; available "
+                f"backends: "
+                + ", ".join(available_backends(graph, variant)))
         cls = CodegenBackend
+    elif backend == "bitsim" or (backend == "auto" and width > 1):
+        cls = BitplaneBackend
     else:
-        supported, reason = vectorized_supported(graph, variant)
-        if backend == "vectorized" and not supported:
-            raise _unavailable("vectorized", reason)
-        use_vectorized = (backend == "vectorized"
-                          or (backend == "auto" and supported
-                              and width > 1))
-        cls = VectorizedBackend if use_vectorized else ScalarBackend
+        cls = ScalarBackend
     return cls(graph, variant, sources, sinks, fixpoint, detect_ambiguity,
                telemetry=telemetry)

@@ -587,7 +587,7 @@ class CodegenSkeletonSim(SkeletonSim):
                 f"single-clock systems only (capability flags: "
                 f"single_clock={self.lowered.single_clock}, "
                 f"has_bridges={self.lowered.has_bridges}); use the "
-                f"scalar or vectorized engine for GALS workloads")
+                f"scalar or bitsim engine for GALS workloads")
         self._plan = plan_for(
             self.lowered,
             self.variant,

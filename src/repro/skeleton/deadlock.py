@@ -177,10 +177,11 @@ def check_deadlock(
     if backend == "codegen":
         # Fail fast, before any probe (possibly a worker process) trips
         # over the compiled engine's single-clock constructor guard.
-        from .backend import _is_single_clock, _single_clock_reason
+        from .backend import codegen_supported
 
-        if not _is_single_clock(graph):
-            raise ValueError(_single_clock_reason(graph, "codegen"))
+        supported, reason = codegen_supported(graph, variant)
+        if not supported:
+            raise ValueError(reason)
 
     key = None
     if cache is not None:

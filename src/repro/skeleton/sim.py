@@ -44,7 +44,7 @@ from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
 
 # Element kind tags (kept as small ints for compact state tuples).
 # Canonically defined by repro.ir; the historical underscore aliases
-# stay because the vectorized engine and older call sites import them.
+# stay because older call sites import them.
 _SRC, _SHELL, _SINK, _RS_FULL, _RS_HALF, _RS_HALF_REG, _RS_BRIDGE = (
     SRC, SHELL, SINK, RS_FULL, RS_HALF, RS_HALF_REG, RS_BRIDGE)
 
@@ -702,7 +702,7 @@ class SkeletonSim:
         """Canonical metrics snapshot of the run so far.
 
         The same snapshot (bit-identical keys and values) is produced
-        by the vectorized engine for each batch column — the contract
+        by the bit-plane engine for each plane — the contract
         enforced by the differential conformance suite.  Per-hop stall
         cycles and relay occupancy distributions are present only when
         the simulator was constructed with metrics-collecting telemetry

@@ -177,12 +177,13 @@ class TestLoweringParity:
         "label,graph", _all_workload_graphs(),
         ids=[label for label, _g in _all_workload_graphs()])
     def test_vectorized_results_bit_identical(self, label, graph):
+        """The batch engine (bit planes across instances)."""
         bp = [None, {name: (False, True)
                      for name in lower(graph).sink_names}]
         via_graph = select(graph, DEFAULT_VARIANT, sink_patterns=bp,
-                           backend="vectorized")
+                           backend="bitsim")
         via_ir = select(lower(graph), DEFAULT_VARIANT,
-                        sink_patterns=bp, backend="vectorized")
+                        sink_patterns=bp, backend="bitsim")
         results_a = via_graph.run(max_cycles=5_000)
         results_b = via_ir.run(max_cycles=5_000)
         for a, b in zip(results_a, results_b):

@@ -4,9 +4,8 @@ The bitsim backend's contract with ``skeleton_campaign`` is stronger
 than verdict agreement: the rendered :class:`CampaignReport` JSON must
 be **byte-identical** to the scalar backend's (schema v2 keeps backend
 provenance in the opt-in execution header, outside the default
-payload), including when the fault list spills over one 64-bit machine
-word and the engine stitches several plane groups, each with its own
-golden plane 0.
+payload), including when the fault list is wider than a 64-bit machine
+word — the whole list still runs as one batch with one golden plane.
 
 The suite also pins that every one of the five verdict classes is
 reachable through the bit-parallel path on a single topology.
@@ -19,6 +18,7 @@ import pytest
 from repro.graph import figure2, pipeline
 from repro.inject import FaultSpec, skeleton_campaign
 from repro.lid.variant import ProtocolVariant
+from repro.skeleton import backend
 
 #: Hand-picked witnesses on pipeline(4, relays_per_hop=2); boundary
 #: channels are "S3->out#11" (sink) and "src->S0#1" (source).
@@ -89,22 +89,27 @@ class TestByteIdentity:
         assert _campaign("bitsim", strict=strict).to_json() \
             == _campaign("scalar", strict=strict).to_json()
 
-    def test_chunked_campaign_bytes_equal_all_backends(self):
-        """>63 faults forces multiple bit-plane groups (plane_chunks);
-        per-group golden columns replay identical dynamics, so the
-        stitched report is byte-identical to the one-batch backends."""
+    def test_chunked_campaign_bytes_equal_all_backends(self, monkeypatch):
+        """More than 63 faults (wider than a machine word) still run as
+        one bit-plane batch — one golden run — and the report is
+        byte-identical to the scalar backend's."""
         kwargs = dict(cycles=100, exhaustive=True, window=(0, 40),
                       classes=("stop", "void", "payload"))
-        reports = {
-            backend: skeleton_campaign(figure2(), backend=backend,
-                                       **kwargs)
-            for backend in ("scalar", "vectorized", "bitsim")
-        }
-        n_run = len(reports["bitsim"].results)
-        assert n_run > 63, "need a fault list wider than one word"
-        assert reports["bitsim"].to_json() == reports["scalar"].to_json()
-        assert reports["bitsim"].to_json() \
-            == reports["vectorized"].to_json()
+        widths = []
+        select = backend.select
+
+        def counting_select(*args, **kw):
+            handle = select(*args, **kw)
+            widths.append((handle.name, handle.batch))
+            return handle
+
+        monkeypatch.setattr(backend, "select", counting_select)
+        bitsim = skeleton_campaign(figure2(), backend="bitsim", **kwargs)
+        ((name, width),) = widths
+        assert name == "bitsim"
+        assert width > 64, "need a fault list wider than one word"
+        scalar = skeleton_campaign(figure2(), backend="scalar", **kwargs)
+        assert bitsim.to_json() == scalar.to_json()
 
     def test_double_run_is_deterministic(self):
         first = _campaign("bitsim", strict=True).to_json()

@@ -63,6 +63,7 @@ class TestGalsSkeletonCampaign:
         assert first.to_json() == second.to_json()
 
     def test_backend_parity_scalar_vs_vectorized(self):
+        """The default (bit-plane batch) backend equals scalar bytes."""
         graph = parse_topology(RING)
         kwargs = dict(classes=("cdc",), cycles=100, samples=12, seed=1)
         auto = skeleton_campaign(graph, **kwargs)
@@ -104,12 +105,15 @@ class TestGalsSkeletonCampaign:
         assert {r.verdict for r in report.results} \
             <= {"masked", "deadlock", "timeout", "detected"}
 
-    def test_bitsim_backend_refused_with_capability_message(self):
+    def test_bitsim_backend_runs_cdc_campaign(self):
         graph = parse_topology(RING)
-        with pytest.raises(ValueError) as err:
-            skeleton_campaign(graph, classes=("cdc",), cycles=50,
-                              samples=4, backend="bitsim")
-        assert "single_clock" in str(err.value)
+        kwargs = dict(classes=("cdc", "stop"), cycles=100, exhaustive=True,
+                      window=(10, 20))
+        bitsim = skeleton_campaign(graph, backend="bitsim", **kwargs)
+        scalar = skeleton_campaign(graph, backend="scalar", **kwargs)
+        assert bitsim.backend == "bitsim"
+        assert {r.spec.kind for r in bitsim.results} >= set(BRIDGE_KINDS)
+        assert bitsim.to_json() == scalar.to_json()
 
 
 class TestLidEngineGuard:

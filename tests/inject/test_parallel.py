@@ -90,7 +90,7 @@ class TestSkeletonParallelContract:
         assert parallel.to_json() == serial.to_json()
         # The batched engine is the parallelism; jobs is recorded for
         # the audit header but the engine stays single-process.
-        assert parallel.execution == {"backend": "vectorized",
+        assert parallel.execution == {"backend": "bitsim",
                                       "jobs": 4, "workers": 1,
                                       "cache": None}
 

@@ -6,7 +6,7 @@ golden column's acceptance history (a sink that consumes during the
 fault window consumed a corrupted token).  The pinned contract is
 *verdict* parity with the token-level LID engine, which actually
 corrupts the payload and diffs the sink stream — and backend parity
-between the scalar and vectorized skeleton engines, which routes the
+between the scalar and bit-plane skeleton engines, which routes the
 boundary payload path through ``select()`` rather than a scalar-only
 fallback.
 """
@@ -58,8 +58,9 @@ class TestPayloadVerdictParity:
         assert classified_targets.isdisjoint(skipped_targets)
 
     def test_scalar_and_vectorized_backends_agree(self):
+        """Scalar vs the batch (bit-plane) backend."""
         scalar = skeleton_campaign(figure2(), backend="scalar", **PARAMS)
-        vector = skeleton_campaign(figure2(), backend="vectorized",
+        vector = skeleton_campaign(figure2(), backend="bitsim",
                                    **PARAMS)
         assert _verdicts(scalar) == _verdicts(vector)
         assert scalar.counts() == vector.counts()

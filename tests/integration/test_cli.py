@@ -331,6 +331,7 @@ class TestArgparseValidation:
         ["inject", "--window", "150:250"],
         ["inject", "--smoke", "--window", "60:70"],
         ["deadlock", "figure2", "--max-cycles", "0"],
+        ["inject", "--engine", "skeleton", "--backend", "vectorized"],
     ])
     def test_bad_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -338,6 +339,14 @@ class TestArgparseValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err
+
+    def test_removed_backend_names_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inject", "--engine", "skeleton", "--backend",
+                  "vectorized"])
+        assert excinfo.value.code == 2
+        assert "'auto', 'scalar', 'bitsim', 'codegen'" \
+            in capsys.readouterr().err
 
     def test_valid_faults_and_window_still_parse(self, capsys):
         assert main(["inject", "--smoke", "--faults", "stop,void",

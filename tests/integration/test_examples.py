@@ -27,11 +27,12 @@ class TestExamplesInventory:
             assert '__main__' in text, name
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_example_runs_clean(name, tmp_path):
     """Run each example as a subprocess (some write artifacts: give
-    them a scratch directory argument)."""
+    them a scratch directory argument and working directory).  Not
+    marked slow: all of them together take a few seconds, and the
+    examples are the only callers of some public APIs."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                p for p in (str(REPO_ROOT / "src"),

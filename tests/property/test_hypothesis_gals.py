@@ -3,8 +3,9 @@
 Random GALS topologies (chain and ring families, random rational
 rates, random bridge depths) checked against the scalar reference:
 
-* the vectorized engine reproduces scalar firing counts, sink accepts
-  and bridge occupancy exactly;
+* the bit-plane batch engine reproduces scalar firings, sink accepts
+  and bridge occupancy cycle by cycle, with and without random CDC
+  occupancy pokes;
 * feed-forward chains with depth >= 3 bridges sustain exactly
   ``min_d rate_d`` (depth 2: at most that);
 * the static GALS bound always dominates the simulated rate.
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis import simulated_throughput, static_system_throughput
 from repro.graph import gals_chain, gals_ring
 from repro.lid.variant import ProtocolVariant
-from repro.skeleton import BatchSkeletonSim, SkeletonSim
+from repro.skeleton import BitplaneSkeletonSim, SkeletonSim
 
 pytestmark = pytest.mark.slow
 
@@ -39,54 +40,57 @@ rate_lists = st.lists(rates, min_size=2, max_size=3)
 variants = st.sampled_from([ProtocolVariant.CASU,
                             ProtocolVariant.CARLONI])
 
-
-def _scalar_run(graph, variant, cycles):
-    sim = SkeletonSim(graph, variant=variant, detect_ambiguity=False)
-    fires = [0] * len(sim.shell_names)
-    accepted = 0
-    for _ in range(cycles):
-        f, acc = sim.step()
-        for i, fired in enumerate(f):
-            fires[i] += fired
-        accepted += sum(acc)
-    return sim, fires, accepted
+#: CDC pokes as (bridge selector, cycle, delta, duration); the selector
+#: is reduced modulo the graph's bridge count.
+poke_lists = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 89),
+              st.sampled_from([-2, -1, 1, 2]), st.integers(1, 40)),
+    max_size=4)
 
 
-@given(rate_list=rate_lists, depth=st.integers(1, 3), variant=variants)
+def _assert_bitsim_matches_scalar(graph, variant, pokes, cycles=90):
+    """Plane 0 runs clean, plane 1 carries *pokes*; both equal scalar."""
+    scalars = [SkeletonSim(graph, variant=variant, detect_ambiguity=False)
+               for _ in range(2)]
+    batch = BitplaneSkeletonSim(graph, batch=2, variant=variant,
+                                detect_ambiguity=False)
+    bridges = len(scalars[0].bridge_names)
+    for selector, at, delta, duration in pokes:
+        scalars[1].poke_bridge(selector % bridges, at, delta, duration)
+        batch.poke_bridge(1, selector % bridges, at, delta, duration)
+    for cycle in range(cycles):
+        fires, accepts = batch.step()
+        for plane, scalar in enumerate(scalars):
+            s_fires, s_accepts = scalar.step()
+            ctx = (cycle, plane)
+            assert tuple(bool((w >> plane) & 1) for w in fires) \
+                == s_fires, ctx
+            assert tuple(bool((w >> plane) & 1) for w in accepts) \
+                == s_accepts, ctx
+            assert tuple(sum((w >> plane) & 1 for w in ge)
+                         for ge in batch.bridge_ge) \
+                == tuple(scalar.bridge_occ), ctx
+
+
+@given(rate_list=rate_lists, depth=st.integers(1, 3), variant=variants,
+       pokes=poke_lists)
 @settings(**SETTINGS)
 def test_vectorized_matches_scalar_on_random_chains(rate_list, depth,
-                                                    variant):
+                                                    variant, pokes):
+    """The bit-plane batch engine on random chains (with CDC pokes)."""
     graph = gals_chain(rates=rate_list, depth=depth)
-    cycles = 90
-    scalar, fires, accepted = _scalar_run(graph, variant, cycles)
-    batch = BatchSkeletonSim(graph, [{}], variant=variant,
-                             detect_ambiguity=False)
-    batch.run(cycles)
-    for i, name in enumerate(scalar.shell_names):
-        j = batch.shell_names.index(name)
-        assert int(batch.shell_fired[j][0]) == fires[i], name
-    assert int(batch.sink_accepted.sum()) == accepted
-    assert tuple(int(batch.bridge_occ[b][0])
-                 for b in range(len(scalar.bridge_occ))) \
-        == tuple(scalar.bridge_occ)
+    _assert_bitsim_matches_scalar(graph, variant, pokes)
 
 
 @given(rate_list=rate_lists, shells=st.integers(1, 2),
-       depth=st.integers(1, 3), variant=variants)
+       depth=st.integers(1, 3), variant=variants, pokes=poke_lists)
 @settings(**SETTINGS)
 def test_vectorized_matches_scalar_on_random_rings(rate_list, shells,
-                                                   depth, variant):
+                                                   depth, variant, pokes):
+    """The bit-plane batch engine on random rings (with CDC pokes)."""
     graph = gals_ring(rates=rate_list, shells_per_domain=shells,
                       depth=depth)
-    cycles = 90
-    scalar, fires, accepted = _scalar_run(graph, variant, cycles)
-    batch = BatchSkeletonSim(graph, [{}], variant=variant,
-                             detect_ambiguity=False)
-    batch.run(cycles)
-    for i, name in enumerate(scalar.shell_names):
-        j = batch.shell_names.index(name)
-        assert int(batch.shell_fired[j][0]) == fires[i], name
-    assert int(batch.sink_accepted.sum()) == accepted
+    _assert_bitsim_matches_scalar(graph, variant, pokes)
 
 
 @given(rate_list=rate_lists, depth=st.integers(3, 4))

@@ -1,6 +1,6 @@
 """Property-based tests tying the three simulation engines together.
 
-The scalar skeleton, the vectorized batch skeleton and the full
+The scalar skeleton, the bit-plane batch skeleton and the full
 data-carrying simulator implement the same semantics three times over;
 hypothesis hunts for inputs where they disagree.
 """
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph import pipeline, random_dag, tree
-from repro.skeleton import BatchSkeletonSim, SkeletonSim
+from repro.skeleton import BitplaneSkeletonSim, SkeletonSim
 
 pytestmark = pytest.mark.slow
 
@@ -29,7 +29,7 @@ source_patterns = st.lists(st.booleans(), min_size=1, max_size=4).map(
 def test_batch_matches_scalar_on_pipeline(pattern):
     graph = pipeline(3, relays_per_hop=2)
     cycles = 120
-    batch = BatchSkeletonSim(graph, [{"out": pattern}])
+    batch = BitplaneSkeletonSim(graph, [{"out": pattern}])
     batch.run(cycles)
     scalar = SkeletonSim(graph, sink_patterns={"out": pattern},
                          detect_ambiguity=False)
@@ -37,7 +37,7 @@ def test_batch_matches_scalar_on_pipeline(pattern):
     for _ in range(cycles):
         _f, acc = scalar.step()
         accepted += sum(acc)
-    assert int(batch.sink_accepted[0][0]) == accepted
+    assert batch.accept_count(0, 0) == accepted
 
 
 @given(seed=st.integers(0, 5_000), pattern=stop_patterns)
@@ -46,7 +46,7 @@ def test_batch_matches_scalar_on_random_dags(seed, pattern):
     graph = random_dag(seed, shells=4, half_probability=0.0)
     sinks = [n.name for n in graph.sinks()]
     cycles = 80
-    batch = BatchSkeletonSim(graph, [{sinks[0]: pattern}])
+    batch = BitplaneSkeletonSim(graph, [{sinks[0]: pattern}])
     batch.run(cycles)
     scalar = SkeletonSim(graph, sink_patterns={sinks[0]: pattern},
                          detect_ambiguity=False)
@@ -57,7 +57,7 @@ def test_batch_matches_scalar_on_random_dags(seed, pattern):
             fires[i] += fired
     for i, name in enumerate(scalar.shell_names):
         j = batch.shell_names.index(name)
-        assert int(batch.shell_fired[j][0]) == fires[i], name
+        assert batch.fire_count(j, 0) == fires[i], name
 
 
 @given(src=source_patterns, sink=stop_patterns)

@@ -1,10 +1,11 @@
-"""Differential fuzzing of the vectorized backend against the scalar.
+"""Differential fuzzing of the batch backend against the scalar.
 
 Random small graphs x random sink stop scripts x random source
-availability scripts x both protocol variants: the batch engine must
-reproduce the scalar engine's per-shell firing counts, sink accepts
-and steady-state period exactly.  This is the property-based arm of the
-conformance suite in ``tests/skeleton/test_backend_conformance.py``.
+availability scripts x both protocol variants: the batch engine (bit
+planes, vectorized across instances) must reproduce the scalar
+engine's per-shell firing counts, sink accepts and steady-state period
+exactly.  This is the property-based arm of the conformance suite in
+``tests/skeleton/test_backend_conformance.py``.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph import random_dag, random_loopy
 from repro.lid.variant import ProtocolVariant
-from repro.skeleton import BatchSkeletonSim, SkeletonSim
+from repro.skeleton import BitplaneSkeletonSim, SkeletonSim
 
 pytestmark = pytest.mark.slow
 
@@ -55,17 +56,18 @@ def test_batch_matches_scalar_on_random_dags(seed, sink, src, variant):
     source_map = {sources[0]: src} if sources else {}
     cycles = 80
 
-    batch = BatchSkeletonSim(graph, [sink_map],
-                             source_patterns=[source_map],
-                             variant=variant, detect_ambiguity=False)
+    batch = BitplaneSkeletonSim(graph, [sink_map],
+                                source_patterns=[source_map],
+                                variant=variant, detect_ambiguity=False)
     batch.run(cycles)
     names, fires, accepted = _scalar_counts(graph, sink_map,
                                             source_map, variant,
                                             cycles)
     for i, name in enumerate(names):
         j = batch.shell_names.index(name)
-        assert int(batch.shell_fired[j][0]) == fires[i], name
-    assert int(batch.sink_accepted.sum()) == accepted
+        assert batch.fire_count(j, 0) == fires[i], name
+    assert sum(batch.accept_count(j, 0)
+               for j in range(len(batch.sink_names))) == accepted
 
 
 @given(seed=st.integers(0, 5_000), sink=stop_patterns,
@@ -78,15 +80,16 @@ def test_batch_matches_scalar_on_loopy_graphs(seed, sink, variant):
     sink_map = {sinks[0]: sink} if sinks else {}
     cycles = 80
 
-    batch = BatchSkeletonSim(graph, [sink_map], variant=variant,
-                             detect_ambiguity=False)
+    batch = BitplaneSkeletonSim(graph, [sink_map], variant=variant,
+                                detect_ambiguity=False)
     batch.run(cycles)
     names, fires, accepted = _scalar_counts(graph, sink_map, {},
                                             variant, cycles)
     for i, name in enumerate(names):
         j = batch.shell_names.index(name)
-        assert int(batch.shell_fired[j][0]) == fires[i], name
-    assert int(batch.sink_accepted.sum()) == accepted
+        assert batch.fire_count(j, 0) == fires[i], name
+    assert sum(batch.accept_count(j, 0)
+               for j in range(len(batch.sink_names))) == accepted
 
 
 @given(seed=st.integers(0, 2_000), sink=stop_patterns,
@@ -100,7 +103,7 @@ def test_period_matches_scalar(seed, sink, src, variant):
     sink_map = {sinks[0]: sink}
     source_map = {sources[0]: src} if sources else {}
 
-    result = BatchSkeletonSim(
+    result = BitplaneSkeletonSim(
         graph, [sink_map], source_patterns=[source_map],
         variant=variant, detect_ambiguity=False).run_to_period()[0]
     ref = SkeletonSim(graph, sink_patterns=sink_map,

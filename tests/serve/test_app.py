@@ -112,6 +112,13 @@ class TestRoutes:
         assert status == 400
         assert "fault" in json.loads(body)["error"]
 
+    def test_removed_backend_400_names_the_choices(self, server):
+        status, _h, body = post(server, {"kind": "campaign",
+                                         "backend": "vectorized"})
+        assert status == 400
+        assert "auto, scalar, bitsim, codegen" \
+            in json.loads(body)["error"]
+
     def test_kind_route_aliases(self, server):
         status, headers, body = post(server, {"topology": "feedback"},
                                      path="/v1/deadlock")

@@ -50,6 +50,8 @@ class TestValidation:
         ({"kind": "deadlock", "cycles": 10}, "unknown manifest"),
         ({"kind": "series"}, "which"),
         ({"kind": "series", "which": "nope"}, "which"),
+        ({"kind": "campaign", "backend": "vectorized"},
+         "backend must be one of auto, scalar, bitsim, codegen"),
     ])
     def test_rejects(self, payload, fragment):
         with pytest.raises(ManifestError, match=fragment):

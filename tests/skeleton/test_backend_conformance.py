@@ -1,73 +1,75 @@
-"""Differential conformance: every batch backend vs scalar reference.
+"""Differential conformance: every backend vs the scalar reference.
 
-Each batch engine's contract is **bit-exactness**: for every instance
-of a batch, every register, wire, firing decision and instrumentation
-counter must equal a scalar :class:`SkeletonSim` run with the same
-scripts, cycle by cycle.  This suite drives the engines in lockstep
-over the full feature matrix — protocol variants x relay kinds x
-fixpoints x scripted sources/sinks — through the raw engine classes,
-the unified ``repro.skeleton.backend.select`` API, and a sweep over
-every benchmark workload topology.
+The batch engine's contract is **bit-exactness**: for every instance
+of a batch, every register, bridge occupancy, wire, firing decision and
+instrumentation counter must equal a scalar :class:`SkeletonSim` run
+with the same scripts, cycle by cycle.  This suite drives the engines
+in lockstep over the full feature matrix — protocol variants x relay
+kinds x fixpoints x scripted sources/sinks x GALS clock domains and
+CDC pokes — through the raw engine classes, the unified
+``repro.skeleton.backend.select`` API, and a sweep over every
+benchmark workload topology.
 
 Registering a new backend is one edit: add its ``select()`` name to
-``BACKENDS`` and teach the two column adapters (`_column_bits`,
-`_column_counters`) how to read a column of its state.  Every test
-here parametrizes over that list, so the new engine inherits the whole
-contract.
+``BACKENDS`` (and a batch engine to ``BATCH_ENGINES``, teaching the
+column adapters below how to read one instance of its state).  Every
+test here parametrizes over those lists, so the new engine inherits
+the whole contract.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.bench import workloads
-from repro.graph import figure1, figure2, pipeline, ring, tree
+from repro.errors import PeriodicityTimeout
+from repro.graph import figure1, figure2, parse_topology, pipeline, ring, tree
 from repro.graph.random_gen import random_dag, random_loopy
+from repro.ir import lower
 from repro.lid.variant import ProtocolVariant
 from repro.obs import Telemetry
 from repro.skeleton import (
-    BatchSkeletonSim,
     BitplaneBackend,
     BitplaneSkeletonSim,
     CodegenBackend,
     CodegenSkeletonSim,
     ScalarBackend,
     SkeletonSim,
-    VectorizedBackend,
-    bitsim_supported,
     codegen_supported,
     select,
-    vectorized_supported,
 )
+
+from .test_gals import GALS_SPECS
 
 VARIANTS = [ProtocolVariant.CASU, ProtocolVariant.CARLONI]
 
 #: Every name ``select()`` accepts; the single registration point for
 #: the differential harness.
-BACKENDS = ["scalar", "vectorized", "bitsim", "codegen"]
+BACKENDS = ["scalar", "bitsim", "codegen"]
 
 #: The batch engines, lockstep-compared against the scalar reference.
 BATCH_ENGINES = {
-    "vectorized": BatchSkeletonSim,
     "bitsim": BitplaneSkeletonSim,
 }
 
 
-def _column_bits(sim, values, column):
+def _column_bits(values, column):
     """One instance's bools from a batch engine's per-signal state."""
-    if isinstance(sim, BitplaneSkeletonSim):
-        return tuple(bool((word >> column) & 1) for word in values)
-    return tuple(bool(x) for x in np.asarray(values)[:, column])
+    return tuple(bool((word >> column) & 1) for word in values)
 
 
 def _column_counters(sim, column):
     """(assertions, on-voids, internal on-voids) for one instance."""
-    if isinstance(sim, BitplaneSkeletonSim):
-        return (sim.stop_assertions.value(column),
-                sim.stops_on_voids.value(column),
-                sim.internal_stops_on_voids.value(column))
-    return (int(sim.stop_assertions_total[column]),
-            int(sim.stops_on_voids_total[column]),
-            int(sim.internal_stops_on_voids_total[column]))
+    return (sim.stop_assertions.value(column),
+            sim.stops_on_voids.value(column),
+            sim.internal_stops_on_voids.value(column))
+
+
+def _column_occupancy(sim, column):
+    """Per-bridge occupancy of one instance (thermometer popcount)."""
+    return tuple(sum((word >> column) & 1 for word in ge)
+                 for ge in sim.bridge_ge)
 
 
 def _all_relays(graph, kind):
@@ -122,17 +124,17 @@ def _lockstep(graph, variant, fixpoint, sink_map, source_map, backend,
         s_fires, s_accepts = scalar.step()
         b_fires, b_accepts = batch.step()
         ctx = (backend, graph.name, variant.name, fixpoint, cycle)
-        assert _column_bits(batch, b_fires, 0) == s_fires, \
+        assert _column_bits(b_fires, 0) == s_fires, \
             ("fires", ctx)
-        assert _column_bits(batch, b_accepts, 0) == s_accepts, \
+        assert _column_bits(b_accepts, 0) == s_accepts, \
             ("accepts", ctx)
-        assert _column_bits(batch, batch.shell_reg, 0) \
+        assert _column_bits(batch.shell_reg, 0) \
             == tuple(scalar.shell_reg), ("reg", ctx)
-        assert _column_bits(batch, batch.rs_main, 0) \
+        assert _column_bits(batch.rs_main, 0) \
             == tuple(scalar.rs_main), ("main", ctx)
-        assert _column_bits(batch, batch.rs_aux, 0) \
+        assert _column_bits(batch.rs_aux, 0) \
             == tuple(scalar.rs_aux), ("aux", ctx)
-        assert _column_bits(batch, batch.rs_stop_reg, 0) \
+        assert _column_bits(batch.rs_stop_reg, 0) \
             == tuple(scalar.rs_stop_reg), ("stop_reg", ctx)
         assert _column_counters(batch, 0) == (
             scalar.stop_assertions_total,
@@ -219,6 +221,116 @@ class TestRunToPeriod:
                     == ref.potential_deadlock_cycle), graph.name
 
 
+def _gals_columns(graph, cycles):
+    """Scripted columns and CDC pokes for one GALS topology.
+
+    Returns ``(sink_maps, source_maps, pokes)``; ``pokes`` lists
+    ``(column, bridge, cycle, delta, duration)`` in registration order.
+    Columns 4-8 poke the bridges: an overflow window long enough to
+    saturate the FIFO and keep pushing on a full bridge, an underflow
+    window that keeps popping an empty one, an overflow that lasts to
+    the end of the run, and two columns that fill a bridge and then
+    apply two opposite pokes in one cycle, in either order (the order
+    decides the clamp).
+    """
+    sinks = [n.name for n in graph.sinks()]
+    sources = [n.name for n in graph.sources()]
+    sink_script = {sinks[0]: (False, True, True)}
+    source_script = {sources[0]: (True, False)} if sources else {}
+    sink_maps = [{}, sink_script, {}, sink_script] + [{}] * 5
+    source_maps = [{}, {}, source_script, source_script] + [{}] * 5
+    bridges = lower(graph).bridges
+    last = len(bridges) - 1
+    depth = max(bridge.depth for bridge in bridges)
+    pokes = [
+        (4, 0, 5, +1, depth + 4),
+        (5, last, 5, -1, depth + 4),
+        (6, last, 30, +1, cycles - 30),
+        (7, 0, 12, +5, 1), (7, 0, 12, +1, 1), (7, 0, 12, -1, 1),
+        (8, 0, 12, +5, 1), (8, 0, 12, -1, 1), (8, 0, 12, +1, 1),
+    ]
+    return sink_maps, source_maps, pokes
+
+
+def _gals_lockstep(spec, variant, fixpoint, cycles=120):
+    graph = parse_topology(spec)
+    sink_maps, source_maps, pokes = _gals_columns(graph, cycles)
+    scalars = [
+        SkeletonSim(graph, variant=variant, fixpoint=fixpoint,
+                    sink_patterns=sink_maps[col],
+                    source_patterns=source_maps[col],
+                    telemetry=Telemetry.metrics_only())
+        for col in range(len(sink_maps))]
+    batch = BitplaneSkeletonSim(
+        graph, sink_maps, source_patterns=source_maps, variant=variant,
+        fixpoint=fixpoint, telemetry=Telemetry.metrics_only())
+    for col, bridge, at, delta, duration in pokes:
+        scalars[col].poke_bridge(bridge, at, delta, duration)
+        batch.poke_bridge(col, bridge, at, delta, duration)
+    for cycle in range(cycles):
+        b_fires, b_accepts = batch.step()
+        for col, scalar in enumerate(scalars):
+            s_fires, s_accepts = scalar.step()
+            ctx = (spec, variant.name, fixpoint, cycle, col)
+            assert _column_bits(b_fires, col) == s_fires, ctx
+            assert _column_bits(b_accepts, col) == s_accepts, ctx
+            assert _column_bits(batch.shell_reg, col) \
+                == tuple(scalar.shell_reg), ctx
+            assert _column_bits(batch.rs_main, col) \
+                == tuple(scalar.rs_main), ctx
+            assert _column_bits(batch.rs_aux, col) \
+                == tuple(scalar.rs_aux), ctx
+            assert _column_bits(batch.rs_stop_reg, col) \
+                == tuple(scalar.rs_stop_reg), ctx
+            assert _column_occupancy(batch, col) \
+                == tuple(scalar.bridge_occ), ctx
+            assert _column_counters(batch, col) == (
+                scalar.stop_assertions_total,
+                scalar.stops_on_voids_total,
+                scalar.internal_stops_on_voids_total), ctx
+        if cycle == 12:
+            # Same pokes, opposite order: the clamp makes them differ.
+            assert _column_occupancy(batch, 7)[0] \
+                == _column_occupancy(batch, 8)[0] - 1, spec
+    for col, scalar in enumerate(scalars):
+        assert batch.ambiguous_cycles[col] == scalar.ambiguous_cycles
+        # Bridge occupancy histograms included.
+        assert batch.metrics_snapshot(col) == scalar.metrics_snapshot(), \
+            (spec, col)
+
+    # Periodicity extraction with the same scripts and pokes.
+    batch = BitplaneSkeletonSim(
+        graph, sink_maps, source_patterns=source_maps, variant=variant,
+        fixpoint=fixpoint)
+    scalars = [
+        SkeletonSim(graph, variant=variant, fixpoint=fixpoint,
+                    sink_patterns=sink_maps[col],
+                    source_patterns=source_maps[col])
+        for col in range(len(sink_maps))]
+    for col, bridge, at, delta, duration in pokes:
+        scalars[col].poke_bridge(bridge, at, delta, duration)
+        batch.poke_bridge(col, bridge, at, delta, duration)
+    for col, (result, scalar) in enumerate(zip(batch.run_to_period(),
+                                               scalars)):
+        ref = dataclasses.asdict(scalar.run())
+        got = dataclasses.asdict(result)
+        # A batch runs until its slowest instance is periodic.
+        ref.pop("cycles_run")
+        got.pop("cycles_run")
+        assert got == ref, (spec, col)
+
+
+class TestGalsLockstep:
+    """Clock domains, bridges and CDC pokes, plane by plane."""
+
+    @pytest.mark.parametrize("spec", GALS_SPECS)
+    @pytest.mark.parametrize("variant", VARIANTS,
+                             ids=lambda v: v.name.lower())
+    @pytest.mark.parametrize("fixpoint", ["least", "greatest"])
+    def test_gals_matches_scalar(self, spec, variant, fixpoint):
+        _gals_lockstep(spec, variant, fixpoint)
+
+
 def _codegen_lockstep(graph, variant, fixpoint, sink_map, source_map,
                       cycles=60):
     """Compiled vs scalar: full state, every cycle, then batched."""
@@ -295,16 +407,14 @@ class TestBackendApi:
     def test_selection_policy(self):
         graph = pipeline(2)
         assert isinstance(select(graph, batch=1), ScalarBackend)
-        assert isinstance(select(graph, batch=4), VectorizedBackend)
+        # "auto" runs every batch wider than one on bit planes.
+        assert isinstance(select(graph, batch=4), BitplaneBackend)
+        assert isinstance(select(graph, batch=200), BitplaneBackend)
         assert isinstance(select(graph, batch=4, backend="scalar"),
                           ScalarBackend)
-        assert isinstance(select(graph, batch=1, backend="vectorized"),
-                          VectorizedBackend)
-        # The bit-plane engine is opt-in only: "auto" never picks it.
-        assert isinstance(select(graph, batch=4, backend="bitsim"),
+        assert isinstance(select(graph, batch=1, backend="bitsim"),
                           BitplaneBackend)
-        assert isinstance(select(graph, batch=64), VectorizedBackend)
-        # So is the compiled engine — explicit request only, any batch.
+        # The compiled engine is opt-in only — explicit request, any batch.
         for batch in (1, 4):
             handle = select(graph, batch=batch, backend="codegen")
             assert isinstance(handle, CodegenBackend)
@@ -322,10 +432,20 @@ class TestBackendApi:
                    backend=backend)
 
     def test_supported_reports_capability(self):
-        for probe in (vectorized_supported, bitsim_supported,
-                      codegen_supported):
-            ok, reason = probe(pipeline(2), ProtocolVariant.CASU)
-            assert ok, (probe.__name__, reason)
+        for variant in VARIANTS:
+            ok, reason = codegen_supported(pipeline(2), variant)
+            assert ok, reason
+
+    @pytest.mark.parametrize("backend", ["auto", "scalar", "bitsim"])
+    def test_periodicity_timeout_is_typed(self, backend):
+        """Every engine raises the structured timeout analyze catches."""
+        handle = select(pipeline(4, relays_per_hop=2), batch=2,
+                        sink_patterns=[{"out": (True, False, False)}, {}],
+                        backend=backend)
+        with pytest.raises(PeriodicityTimeout) as err:
+            handle.run(max_cycles=1)
+        assert err.value.max_cycles == 1
+        assert err.value.graph == handle.graph.name
 
     @pytest.mark.parametrize("variant", VARIANTS,
                              ids=lambda v: v.name.lower())
@@ -484,7 +604,6 @@ class TestInjectCampaignParity:
                                               **kwargs)
                    for backend in BACKENDS}
         assert reports["scalar"].backend == "scalar"
-        assert reports["vectorized"].backend == "vectorized"
         assert reports["bitsim"].backend == "bitsim"
         assert reports["codegen"].backend == "codegen"
         baseline = reports["scalar"]
@@ -530,7 +649,7 @@ class TestInjectCampaignParity:
         kwargs = dict(variant=ProtocolVariant.CASU, cycles=64,
                       faults=faults)
         lid = run_campaign(graph, monitors=False, **kwargs)
-        skel = skeleton_campaign(graph, backend="vectorized", **kwargs)
+        skel = skeleton_campaign(graph, backend="bitsim", **kwargs)
         lid_verdicts = {r.spec.label(): r.verdict for r in lid.results}
         skel_verdicts = {r.spec.label(): r.verdict
                          for r in skel.results}

@@ -1,11 +1,13 @@
 """GALS multi-clock skeleton semantics, backend gating and bridges.
 
 The differential-conformance extension for mixed-rate systems: the
-scalar and vectorized engines must agree bit-exactly on every GALS
-topology (firing decisions, bridge occupancy, registers, steady-state
-structure), the single-clock-only engines must refuse GALS lowerings
-through the capability flags, and ``select()`` must turn every refusal
-into an actionable message.
+scalar engine and the batch engine (bit planes, i.e. vectorized across
+instances) must agree bit-exactly on every GALS topology (firing
+decisions, bridge occupancy, registers, steady-state structure), the
+codegen engine — single-clock only — must refuse GALS lowerings
+through the capability flags, and ``select()`` must turn that refusal
+into an actionable message.  The full per-plane lockstep with CDC
+pokes lives in ``test_backend_conformance.py``.
 """
 
 from fractions import Fraction
@@ -17,11 +19,9 @@ from repro.graph import gals_chain, gals_ring, parse_topology
 from repro.ir import lower
 from repro.lid.variant import ProtocolVariant
 from repro.skeleton import (
-    BatchSkeletonSim,
     BitplaneSkeletonSim,
     CodegenSkeletonSim,
     SkeletonSim,
-    bitsim_supported,
     check_deadlock,
     codegen_supported,
     select,
@@ -45,11 +45,12 @@ class TestMixedRateDifferential:
     @pytest.mark.parametrize("spec", GALS_SPECS)
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_scalar_vs_vectorized_bit_exact(self, spec, variant):
+        """Scalar vs the bit-plane batch engine, one plane."""
         graph = parse_topology(spec)
         scalar = SkeletonSim(graph, variant=variant,
                              detect_ambiguity=False)
-        batch = BatchSkeletonSim(graph, [{}], variant=variant,
-                                 detect_ambiguity=False)
+        batch = BitplaneSkeletonSim(graph, [{}], variant=variant,
+                                    detect_ambiguity=False)
         cycles = 160
         fires = [0] * len(scalar.shell_names)
         accepted = 0
@@ -61,18 +62,19 @@ class TestMixedRateDifferential:
         batch.run(cycles)
         for i, name in enumerate(scalar.shell_names):
             j = batch.shell_names.index(name)
-            assert int(batch.shell_fired[j][0]) == fires[i], name
-        assert int(batch.sink_accepted.sum()) == accepted
-        assert tuple(int(batch.bridge_occ[b][0])
-                     for b in range(len(scalar.bridge_occ))) \
+            assert batch.fire_count(j, 0) == fires[i], name
+        assert sum(batch.accept_count(j, 0)
+                   for j in range(len(batch.sink_names))) == accepted
+        assert tuple(sum(word & 1 for word in ge)
+                     for ge in batch.bridge_ge) \
             == tuple(scalar.bridge_occ)
 
     @pytest.mark.parametrize("spec", GALS_SPECS[:4])
     def test_steady_state_structure_matches(self, spec):
         graph = parse_topology(spec)
         ref = SkeletonSim(graph, detect_ambiguity=False).run()
-        result = BatchSkeletonSim(graph, [{}],
-                                  detect_ambiguity=False).run_to_period()[0]
+        result = BitplaneSkeletonSim(
+            graph, [{}], detect_ambiguity=False).run_to_period()[0]
         assert (result.transient, result.period) == (ref.transient,
                                                      ref.period)
         assert result.shell_fires == ref.shell_fires
@@ -114,9 +116,10 @@ class TestBridges:
                 assert 0 <= occ <= depth
 
     def test_poke_clamps_and_matches_vectorized(self):
+        """Pokes on the bit-plane batch engine clamp like scalar."""
         graph = parse_topology("gals-ring:rates=1+1/2,shells=2,depth=2")
         scalar = SkeletonSim(graph, detect_ambiguity=False)
-        batch = BatchSkeletonSim(graph, [{}], detect_ambiguity=False)
+        batch = BitplaneSkeletonSim(graph, [{}], detect_ambiguity=False)
         name = scalar.bridge_names[0]
         for sim_poke in (lambda c, d: scalar.poke_bridge(name, c, d),
                          lambda c, d: batch.poke_bridge(0, name, c, d)):
@@ -127,8 +130,8 @@ class TestBridges:
         for cycle in range(60):
             scalar.step()
             batch.step()
-            got = tuple(int(batch.bridge_occ[b][0])
-                        for b in range(len(scalar.bridge_occ)))
+            got = tuple(sum(word & 1 for word in ge)
+                        for ge in batch.bridge_ge)
             assert got == tuple(scalar.bridge_occ), cycle
 
     def test_poke_unknown_bridge_raises(self):
@@ -136,6 +139,23 @@ class TestBridges:
         sim = SkeletonSim(graph, detect_ambiguity=False)
         with pytest.raises(KeyError):
             sim.poke_bridge("no-such-bridge", 0, 1)
+
+    @pytest.mark.parametrize("args,error", [
+        ((0, "no-such-bridge"), KeyError),
+        ((0, 5), KeyError),
+        ((0, -1), KeyError),
+        ((2, 0), IndexError),
+        ((-1, 0), IndexError),
+    ])
+    def test_bitsim_poke_validation(self, args, error):
+        """Same name, index and instance checks as the other engines."""
+        graph = parse_topology("gals-chain:rates=1+1/2")
+        sim = BitplaneSkeletonSim(graph, batch=2)
+        with pytest.raises(error):
+            sim.poke_bridge(*args, 0, 1)
+        handle = select(graph, batch=2)
+        with pytest.raises(error):
+            handle.poke_bridge(*args, 0, 1)
 
 
 class TestCapabilityGating:
@@ -147,8 +167,7 @@ class TestCapabilityGating:
         assert single.single_clock
         assert not single.has_bridges
 
-    @pytest.mark.parametrize("probe", [bitsim_supported,
-                                       codegen_supported])
+    @pytest.mark.parametrize("probe", [codegen_supported])
     def test_supported_probes_refuse_gals(self, probe):
         graph = parse_topology("gals-chain:rates=1+1/2")
         ok, reason = probe(graph, ProtocolVariant.CASU)
@@ -159,38 +178,34 @@ class TestCapabilityGating:
     def test_available_backends(self):
         gals = parse_topology("gals-ring:rates=1+1/2,shells=2")
         assert available_backends(gals, ProtocolVariant.CASU) \
-            == ("scalar", "vectorized")
+            == ("scalar", "bitsim")
         single = parse_topology("figure2:relays=1")
-        assert "bitsim" in available_backends(single,
-                                              ProtocolVariant.CASU)
+        assert available_backends(single, ProtocolVariant.CASU) \
+            == ("scalar", "bitsim", "codegen")
 
-    @pytest.mark.parametrize("backend", ["bitsim", "codegen"])
+    @pytest.mark.parametrize("backend", ["codegen"])
     def test_select_refusal_is_actionable(self, backend):
         graph = parse_topology("gals-chain:rates=1+1/2")
         with pytest.raises(ValueError) as err:
             select(graph, backend=backend)
         message = str(err.value)
         assert "single_clock" in message
-        assert "available backends: scalar, vectorized" in message
+        assert "available backends: scalar, bitsim" in message
 
     def test_select_unknown_backend_enumerates(self):
         graph = parse_topology("gals-chain:rates=1+1/2")
         with pytest.raises(ValueError) as err:
             select(graph, backend="warp")
-        assert "scalar, vectorized" in str(err.value)
+        assert "scalar, bitsim" in str(err.value)
 
     def test_select_auto_falls_back_cleanly(self):
         graph = parse_topology("gals-chain:rates=1+1/2")
-        # Single instance: the scalar reference wins; wide batches go
-        # vectorized — never bitsim/codegen, which lack GALS support.
+        # Single instance: the scalar reference wins; wide batches run
+        # on bit planes — never codegen, which lacks GALS support.
         assert select(graph).name == "scalar"
-        assert select(graph, batch=4).name == "vectorized"
-
-    def test_bitsim_constructor_refuses_gals(self):
-        graph = parse_topology("gals-chain:rates=1+1/2")
-        with pytest.raises(StructuralError) as err:
-            BitplaneSkeletonSim(graph, batch=1)
-        assert "single_clock" in str(err.value)
+        assert select(graph, batch=4).name == "bitsim"
+        assert select(parse_topology("gals-ring:rates=1+1/2,shells=2"),
+                      batch=4).name == "bitsim"
 
     def test_codegen_constructor_refuses_gals(self):
         graph = parse_topology("gals-chain:rates=1+1/2")

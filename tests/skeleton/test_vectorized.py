@@ -1,52 +1,61 @@
-"""Tests for the vectorized batch skeleton simulator."""
+"""Tests for the batch skeleton engine (bit planes across instances).
 
-from fractions import Fraction
+The batch engine is :class:`~repro.skeleton.bitsim.BitplaneSkeletonSim`,
+the engine ``select()`` picks for every batch wider than one: these
+tests pin its construction checks, its sweeps and its agreement with
+the scalar reference through the raw class and through ``select()``.
+"""
 
-import numpy as np
 import pytest
 
 from repro.graph import figure1, figure2, pipeline, ring, tree
 from repro.lid.variant import ProtocolVariant
-from repro.skeleton import BatchSkeletonSim, SkeletonSim
+from repro.skeleton import BitplaneSkeletonSim, SkeletonSim, select
+
+
+def _sink_rates(handle, cycles):
+    """Per instance, each sink's accepts per cycle after *cycles*."""
+    handle.run_cycles(cycles)
+    counts = handle.accept_counts()
+    return {name: counts[j] / cycles
+            for j, name in enumerate(handle.sink_names)}
 
 
 class TestConstruction:
     def test_half_relays_accepted(self):
         """The generalized engine covers half relay stations."""
         graph = ring(2, relays_per_arc=[["half"], ["full"]])
-        batch = BatchSkeletonSim(graph, [{}])
+        batch = BitplaneSkeletonSim(graph, [{}])
         batch.run(20)
         assert batch.cycle == 20
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            BatchSkeletonSim(pipeline(2), [])
+            BitplaneSkeletonSim(pipeline(2), [])
 
     def test_no_width_rejected(self):
         with pytest.raises(ValueError):
-            BatchSkeletonSim(pipeline(2))
+            BitplaneSkeletonSim(pipeline(2))
 
     def test_inconsistent_widths_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            BatchSkeletonSim(pipeline(2), [{}, {}],
-                             source_patterns=[{}])
+            BitplaneSkeletonSim(pipeline(2), [{}, {}],
+                                source_patterns=[{}])
 
     def test_unknown_script_target_rejected(self):
         with pytest.raises(ValueError, match="unknown script target"):
-            BatchSkeletonSim(pipeline(2), [{"nope": (True,)}])
+            BitplaneSkeletonSim(pipeline(2), [{"nope": (True,)}])
 
     def test_bad_fixpoint_rejected(self):
         with pytest.raises(ValueError, match="fixpoint"):
-            BatchSkeletonSim(pipeline(2), [{}], fixpoint="middle")
+            BitplaneSkeletonSim(pipeline(2), [{}], fixpoint="middle")
 
 
 class TestGeneralizedFeatures:
     def test_scripted_sources_throttle_throughput(self):
-        batch = BatchSkeletonSim(
-            pipeline(2), batch=2,
-            source_patterns=[{}, {"src": (True, False)}])
-        batch.run(400)
-        rates = batch.sink_rates()["out"]
+        handle = select(pipeline(2), batch=2,
+                        source_patterns=[{}, {"src": (True, False)}])
+        rates = _sink_rates(handle, 400)["out"]
         assert rates[0] == pytest.approx(1.0, abs=0.02)
         assert rates[1] == pytest.approx(0.5, abs=0.02)
 
@@ -58,18 +67,18 @@ class TestGeneralizedFeatures:
             if edge.relays:
                 edge.relays = ("half",) * len(edge.relays)
         bp = [{"out": (False, False, True, True)}]
-        old = BatchSkeletonSim(graph, bp,
-                               variant=ProtocolVariant.CARLONI)
-        new = BatchSkeletonSim(graph, bp, variant=ProtocolVariant.CASU)
+        old = BitplaneSkeletonSim(graph, bp,
+                                  variant=ProtocolVariant.CARLONI)
+        new = BitplaneSkeletonSim(graph, bp, variant=ProtocolVariant.CASU)
         old.run(200)
         new.run(200)
-        assert int(new.sink_accepted[0][0]) > \
-            10 * max(int(old.sink_accepted[0][0]), 1)
+        assert new.accept_count(0, 0) > \
+            10 * max(old.accept_count(0, 0), 1)
 
     def test_ambiguity_detected_on_half_ring(self):
         graph = ring(2, relays_per_arc=[["half"], ["half"]])
-        batch = BatchSkeletonSim(graph, [{}],
-                                 variant=ProtocolVariant.CARLONI)
+        batch = BitplaneSkeletonSim(graph, [{}],
+                                    variant=ProtocolVariant.CARLONI)
         scalar = SkeletonSim(graph, variant=ProtocolVariant.CARLONI)
         batch.run(30)
         for _ in range(30):
@@ -78,7 +87,7 @@ class TestGeneralizedFeatures:
 
     def test_run_to_period_matches_scalar(self):
         graph = figure1()
-        results = BatchSkeletonSim(
+        results = BitplaneSkeletonSim(
             graph, [{}, {"out": (False, True)}]).run_to_period()
         for mapping, result in zip([{}, {"out": (False, True)}],
                                    results):
@@ -106,9 +115,8 @@ class TestAgainstScalar:
             {sinks[0]: p["out"]} if p else {} for p in patterns
         ]
         cycles = 600
-        batch = BatchSkeletonSim(graph, patterns)
-        batch.run(cycles)
-        batch_rates = batch.sink_rates()[sinks[0]]
+        batch_rates = _sink_rates(select(graph, sink_patterns=patterns),
+                                  cycles)[sinks[0]]
         for col, mapping in enumerate(patterns):
             scalar = SkeletonSim(graph, sink_patterns=mapping,
                                  detect_ambiguity=False)
@@ -121,7 +129,7 @@ class TestAgainstScalar:
 
     def test_shell_fires_match_scalar(self):
         graph = figure1()
-        batch = BatchSkeletonSim(graph, [{}])
+        batch = BitplaneSkeletonSim(graph, [{}])
         batch.run(400)
         scalar = SkeletonSim(graph, detect_ambiguity=False)
         fires = {name: 0 for name in scalar.shell_names}
@@ -131,16 +139,15 @@ class TestAgainstScalar:
                 fires[name] += fired
         for name, count in fires.items():
             idx = batch.shell_names.index(name)
-            assert batch.shell_fired[idx][0] == count
+            assert batch.fire_count(idx, 0) == count
 
 
 class TestSweeps:
     def test_backpressure_sweep(self):
         patterns = [{"out": tuple((i >> b) & 1 == 1 for b in range(3))}
                     for i in range(8)]
-        batch = BatchSkeletonSim(pipeline(2), patterns)
-        batch.run(600)
-        rates = batch.sink_rates()["out"]
+        rates = _sink_rates(select(pipeline(2), sink_patterns=patterns),
+                            600)["out"]
         # Stop fraction grows with popcount; rate falls accordingly.
         assert rates[0] == pytest.approx(1.0, abs=0.02)
         assert rates[7] == pytest.approx(0.0, abs=0.02)
@@ -150,24 +157,21 @@ class TestSweeps:
 
     def test_stalled_instance_detection(self):
         patterns = [{}, {"out": (True,)}]  # instance 1: stop forever
-        batch = BatchSkeletonSim(pipeline(2), patterns)
-        batch.run(300)
-        assert batch.stalled_instances() == [1]
+        handle = select(pipeline(2), sink_patterns=patterns)
+        handle.run_cycles(300)
+        fires = handle.fire_counts()
+        stalled = [i for i in range(handle.batch)
+                   if (fires[:, i] == 0).any()]
+        assert stalled == [1]
 
     def test_figure2_rate_in_batch(self):
-        batch = BatchSkeletonSim(figure2(), [{}])
-        batch.run(600)
-        assert batch.sink_rates()["out"][0] == pytest.approx(0.5,
-                                                             abs=0.01)
-
-    def test_requires_run_before_rates(self):
-        batch = BatchSkeletonSim(pipeline(2), [{}])
-        with pytest.raises(ValueError):
-            batch.sink_rates()
+        rates = _sink_rates(select(figure2(), batch=2), 600)
+        assert rates["out"][0] == pytest.approx(0.5, abs=0.01)
 
     def test_reset(self):
-        batch = BatchSkeletonSim(pipeline(2), [{}])
+        batch = BitplaneSkeletonSim(pipeline(2), [{}])
         batch.run(50)
         batch.reset()
         assert batch.cycle == 0
-        assert int(batch.shell_fired.sum()) == 0
+        assert all(batch.fire_count(i, 0) == 0
+                   for i in range(len(batch.shell_names)))

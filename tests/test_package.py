@@ -1,6 +1,10 @@
-"""Package-level hygiene: exports, errors, version."""
+"""Package-level hygiene: exports, errors, version, start-up imports."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +88,21 @@ class TestDocstrings:
         for cls in (LidSystem, Shell, RelayStation, HalfRelayStation,
                     Simulator, Token):
             assert cls.__doc__ and len(cls.__doc__.strip()) > 20
+
+
+class TestStartupImports:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """numpy loads lazily, inside the batch accessors: importing the
+        CLI (and so analyze, deadlock, liveness, series and LID
+        campaigns) never pays for it."""
+        src = pathlib.Path(__file__).parent.parent / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (str(src), os.environ.get("PYTHONPATH"))
+                   if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+            check=True)
+        assert proc.stdout.strip() == "False"
