@@ -299,6 +299,9 @@ class ResultCache:
     def put(self, key: str, value: Any) -> None:
         """Store under *key*; disk failures degrade to memory-only.
 
+        A value that cannot be pickled (a campaign trunk whose pearls
+        hold lambdas) stays in the memory layer only.
+
         Every :data:`GC_WRITE_INTERVAL`-th disk write triggers a
         :meth:`gc` sweep so a long-running process (the campaign
         server) keeps the disk layer inside its byte budget without any
@@ -308,9 +311,11 @@ class ResultCache:
         if self.directory is None or self._disk_broken:
             return
         try:
-            atomic_write_bytes(
-                self._path(key),
-                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+            data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 - e.g. a value holding a lambda
+            return  # memory only; the disk layer stays usable
+        try:
+            atomic_write_bytes(self._path(key), data)
         except Exception as exc:
             self._disk_broken = True
             print(f"warning: cache directory {self.directory!r} is not "

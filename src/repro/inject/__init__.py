@@ -14,14 +14,16 @@ This package turns that argument into experiments:
 * :mod:`repro.inject.campaign` — runs whole fault lists, classifies
   each outcome as ``detected`` / ``silent-corruption`` / ``masked`` /
   ``deadlock`` / ``timeout`` against a golden run, and renders
-  byte-reproducible reports; boundary control faults batch onto the
-  bit-plane skeleton engine.
+  byte-reproducible reports; token-level experiments fork from
+  checkpoints of a monitored golden trunk, and boundary control faults
+  batch onto the bit-plane skeleton engine.
 
 CLI: ``repro-lid inject --topology feedback --faults stop,void``.
 """
 
 from .campaign import (
     CampaignReport,
+    Checkpoint,
     ExperimentResult,
     GoldenRun,
     VERDICTS,
@@ -46,6 +48,7 @@ from .injector import FaultInjector, default_corruptor
 __all__ = [
     "ALL_KINDS",
     "CampaignReport",
+    "Checkpoint",
     "ExperimentResult",
     "FAULT_CLASSES",
     "FaultInjector",

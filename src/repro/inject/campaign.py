@@ -1,9 +1,22 @@
 """Campaign runner: execute fault lists and classify the outcomes.
 
 Each experiment elaborates a fresh system, arms one
-:class:`~repro.inject.injector.FaultInjector`, runs a fixed number of
-cycles and compares the result against a *golden* (fault-free) run of
-the same system.  Outcomes fall into five verdict classes:
+:class:`~repro.inject.injector.FaultInjector`, runs to a fixed cycle
+budget and compares the result against a *golden* (fault-free) run of
+the same system.
+
+Up to the first cycle at which a fault actually changes a wire or
+register (its *first effective cycle*), a faulted run is the golden
+run.  So :func:`run_campaign` simulates that shared prefix once: its
+golden run is a monitored *trunk* (:meth:`GoldenRun.capture` with the
+fault list) that checkpoints the whole system where each fault first
+bites, every experiment resumes from its :class:`Checkpoint` and
+simulates only the remaining cycles, and a fault that never bites
+takes the trunk's outcome unsimulated.  Reports are byte-identical to
+running every experiment from reset, which :func:`run_experiment`
+still does without a checkpoint.
+
+Outcomes fall into five verdict classes:
 
 * ``detected`` — a runtime protocol monitor (or any other check) raised
   before the run finished; the fault was caught loudly;
@@ -44,15 +57,18 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
+import pickle
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InjectionError, ProtocolViolationError, ReproError
 from ..exec import GraphRef, ResultCache, map_deterministic
 from ..graph.model import SystemGraph
+from ..kernel.scheduler import SimState
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
 from .faults import FaultSpec, generate_faults
-from .injector import FaultInjector
+from .injector import UNCHANGED, FaultInjector
 
 SCHEMA = "repro-inject-campaign/v2"
 
@@ -66,33 +82,180 @@ def tail_window(cycles: int) -> int:
     return max(8, cycles // 8)
 
 
+@dataclasses.dataclass(frozen=True)
+class Checkpoint:
+    """Where one experiment leaves the golden trunk.
+
+    The trunk's state at the fault's first effective cycle: every
+    block's registers (``sim``), every channel monitor's memory
+    (``monitors``, empty when monitors are off) and, for
+    ``delayed-stop``, the golden settled stop of the cycle before
+    (``prev_stop``).  Faults that bite in the same cycle share ``sim``
+    and ``monitors``.
+    """
+
+    sim: SimState
+    monitors: Tuple[Any, ...] = ()
+    prev_stop: bool = False
+
+    @property
+    def cycle(self) -> int:
+        return self.sim.cycle
+
+
 @dataclasses.dataclass
 class GoldenRun:
-    """Fault-free reference: sink streams and shell activity."""
+    """Fault-free reference: sink streams and shell activity.
+
+    Captured with a fault list it is also the campaign's *trunk*:
+    ``forks[i]`` is the :class:`Checkpoint` at which ``faults[i]``
+    first bites, or ``None`` when it never changes a wire or register;
+    ``trunk_detail`` is the detection detail of the trunk itself when
+    its monitors (or a crash) stopped it, else ``None``.
+    """
 
     cycles: int
     sink_payloads: Dict[str, List[Any]]
     shell_fires: Dict[str, int]
     tail_fires: int  # total shell firings inside the tail window
+    forks: Optional[Tuple[Optional[Checkpoint], ...]] = None
+    trunk_detail: Optional[str] = None
 
     @classmethod
     def capture(cls, graph: SystemGraph, variant: ProtocolVariant,
-                cycles: int) -> "GoldenRun":
+                cycles: int, *,
+                faults: Optional[Sequence[FaultSpec]] = None,
+                strict: bool = False,
+                monitors: bool = True) -> "GoldenRun":
+        """Simulate the fault-free run of *graph*.
+
+        Without *faults* this is a bare, unmonitored golden run.  With
+        them it is the monitored *trunk* of a campaign: the run carries
+        the experiments' ``watch_system(strict_stop_shape=strict)``
+        monitors (when *monitors* is on), and a cycle hook ahead of the
+        monitors asks every pending fault the injector's own fire
+        predicate (:meth:`~repro.inject.injector.FaultInjector.effect`)
+        on the settled wires.  At a fault's first effective cycle the
+        hook checkpoints the whole system; state faults fork at their
+        first active cycle.  Up to that cycle a faulted run *is* this
+        run, so an experiment resumed there (:func:`run_experiment`
+        with the checkpoint) returns exactly the from-reset result.
+
+        If the trunk's monitors raise at cycle *g* (``strict`` on a
+        graph whose sinks stop on voids), faults that bit by *g* keep
+        their forks, every other fault takes the trunk's detection
+        (``trunk_detail``), and the reference streams come from an
+        unmonitored run.
+        """
         system = graph.elaborate(variant=variant)
-        system.run(cycles)
-        tail_start = cycles - tail_window(cycles)
-        tail_fires = sum(
-            sum(1 for c in shell.fired_cycles if c >= tail_start)
-            for shell in system.shells.values()
-        )
+        if faults is None:
+            system.run(cycles)
+            return cls._of(system, cycles)
+        from ..lid.monitor import watch_system
+
+        trunk = _Trunk(system, faults)
+        if monitors:
+            trunk.monitors = watch_system(system, strict_stop_shape=strict)
+        try:
+            system.run(cycles)
+        except Exception as exc:  # noqa: BLE001 - classified like a fault
+            golden = cls.capture(graph, variant, cycles)
+            golden.trunk_detail = _detection_detail(exc)
+        else:
+            golden = cls._of(system, cycles)
+        golden.forks = None if trunk.forks is None else tuple(trunk.forks)
+        return golden
+
+    @classmethod
+    def _of(cls, system, cycles: int) -> "GoldenRun":
         return cls(
             cycles=cycles,
             sink_payloads={name: list(sink.payloads)
                            for name, sink in system.sinks.items()},
             shell_fires={name: shell.fire_count
                          for name, shell in system.shells.items()},
-            tail_fires=tail_fires,
+            tail_fires=_tail_fires(system, cycles),
         )
+
+
+def _tail_fires(system, cycles: int) -> int:
+    """Shell firings inside the tail window of a finished run."""
+    tail_start = cycles - tail_window(cycles)
+    return sum(sum(1 for c in shell.fired_cycles if c >= tail_start)
+               for shell in system.shells.values())
+
+
+class _Trunk:
+    """Golden-run cycle hook that forks each fault where it first bites.
+
+    Registered before the monitors, it sees cycle *t* after settle and
+    before any monitor samples it.  Publish and settle only drive
+    signals, so the component state then is the boundary state of *t*;
+    only the settle-pass count has moved, and the hook remembers the
+    count of the previous boundary for the checkpoint.
+    """
+
+    def __init__(self, system, faults: Sequence[FaultSpec]):
+        self.monitors: List[Any] = []
+        #: ``None`` once a checkpoint could not be taken (a pearl that
+        #: cannot be deep-copied): every experiment then runs from reset.
+        self.forks: Optional[List[Optional[Checkpoint]]] = \
+            [None] * len(faults)
+        # Resolving every target up front raises the same
+        # InjectionError a from-reset experiment would.
+        self._injectors = [FaultInjector(spec, system) for spec in faults]
+        # A fault is examined from its first active cycle; delayed-stop
+        # one cycle earlier, to sample the stop it will present.
+        self._waiting = sorted(
+            ((max(spec.cycle - (spec.kind == "delayed-stop"), 0), index)
+             for index, spec in enumerate(faults)), reverse=True)
+        self._live: List[int] = []
+        self._passes = 0
+        system.sim.add_cycle_hook(self._hook)
+
+    def _hook(self, sim) -> None:
+        if self.forks is not None:
+            self._fork(sim)
+        self._passes = sim.settle_passes_total
+
+    def _fork(self, sim) -> None:
+        cycle = sim.cycle
+        waiting = self._waiting
+        while waiting and waiting[-1][0] <= cycle:
+            self._live.append(waiting.pop()[1])
+        if not self._live:
+            return
+        state = None
+        live = []
+        for index in self._live:
+            injector = self._injectors[index]
+            spec = injector.spec
+            prev_stop = injector.prev_stop
+            if spec.phase == "wire" \
+                    and injector.sample(cycle) is UNCHANGED:
+                if spec.active(cycle + 1):
+                    live.append(index)
+                continue
+            if state is None:
+                try:
+                    state = dataclasses.replace(
+                        sim.capture_state(), settle_passes=self._passes)
+                except Exception:  # noqa: BLE001 - e.g. an uncopyable pearl
+                    self.forks = None
+                    return
+                watched = tuple(m.capture_state() for m in self.monitors)
+            self.forks[index] = Checkpoint(state, watched, prev_stop)
+        self._live = live
+
+
+def _detection_detail(exc: BaseException) -> str:
+    """How a run that raised is reported (verdict ``detected``)."""
+    if isinstance(exc, ProtocolViolationError):
+        return (f"monitor {exc.invariant!r} tripped at cycle {exc.cycle} "
+                f"on channel {exc.channel!r}")
+    if isinstance(exc, ReproError):
+        return f"{type(exc).__name__}: {exc}"
+    return f"crash: {type(exc).__name__}: {exc}"
 
 
 @dataclasses.dataclass
@@ -114,6 +277,9 @@ class ExperimentResult:
             "fired": self.fired,
             "fire_cycles": self.fire_cycles,
         }
+
+
+_IDENTICAL = "all sink streams identical to golden"
 
 
 def _stream_verdict(
@@ -147,7 +313,7 @@ def _stream_verdict(
     if corrupt_detail is not None:
         return "silent-corruption", corrupt_detail
     if short_detail is None:
-        return "masked", "all sink streams identical to golden"
+        return "masked", _IDENTICAL
     if golden.tail_fires > 0 and faulty_tail_fires == 0:
         return "deadlock", (
             f"{short_detail}; no shell fired in the tail window "
@@ -165,50 +331,60 @@ def run_experiment(
     strict: bool = False,
     monitors: bool = True,
     telemetry=None,
+    checkpoint: Optional[Checkpoint] = None,
 ) -> ExperimentResult:
-    """Run one fault on the scalar LID engine and classify it."""
+    """Run one fault on the scalar LID engine and classify it.
+
+    Without a *checkpoint* the run starts from reset.  With one — the
+    fault's fork from a trunk captured by :meth:`GoldenRun.capture`
+    with the same *variant*, *strict* and *monitors* — a fresh system
+    restores the trunk's state at the fault's first effective cycle,
+    the injector is armed there and only the remaining cycles are
+    simulated.  The result is the same either way.
+    """
     from ..lid.monitor import watch_system
 
     cycles = golden.cycles
     system = graph.elaborate(variant=variant)
     if telemetry is not None:
         system.attach_telemetry(telemetry)
-    if monitors:
-        watch_system(system, strict_stop_shape=strict)
-    injector = FaultInjector(spec, system).attach()
+    watchers = (watch_system(system, strict_stop_shape=strict)
+                if monitors else [])
+    start, prev_stop = 0, False
+    if checkpoint is not None:
+        if len(checkpoint.monitors) != len(watchers):
+            raise InjectionError(
+                f"checkpoint holds {len(checkpoint.monitors)} monitor "
+                f"states for {len(watchers)} monitors; fork with the "
+                f"trunk's monitors setting")
+        system.sim.restore_state(checkpoint.sim)
+        for monitor, state in zip(watchers, checkpoint.monitors):
+            monitor.restore_state(state)
+        start, prev_stop = checkpoint.cycle, checkpoint.prev_stop
+    injector = FaultInjector(spec, system, prev_stop=prev_stop).attach()
 
     try:
-        system.run(cycles)
-    except ProtocolViolationError as exc:
-        return ExperimentResult(
-            spec, "detected",
-            f"monitor {exc.invariant!r} tripped at cycle {exc.cycle} "
-            f"on channel {exc.channel!r}",
-            injector.fired, len(injector.fired_cycles))
-    except ReproError as exc:
-        return ExperimentResult(
-            spec, "detected",
-            f"{type(exc).__name__}: {exc}",
-            injector.fired, len(injector.fired_cycles))
+        system.run(cycles - start, reset=checkpoint is None)
     except Exception as exc:  # noqa: BLE001 - a crash is loud detection
-        return ExperimentResult(
-            spec, "detected",
-            f"crash: {type(exc).__name__}: {exc}",
-            injector.fired, len(injector.fired_cycles))
+        return ExperimentResult(spec, "detected", _detection_detail(exc),
+                                injector.fired, len(injector.fired_cycles))
 
-    tail_start = cycles - tail_window(cycles)
-    faulty_tail_fires = sum(
-        sum(1 for c in shell.fired_cycles if c >= tail_start)
-        for shell in system.shells.values()
-    )
     verdict, detail = _stream_verdict(
         golden,
         {name: list(sink.payloads)
          for name, sink in system.sinks.items()},
-        faulty_tail_fires,
+        _tail_fires(system, cycles),
     )
     return ExperimentResult(spec, verdict, detail, injector.fired,
                             len(injector.fired_cycles))
+
+
+def _unbitten(spec: FaultSpec, golden: GoldenRun) -> ExperimentResult:
+    """The result of a fault that never bites: its run is the trunk."""
+    if golden.trunk_detail is not None:
+        return ExperimentResult(spec, "detected", golden.trunk_detail,
+                                False, 0)
+    return ExperimentResult(spec, "masked", _IDENTICAL, False, 0)
 
 
 @dataclasses.dataclass
@@ -325,7 +501,7 @@ class _WorkerContext:
     """Everything a campaign worker needs, in picklable form."""
 
     graph_ref: GraphRef
-    golden: GoldenRun
+    golden: GoldenRun  # without its fork table: units carry their forks
     variant: ProtocolVariant
     strict: bool
     monitors: bool
@@ -334,9 +510,9 @@ class _WorkerContext:
 
 def _experiment_worker(
     ctx: _WorkerContext,
-    spec: FaultSpec,
+    unit: Tuple[FaultSpec, Optional[Checkpoint]],
 ) -> Tuple[ExperimentResult, Optional[Dict[str, Any]]]:
-    """Run one experiment in a worker process.
+    """Run one experiment (a fault and its fork) in a worker process.
 
     Returns the result plus this experiment's metrics snapshot (when
     the parent carries a metrics registry) so the parent can merge the
@@ -353,6 +529,7 @@ def _experiment_worker(
     """
     from ..exec import worker_telemetry
 
+    spec, checkpoint = unit
     chunk_telemetry = worker_telemetry()
     telemetry = None
     if ctx.collect_metrics or chunk_telemetry is not None:
@@ -370,30 +547,53 @@ def _experiment_worker(
     result = run_experiment(
         ctx.graph_ref.materialize(), spec, ctx.golden,
         variant=ctx.variant, strict=ctx.strict, monitors=ctx.monitors,
-        telemetry=telemetry)
+        telemetry=telemetry, checkpoint=checkpoint)
     snapshot = (telemetry.metrics.snapshot()
                 if telemetry is not None and telemetry.metrics is not None
                 else None)
     return result, snapshot
 
 
-def _cached_golden(
+def _pickles(value: Any) -> bool:
+    try:
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:  # noqa: BLE001 - any pickling failure
+        return False
+    return True
+
+
+def _cached_trunk(
     graph: SystemGraph,
     variant: ProtocolVariant,
     cycles: int,
     seed: int,
+    faults: Sequence[FaultSpec],
+    strict: bool,
+    monitors: bool,
     cache: Optional[ResultCache],
 ) -> GoldenRun:
-    """Golden run, via the content-addressed cache when one is given."""
+    """The campaign trunk, via the content-addressed cache when given.
+
+    The entry is the golden run plus its fork table, which depends on
+    the fault list and on the monitors the trunk carries, so those
+    join the key.
+    """
+    def capture() -> GoldenRun:
+        return GoldenRun.capture(graph, variant, cycles, faults=faults,
+                                 strict=strict, monitors=monitors)
+
     if cache is None:
-        return GoldenRun.capture(graph, variant, cycles)
+        return capture()
     from ..exec import graph_fingerprint
 
-    key = cache.key("golden", graph_fingerprint(graph, cycles),
-                    variant, cycles, seed)
+    fault_digest = hashlib.sha256(
+        "\n".join(repr(spec) for spec in faults).encode()).hexdigest()
+    key = cache.key("trunk", graph_fingerprint(graph, cycles),
+                    variant, cycles, seed, strict, monitors, fault_digest)
     golden = cache.get(key)
-    if not isinstance(golden, GoldenRun) or golden.cycles != cycles:
-        golden = GoldenRun.capture(graph, variant, cycles)
+    if not isinstance(golden, GoldenRun) or golden.cycles != cycles \
+            or golden.forks is None or len(golden.forks) != len(faults):
+        golden = capture()
         cache.put(key, golden)
     return golden
 
@@ -430,16 +630,29 @@ def run_campaign(
 ) -> CampaignReport:
     """Full campaign on the scalar LID engine (token-level, monitored).
 
-    ``jobs`` fans the independent experiments across worker processes
-    via :func:`repro.exec.map_deterministic`; the report is
-    byte-identical for every value (see ``docs/parallelism.md``).  With
-    ``jobs > 1`` the graph must be reachable from workers: pass a
-    *graph_ref* (any graph with lambdas is unpicklable), or rely on the
-    automatic :meth:`GraphRef.from_graph` capture for plain graphs.
-    ``cache`` skips the fault-free golden simulation on repeat runs.
+    The golden run is a monitored *trunk* (:meth:`GoldenRun.capture`
+    with the fault list) that checkpoints the system at each fault's
+    first effective cycle.  Every experiment then forks from its
+    checkpoint (:func:`run_experiment`), simulating only the cycles
+    from there on, and a fault that never bites takes the trunk's
+    outcome without being simulated.  Reports are byte-identical to
+    running every experiment from reset.  With metrics or events
+    attached (*telemetry* or *trace*), every experiment runs from
+    reset instead, faults that never bite included, so snapshots and
+    event streams observe every cycle.
+
+    ``jobs`` fans the experiments across worker processes via
+    :func:`repro.exec.map_deterministic`; each unit carries its
+    checkpoint, and the report is byte-identical for every value (see
+    ``docs/parallelism.md``).  With ``jobs > 1`` the graph must be
+    reachable from workers: pass a *graph_ref* (any graph with lambdas
+    is unpicklable), or rely on the automatic
+    :meth:`GraphRef.from_graph` capture for plain graphs.  ``cache``
+    stores the trunk (golden run and fork table), so a repeat run
+    skips it.
 
     The whole campaign shares one lowered plan: fault generation, the
-    golden run and every experiment elaborate from the memoized
+    trunk and every experiment elaborate from the memoized
     :func:`repro.ir.lower` tables instead of re-walking the graph per
     fault (workers re-lower once per process — the memo deliberately
     does not travel inside GraphRef pickles).
@@ -465,22 +678,46 @@ def run_campaign(
             graph, variant=variant, classes=classes, cycles=cycles,
             window=window, exhaustive=exhaustive, samples=samples,
             seed=seed)
-    golden = _cached_golden(graph, variant, cycles, seed, cache)
+    golden = _cached_trunk(graph, variant, cycles, seed, faults, strict,
+                           monitors, cache)
+    results: List[Optional[ExperimentResult]] = [None] * len(faults)
+    if golden.forks is None or trace is not None or (
+            telemetry is not None
+            and (telemetry.metrics is not None
+                 or telemetry.events is not None)):
+        # Fork every experiment at cycle 0 (from reset), so metric
+        # snapshots and event streams observe every cycle.
+        runs = [(index, spec, None) for index, spec in enumerate(faults)]
+    else:
+        runs = []
+        for index, (spec, fork) in enumerate(zip(faults, golden.forks)):
+            if fork is None:
+                results[index] = _unbitten(spec, golden)
+            else:
+                runs.append((index, spec, fork))
+    units = [(spec, fork) for _index, spec, fork in runs]
 
     if progress is not None:
         progress.set_total(len(faults))
+        if len(runs) < len(faults):
+            progress.advance(len(faults) - len(runs))
     workers = 1
     if jobs > 1 and len(faults) > 1:
         ref = graph_ref if graph_ref is not None \
             else GraphRef.from_graph(graph)
         collect = telemetry is not None and telemetry.metrics is not None
-        ctx = _WorkerContext(ref, golden, variant, strict, monitors,
-                             collect)
+        ctx = _WorkerContext(ref, dataclasses.replace(golden, forks=None),
+                             variant, strict, monitors, collect)
         workers = min(jobs, len(faults))
+        if not _pickles(units):
+            # Pearls holding lambdas cannot travel: workers simulate
+            # those experiments from reset instead.
+            units = [(spec, None) for spec, _fork in units]
         pairs = map_deterministic(
-            functools.partial(_experiment_worker, ctx), faults, jobs,
+            functools.partial(_experiment_worker, ctx), units, jobs,
             trace=trace, progress=progress)
-        results = [result for result, _snapshot in pairs]
+        for (index, _spec, _fork), (result, _snapshot) in zip(runs, pairs):
+            results[index] = result
         if collect:
             # Canonical-order merge: counters add, gauges last-write-
             # wins, histograms add — exactly the serial accumulation.
@@ -488,12 +725,10 @@ def run_campaign(
                 if snapshot:
                     telemetry.metrics.merge_snapshot(snapshot)
     else:
-        results = []
-        for spec in faults:
-            results.append(
-                run_experiment(graph, spec, golden, variant=variant,
-                               strict=strict, monitors=monitors,
-                               telemetry=telemetry))
+        for index, spec, fork in runs:
+            results[index] = run_experiment(
+                graph, spec, golden, variant=variant, strict=strict,
+                monitors=monitors, telemetry=telemetry, checkpoint=fork)
             if progress is not None:
                 progress.advance(1)
     if progress is not None:

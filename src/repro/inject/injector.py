@@ -10,6 +10,11 @@ registers itself with the simulator's injection phases
 * state faults run after the edge phase, corrupting registers as they
   latch.
 
+Whether a wire fault changes anything in a given cycle is decided in
+one place, :meth:`FaultInjector.effect`: the wire hook forces what it
+returns, and a campaign's golden trunk asks it for the first cycle each
+fault bites (see :mod:`repro.inject.campaign`).
+
 When the system carries :class:`~repro.obs.Telemetry`, the injector
 emits an ``inject/arm`` event when attached and an ``inject/fire``
 event on every cycle it actually perturbs state, so an exported trace
@@ -17,8 +22,6 @@ shows the fault alongside the protocol events it provokes.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..errors import InjectionError
 from ..kernel.scheduler import Simulator
@@ -34,14 +37,25 @@ def default_corruptor(value):
     return ("corrupt", value)
 
 
-class FaultInjector:
-    """Applies a single fault spec to one elaborated LID system."""
+#: :meth:`FaultInjector.effect` result for a fault that would change
+#: nothing on the wires this cycle.
+UNCHANGED = object()
 
-    def __init__(self, spec: FaultSpec, system):
+
+class FaultInjector:
+    """Applies a single fault spec to one elaborated LID system.
+
+    *prev_stop* primes ``delayed-stop``: the settled stop of the cycle
+    before the one the run resumes at (a run from reset starts low and
+    samples the wire itself from ``spec.cycle - 1`` on).
+    """
+
+    def __init__(self, spec: FaultSpec, system, prev_stop: bool = False):
         self.spec = spec
         self.system = system
         self.fired_cycles = []
-        self._prev_stop = False
+        #: ``delayed-stop`` only: the settled stop one cycle ago.
+        self.prev_stop = prev_stop
         self._channel = None
         self._relay = None
         self._shell = None
@@ -85,55 +99,86 @@ class FaultInjector:
     def attach(self) -> "FaultInjector":
         """Register with the simulator's injection phase; emit arm."""
         sim = self.system.sim
-        sim.add_injection_hook(self._hook, phase=self.spec.phase)
+        hook = self._wire_hook if self.spec.phase == "wire" \
+            else self._state_hook
+        sim.add_injection_hook(hook, phase=self.spec.phase)
         self._emit("arm", sim.cycle)
         return self
 
     # -- per-cycle ---------------------------------------------------------
 
-    def _hook(self, sim: Simulator) -> None:
+    def effect(self, cycle: int):
+        """The one fire predicate of a wire fault.
+
+        Given the target channel's settled wires at *cycle*, return the
+        value the fault forces there, or :data:`UNCHANGED` when it is
+        inactive or forcing would change nothing (an already-low stop,
+        a void under a void glitch, a payload the corruption
+        reproduces).  The wire hook forces exactly this value, and a
+        monitored golden trunk asks the same question to find the
+        first cycle a fault bites, so the two cannot disagree.
+        """
+        spec = self.spec
+        if not spec.active(cycle):
+            return UNCHANGED
+        chan = self._channel
+        kind = spec.kind
+        if kind in ("stop-stuck-1", "stop-stuck-0"):
+            level = kind.endswith("1")
+            return level if bool(chan.stop.value) != level else UNCHANGED
+        if kind == "stop-glitch":
+            return not chan.stop.value
+        if kind == "delayed-stop":
+            return (self.prev_stop
+                    if bool(chan.stop.value) != self.prev_stop
+                    else UNCHANGED)
+        if kind in ("void-glitch", "valid-stuck-0"):
+            return False if chan.valid.value else UNCHANGED
+        if kind == "valid-stuck-1":
+            if chan.valid.value:
+                return UNCHANGED
+            return 0 if spec.value is None else spec.value
+        # payload
+        if not chan.valid.value:
+            return UNCHANGED
+        before = chan.data.value
+        after = (spec.value if spec.value is not None
+                 else default_corruptor(before))
+        return after if after != before else UNCHANGED
+
+    def sample(self, cycle: int):
+        """:meth:`effect` at *cycle*, then remember the settled stop
+        for ``delayed-stop`` (which presents it one cycle later)."""
+        forced = self.effect(cycle)
+        if self.spec.kind == "delayed-stop" and cycle + 1 >= self.spec.cycle:
+            self.prev_stop = bool(self._channel.stop.value)
+        return forced
+
+    def _wire_hook(self, sim: Simulator) -> None:
+        cycle = sim.cycle
+        forced = self.sample(cycle)
+        if forced is UNCHANGED:
+            return
+        kind = self.spec.kind
+        if kind.startswith(("stop", "delayed")):
+            self._channel.force_stop(forced)
+            self._fired(cycle, forced=forced)
+        elif kind == "payload":
+            self._channel.force_payload(forced)
+            self._fired(cycle, payload=repr(forced))
+        elif kind == "valid-stuck-1":
+            self._channel.force_valid(True, data=forced)
+            self._fired(cycle, forced=True)
+        else:
+            self._channel.force_valid(False)
+            self._fired(cycle, forced=False)
+
+    def _state_hook(self, sim: Simulator) -> None:
         spec = self.spec
         cycle = sim.cycle
-        if spec.kind == "delayed-stop":
-            # Track the true settled stop every cycle so the first
-            # active cycle already has a one-cycle-old value to present.
-            settled = bool(self._channel.stop.value)
-            if spec.active(cycle):
-                changed = settled != self._prev_stop
-                self._channel.force_stop(self._prev_stop)
-                if changed:
-                    self._fired(cycle, forced=self._prev_stop)
-            self._prev_stop = settled
-            return
         if not spec.active(cycle):
             return
-        if spec.kind in ("stop-stuck-1", "stop-stuck-0"):
-            level = spec.kind.endswith("1")
-            if bool(self._channel.stop.value) != level:
-                self._channel.force_stop(level)
-                self._fired(cycle, forced=level)
-        elif spec.kind == "stop-glitch":
-            level = not self._channel.stop.value
-            self._channel.force_stop(level)
-            self._fired(cycle, forced=level)
-        elif spec.kind in ("void-glitch", "valid-stuck-0"):
-            if self._channel.valid.value:
-                self._channel.force_valid(False)
-                self._fired(cycle, forced=False)
-        elif spec.kind == "valid-stuck-1":
-            if not self._channel.valid.value:
-                payload = 0 if spec.value is None else spec.value
-                self._channel.force_valid(True, data=payload)
-                self._fired(cycle, forced=True)
-        elif spec.kind == "payload":
-            if self._channel.valid.value:
-                before = self._channel.data.value
-                after = (spec.value if spec.value is not None
-                         else default_corruptor(before))
-                if after != before:
-                    self._channel.force_payload(after)
-                    self._fired(cycle, payload=repr(after))
-        elif spec.kind == "relay-drop":
+        if spec.kind == "relay-drop":
             if self._relay.inject_drop():
                 self._fired(cycle)
         elif spec.kind == "relay-duplicate":

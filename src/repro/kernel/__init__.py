@@ -7,7 +7,7 @@ network, waveform tracing and VCD export.
 """
 
 from .component import Component
-from .scheduler import Simulator
+from .scheduler import SimState, Simulator
 from .signal import Signal, SignalBundle
 from .trace import Trace
 from .vcd import dumps_vcd, write_vcd
@@ -16,6 +16,7 @@ __all__ = [
     "Component",
     "Signal",
     "SignalBundle",
+    "SimState",
     "Simulator",
     "Trace",
     "dumps_vcd",

@@ -17,14 +17,37 @@ The scheduler drives the protocol::
     while not fixpoint:
         component.settle()             # Mealy outputs from inputs
     component.tick()                   # sample inputs, update registers
+
+Checkpoints: :meth:`Component.capture_state` returns the state at a
+cycle boundary (registers by value, append-only histories by reference
+and length), and :meth:`Component.restore_state` loads it into an
+identically built component, so a simulation can be resumed mid-run in
+a fresh system (see
+:meth:`~repro.kernel.scheduler.Simulator.capture_state`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Simulator
+
+
+def capture_history(items: List[Any]) -> Tuple[List[Any], int]:
+    """Capture an append-only history (fire cycles, accepted tokens).
+
+    By reference and length, not by copy: later appends never change
+    the prefix, so checkpoints taken at many cycles of one run share
+    one list (and pickle it once).
+    """
+    return items, len(items)
+
+
+def restore_history(captured: Tuple[List[Any], int]) -> List[Any]:
+    """A fresh list holding a :func:`capture_history` prefix."""
+    items, length = captured
+    return items[:length]
 
 
 class Component:
@@ -64,6 +87,28 @@ class Component:
 
     def tick(self) -> None:
         """Clock edge: sample settled inputs and update registers."""
+
+    # -- checkpoints -----------------------------------------------------
+
+    def capture_state(self) -> Any:
+        """Register state at a cycle boundary.
+
+        The result must not change as the component runs on (a
+        checkpoint may be restored many times, long after it was
+        taken): registers are captured by value, append-only histories
+        with :func:`capture_history`.  It should pickle whenever the
+        payloads do.  Publish and settle only drive signals, so a
+        capture taken from a cycle hook equals the boundary state of
+        that cycle.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support checkpoints")
+
+    def restore_state(self, state: Any) -> None:
+        """Load a :meth:`capture_state` result taken on an identically
+        built component; the inverse of :meth:`capture_state`."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support checkpoints")
 
     # -- conveniences ----------------------------------------------------
 

@@ -32,8 +32,9 @@ FSMs on one clock (see DESIGN.md §2).
 
 from __future__ import annotations
 
+import dataclasses
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConvergenceError
 from .component import Component
@@ -41,6 +42,15 @@ from .signal import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Telemetry
+
+
+@dataclasses.dataclass(frozen=True)
+class SimState:
+    """A simulator checkpoint (see :meth:`Simulator.capture_state`)."""
+
+    cycle: int
+    settle_passes: int
+    components: Tuple[Any, ...]
 
 
 class Simulator:
@@ -132,6 +142,33 @@ class Simulator:
         self.cycle = 0
         for comp in self._components:
             comp.reset()
+        self._was_reset = True
+
+    def capture_state(self) -> "SimState":
+        """Boundary state: the cycle, the settle-pass count and every
+        component's :meth:`~Component.capture_state`, in registration
+        order.  Taken from a cycle hook, the component states are those
+        of the current cycle's boundary, but the settle-pass count
+        already includes this cycle's settle."""
+        if not self._was_reset:
+            self.reset()
+        return SimState(self.cycle, self.settle_passes_total,
+                        tuple(comp.capture_state()
+                              for comp in self._components))
+
+    def restore_state(self, state: "SimState") -> None:
+        """Resume from a :meth:`capture_state` result taken on an
+        identically built simulator.  It replaces :meth:`reset`: the
+        next :meth:`step` simulates cycle ``state.cycle``."""
+        if len(state.components) != len(self._components):
+            raise ValueError(
+                f"{self.name}: checkpoint holds {len(state.components)} "
+                f"component states for {len(self._components)} "
+                f"components")
+        for comp, comp_state in zip(self._components, state.components):
+            comp.restore_state(comp_state)
+        self.cycle = state.cycle
+        self.settle_passes_total = state.settle_passes
         self._was_reset = True
 
     def _settle(self) -> None:

@@ -14,7 +14,7 @@ import itertools
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import StructuralError
-from ..kernel.component import Component
+from ..kernel.component import Component, capture_history, restore_history
 from .channel import Channel
 from .token import Token, VOID
 from .variant import DEFAULT_VARIANT, ProtocolVariant
@@ -73,9 +73,11 @@ class Source(Component):
             self._make_stream = lambda: scripted_stream(pattern)
         else:
             # A bare iterator cannot be replayed across resets; it works
-            # for a single run only (reference runs need a factory).
+            # for a single run only (reference runs and checkpoint
+            # restores need a factory).
             self._make_stream = lambda: stream
         self._stream = self._make_stream()
+        self._pulls = 0  # elements taken from the current stream
         self.output: Optional[Channel] = None
         self._current: Token = VOID
         self.emitted: List[Tuple[int, Any]] = []
@@ -92,8 +94,13 @@ class Source(Component):
 
     def reset(self) -> None:
         self._stream = self._make_stream()
-        self._current = next(self._stream, VOID)
+        self._pulls = 0
+        self._current = self._pull()
         self.emitted = []
+
+    def _pull(self) -> Token:
+        self._pulls += 1
+        return next(self._stream, VOID)
 
     def publish(self) -> None:
         self.output.drive(self._current)
@@ -104,7 +111,22 @@ class Source(Component):
             return  # held under back pressure
         if self._current.valid:
             self.emitted.append((self.cycle, self._current.value))
-        self._current = next(self._stream, VOID)
+        self._current = self._pull()
+
+    # -- checkpoints ---------------------------------------------------------
+
+    def capture_state(self):
+        # Generators cannot be copied; the stream position is a pull
+        # count replayed on a fresh stream from the factory.
+        return (self._current, self._pulls, capture_history(self.emitted))
+
+    def restore_state(self, state) -> None:
+        self._current, pulls, emitted = state
+        self._stream = self._make_stream()
+        self._pulls = 0
+        for _ in range(pulls):
+            self._pull()
+        self.emitted = restore_history(emitted)
 
 
 class Sink(Component):
@@ -145,6 +167,16 @@ class Sink(Component):
     def reset(self) -> None:
         self.received = []
         self.void_cycles = []
+
+    def capture_state(self):
+        # The stop script is a pure function of the cycle: no state.
+        return (capture_history(self.received),
+                capture_history(self.void_cycles))
+
+    def restore_state(self, state) -> None:
+        received, void_cycles = state
+        self.received = restore_history(received)
+        self.void_cycles = restore_history(void_cycles)
 
     def publish(self) -> None:
         if self.stop_script is not None and self.stop_script(self.cycle):

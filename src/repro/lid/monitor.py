@@ -76,6 +76,16 @@ class ChannelMonitor:
         sim.add_cycle_hook(self._sample)
         return self
 
+    def capture_state(self):
+        """What the monitor remembers between cycles, by value (the
+        monitor analogue of :meth:`repro.kernel.Component.capture_state`)."""
+        return (self._prev_token, self._prev_stop, self.cycles_observed,
+                self.tokens_seen)
+
+    def restore_state(self, state) -> None:
+        (self._prev_token, self._prev_stop, self.cycles_observed,
+         self.tokens_seen) = state
+
     def _sample(self, sim: Simulator) -> None:
         token = self.channel.read()
         stop = self.channel.stop_asserted()

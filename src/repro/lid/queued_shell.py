@@ -133,6 +133,22 @@ class QueuedShell(Shell):
                 queue.append(token.value)
             self._stop_regs[port] = len(queue) >= self.queue_depth
 
+    # -- checkpoints ---------------------------------------------------------
+
+    def capture_state(self):
+        ports = self.pearl.input_ports
+        return (super().capture_state(),
+                tuple(tuple(self._queues[port]) for port in ports),
+                tuple(self._stop_regs[port] for port in ports))
+
+    def restore_state(self, state) -> None:
+        shell_state, queues, stop_regs = state
+        super().restore_state(shell_state)
+        ports = self.pearl.input_ports
+        self._queues = {port: deque(queue)
+                        for port, queue in zip(ports, queues)}
+        self._stop_regs = dict(zip(ports, stop_regs))
+
     # -- metrics -------------------------------------------------------------
 
     def queue_occupancy(self) -> Dict[str, int]:

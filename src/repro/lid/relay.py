@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import StructuralError
-from ..kernel.component import Component
+from ..kernel.component import Component, capture_history, restore_history
 from .channel import Channel
 from .token import Token, VOID
 from .variant import DEFAULT_VARIANT, ProtocolVariant
@@ -168,6 +168,16 @@ class RelayStation(_RelayBase):
             # else keep waiting with one buffered token, stop low.
         self._trace_occupancy(occupancy_before)
 
+    # -- checkpoints -------------------------------------------------------
+
+    def capture_state(self):
+        return (self._main, self._aux, self._stop_reg,
+                capture_history(self.valid_out_cycles))
+
+    def restore_state(self, state) -> None:
+        self._main, self._aux, self._stop_reg, valid_out = state
+        self.valid_out_cycles = restore_history(valid_out)
+
     # -- fault injection ---------------------------------------------------
 
     def inject_drop(self) -> bool:
@@ -271,6 +281,15 @@ class HalfRelayStation(_RelayBase):
         # else: hold; the transparent (or occupied-registered) stop has
         # already told the upstream to hold as well, so nothing is lost.
         self._trace_occupancy(occupancy_before)
+
+    # -- checkpoints -------------------------------------------------------
+
+    def capture_state(self):
+        return (self._main, capture_history(self.valid_out_cycles))
+
+    def restore_state(self, state) -> None:
+        self._main, valid_out = state
+        self.valid_out_cycles = restore_history(valid_out)
 
     # -- fault injection ---------------------------------------------------
 

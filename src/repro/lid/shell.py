@@ -31,10 +31,11 @@ ever duplicating a token.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Mapping, Sequence
 
 from ..errors import StructuralError
-from ..kernel.component import Component
+from ..kernel.component import Component, capture_history, restore_history
 from .channel import Channel
 from .token import Token, VOID
 from .variant import DEFAULT_VARIANT, ProtocolVariant
@@ -171,6 +172,24 @@ class Shell(Component):
                     if reg.valid and chan.stop_asserted():
                         continue  # held under back pressure
                     self._out_regs[chan] = VOID
+
+    # -- checkpoints ---------------------------------------------------------
+
+    def _register_order(self) -> List[Channel]:
+        return [chan for chans in self._outputs.values() for chan in chans]
+
+    def capture_state(self):
+        # Output registers by value (tokens are immutable), the pearl as
+        # a deep copy: its internal state is part of the shell's.
+        regs = tuple(self._out_regs[chan] for chan in self._register_order())
+        return (regs, capture_history(self.fired_cycles), self.fire_count,
+                copy.deepcopy(self.pearl))
+
+    def restore_state(self, state) -> None:
+        regs, fired_cycles, self.fire_count, pearl = state
+        self._out_regs = dict(zip(self._register_order(), regs))
+        self.fired_cycles = restore_history(fired_cycles)
+        self.pearl = copy.deepcopy(pearl)
 
     # -- fault injection -----------------------------------------------------
 

@@ -34,6 +34,12 @@ class Token:
     def __setattr__(self, name, _value):  # pragma: no cover - guard
         raise AttributeError(f"Token is immutable; cannot set {name!r}")
 
+    def __reduce__(self):
+        # The immutability guard blocks the default slot-by-slot
+        # reconstruction, so pickle and deepcopy rebuild through the
+        # constructor instead.
+        return (Token, (self.value, self.valid))
+
     @staticmethod
     def void() -> "Token":
         """The invalid token."""

@@ -39,7 +39,12 @@ class Pearl:
         raise NotImplementedError
 
     def clone(self) -> "Pearl":
-        """A fresh, reset-equivalent copy of this pearl."""
+        """A deep copy of this pearl, internal state included.
+
+        The copy is *not* reset: it continues from wherever this pearl
+        is (call :meth:`reset` for the initial state).  Shell
+        checkpoints store pearls this way.
+        """
         return copy.deepcopy(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -7,13 +7,14 @@ of the report.
 """
 
 import json
+import pickle
 
 import pytest
 
 from repro.cli import main
 from repro.exec import GraphRef, ResultCache
 from repro.graph import figure2
-from repro.inject import run_campaign, skeleton_campaign
+from repro.inject import GoldenRun, run_campaign, skeleton_campaign
 from repro.lid.variant import ProtocolVariant
 from repro.obs import Telemetry
 
@@ -79,6 +80,40 @@ class TestGoldenRunCache:
         _campaign(cache=cache, cycles=100)
         _campaign(cache=cache, cycles=120)
         assert cache.stats.misses == 2
+
+    def test_flipping_strict_misses(self):
+        # The entry is the monitored trunk: its fork table and its own
+        # detection depend on the stop-shape monitor.
+        cache = ResultCache.memory()
+        strict = _campaign(cache=cache, strict=True)
+        lax = _campaign(cache=cache, strict=False)
+        assert cache.stats.to_dict() == {"hits": 0, "misses": 2,
+                                         "evictions": 0}
+        assert lax.to_json() == _campaign(strict=False).to_json()
+        assert strict.to_json() == _campaign(strict=True).to_json()
+
+    def test_changing_faults_with_the_same_seed_misses(self):
+        cache = ResultCache.memory()
+        _campaign(cache=cache, classes=("stop", "void"))
+        other = _campaign(cache=cache, classes=("stop", "void", "payload"))
+        assert cache.stats.misses == 2 and cache.stats.hits == 0
+        assert other.to_json() == _campaign(
+            classes=("stop", "void", "payload")).to_json()
+
+    def test_poisoned_trunk_entry_is_survived(self, tmp_path, capsys):
+        directory = tmp_path / "cache"
+        first = _campaign(cache=ResultCache.disk(str(directory)))
+        (entry,) = directory.glob("*.pkl")
+        # A torn write, then a bare golden run (no fork table) under the
+        # trunk's key: both are misses that re-capture the trunk.
+        entry.write_bytes(entry.read_bytes()[:7])
+        torn = _campaign(cache=ResultCache.disk(str(directory)))
+        assert "poisoned cache entry" in capsys.readouterr().err
+        bare = GoldenRun.capture(figure2(), ProtocolVariant.CASU, 100)
+        entry.write_bytes(pickle.dumps(bare))
+        stale = _campaign(cache=ResultCache.disk(str(directory)))
+        assert torn.to_json() == stale.to_json() == first.to_json()
+        assert pickle.loads(entry.read_bytes()).forks is not None
 
 
 class TestSkeletonParallelContract:

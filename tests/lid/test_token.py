@@ -1,5 +1,8 @@
 """Unit tests for tokens."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.lid.token import Token, VOID, payloads, valid_stream
@@ -53,6 +56,33 @@ class TestToken:
     def test_repr(self):
         assert repr(VOID) == "Token.void()"
         assert repr(Token(5)) == "Token(5)"
+
+
+ROUND_TRIPS = {
+    "pickle": lambda tok: pickle.loads(pickle.dumps(tok)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+class TestTokenRoundTrip:
+    """Checkpoints hold registers by value, so tokens must survive
+    pickling (``--jobs`` workers, the disk cache) and deep copies."""
+
+    def test_valid_token(self, trip):
+        tok = ROUND_TRIPS[trip](Token(3))
+        assert tok == Token(3)
+        assert tok.valid and tok.value == 3
+
+    def test_void_token(self, trip):
+        tok = ROUND_TRIPS[trip](VOID)
+        assert tok == VOID
+        assert not tok.valid and tok.value is None
+
+    def test_tuple_payload(self, trip):
+        tok = ROUND_TRIPS[trip](Token(("corrupt", 7)))
+        assert tok == Token(("corrupt", 7))
+        assert tok.value == ("corrupt", 7)
 
 
 class TestStreamHelpers:
