@@ -190,9 +190,7 @@ class _Trunk:
 
     Registered before the monitors, it sees cycle *t* after settle and
     before any monitor samples it.  Publish and settle only drive
-    signals, so the component state then is the boundary state of *t*;
-    only the settle-pass count has moved, and the hook remembers the
-    count of the previous boundary for the checkpoint.
+    signals, so the component state then is the boundary state of *t*.
     """
 
     def __init__(self, system, faults: Sequence[FaultSpec]):
@@ -210,15 +208,11 @@ class _Trunk:
             ((max(spec.cycle - (spec.kind == "delayed-stop"), 0), index)
              for index, spec in enumerate(faults)), reverse=True)
         self._live: List[int] = []
-        self._passes = 0
         system.sim.add_cycle_hook(self._hook)
 
     def _hook(self, sim) -> None:
-        if self.forks is not None:
-            self._fork(sim)
-        self._passes = sim.settle_passes_total
-
-    def _fork(self, sim) -> None:
+        if self.forks is None:
+            return
         cycle = sim.cycle
         waiting = self._waiting
         while waiting and waiting[-1][0] <= cycle:
@@ -238,8 +232,7 @@ class _Trunk:
                 continue
             if state is None:
                 try:
-                    state = dataclasses.replace(
-                        sim.capture_state(), settle_passes=self._passes)
+                    state = sim.capture_state()
                 except Exception:  # noqa: BLE001 - e.g. an uncopyable pearl
                     self.forks = None
                     return

@@ -7,7 +7,7 @@ adverse conditions a vocabulary: composable :class:`FaultSpec` records
 naming a *kind* of corruption, a *target* (channel, relay station or
 shell), and the cycle window in which it is active.
 
-Wire faults (applied after the settle fixpoint, before monitors sample):
+Wire faults (applied after the settle phase, before monitors sample):
 
 * ``stop-stuck-1`` / ``stop-stuck-0`` — the backward stop wire is stuck
   at a level from ``cycle`` to the end of the run;

@@ -5,7 +5,7 @@ shell of an elaborated :class:`~repro.lid.system.LidSystem` and
 registers itself with the simulator's injection phases
 (:meth:`~repro.kernel.scheduler.Simulator.add_injection_hook`):
 
-* wire faults run after the settle fixpoint, so monitors and the edge
+* wire faults run after the settle phase, so monitors and the edge
   phase observe the faulted wires;
 * state faults run after the edge phase, corrupting registers as they
   latch.

@@ -2,8 +2,9 @@
 
 This is the substrate that replaces the VHDL + event-driven simulator the
 paper used (DESIGN.md §2): a two-phase (settle / edge) single-clock RTL
-simulator with monotone combinational fixpoint for the backward ``stop``
-network, waveform tracing and VCD export.
+simulator that settles the combinational network in one pass over a
+static order (or, without one, by a monotone fixpoint), with waveform
+tracing and VCD export.
 """
 
 from .component import Component

@@ -14,8 +14,9 @@ The scheduler drives the protocol::
     component.reset()                  # once, before cycle 0
     # each cycle:
     component.publish()                # Moore outputs from current state
-    while not fixpoint:
-        component.settle()             # Mealy outputs from inputs
+    component.settle()                 # Mealy outputs from inputs: once,
+                                       # in the settle order, or until
+                                       # the fixpoint
     component.tick()                   # sample inputs, update registers
 
 Checkpoints: :meth:`Component.capture_state` returns the state at a
@@ -80,9 +81,12 @@ class Component:
     def settle(self) -> None:
         """Drive Mealy (combinational) outputs from current input values.
 
-        May be called several times per cycle until the kernel reaches a
-        fixpoint; implementations must be idempotent and, for backward
-        stop logic, monotone (asserting a stop never deasserts another).
+        A simulator with a settle order calls it once per cycle, after
+        every component that drives its inputs; without one it may be
+        called several times per cycle until the signals reach a
+        fixpoint.  Implementations must therefore be idempotent and,
+        for backward stop logic, monotone (asserting a stop never
+        deasserts another).
         """
 
     def tick(self) -> None:

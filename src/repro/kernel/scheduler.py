@@ -4,11 +4,16 @@ The kernel models single-clock RTL with a *settle / edge* discipline:
 
 1. **Publish** — every component drives its Moore outputs (register
    contents).  These are constant for the rest of the cycle.
-2. **Settle** — components' combinational (Mealy) functions are evaluated
-   repeatedly until no signal changes.  In a latency-insensitive design
-   the only Mealy nets are the backward ``stop`` wires, whose equations
-   are monotone; the fixpoint therefore exists and is reached in at most
-   ``len(components)`` passes.  Failure to converge within the bound
+2. **Settle** — components' combinational (Mealy) functions drive the
+   remaining signals.  In a latency-insensitive design the only Mealy
+   nets are the backward ``stop`` wires, whose equations are monotone
+   and, in a legal system, acyclic.  A simulator given a *settle order*
+   (:meth:`Simulator.set_settle_order`) calls each listed component's
+   :meth:`~repro.kernel.component.Component.settle` once, in that
+   order, which reaches the same least fixpoint in one pass.  Without
+   an order (a bare simulator, or a system whose combinational network
+   has a cycle) every component settles repeatedly until no signal
+   changes; failure to converge within ``len(components) + 2`` passes
    raises :class:`~repro.errors.ConvergenceError`.
 3. **Edge** — every component samples the settled values and updates its
    registers simultaneously.
@@ -16,7 +21,7 @@ The kernel models single-clock RTL with a *settle / edge* discipline:
 Fault injection (:mod:`repro.inject`) adds two optional phases that are
 completely inert when no injector is attached:
 
-* **wire injection** — hooks run after the settle fixpoint but before
+* **wire injection** — hooks run after the settle phase but before
   the cycle hooks, so they may overwrite settled wire values (a glitch
   or stuck-at near the sampling edge).  Cycle hooks — including the
   protocol monitors — and the edge phase then observe the faulted
@@ -34,7 +39,8 @@ from __future__ import annotations
 
 import dataclasses
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import ConvergenceError
 from .component import Component
@@ -49,7 +55,6 @@ class SimState:
     """A simulator checkpoint (see :meth:`Simulator.capture_state`)."""
 
     cycle: int
-    settle_passes: int
     components: Tuple[Any, ...]
 
 
@@ -59,7 +64,7 @@ class Simulator:
     A :class:`~repro.obs.Telemetry` handle may be attached with
     :meth:`attach_telemetry`; its profiler then receives per-phase wall
     times (``publish+settle`` / ``hooks`` / ``edge``) and cycle counts.
-    Without telemetry (the default) the step loop is untouched.
+    Without a profiler the step loop takes no timestamps.
     """
 
     def __init__(self, name: str = "sim"):
@@ -68,11 +73,13 @@ class Simulator:
         self._components: List[Component] = []
         self._signals: List[Signal] = []
         self._signal_index: Dict[str, Signal] = {}
+        #: The signals the settle phase starts from their defaults.
+        self._volatile: List[Signal] = []
+        self._settle_order: Optional[List[Component]] = None
         self._cycle_hooks: List[Callable[["Simulator"], None]] = []
         self._inject_wire_hooks: List[Callable[["Simulator"], None]] = []
         self._inject_state_hooks: List[Callable[["Simulator"], None]] = []
         self._was_reset = False
-        self.settle_passes_total = 0
         self.telemetry: Optional["Telemetry"] = None
 
     # -- construction ----------------------------------------------------
@@ -83,6 +90,18 @@ class Simulator:
         component.attached(self)
         return component
 
+    def replace_component(self, old: Component, new: Component) -> None:
+        """Put *new* in place of the registered component *old*.
+
+        The settle order may name *old*, so it is dropped: the
+        simulator settles by the fixpoint until
+        :meth:`set_settle_order` is called again.
+        """
+        components = self._components
+        components[components.index(old)] = new
+        new.attached(self)
+        self._settle_order = None
+
     def signal(self, name: str, default=None, sticky: bool = False) -> Signal:
         """Create (or fetch, if it exists) a named signal."""
         existing = self._signal_index.get(name)
@@ -91,11 +110,29 @@ class Simulator:
         sig = Signal(name, default=default, sticky=sticky)
         self._signals.append(sig)
         self._signal_index[name] = sig
+        if not sticky:
+            self._volatile.append(sig)
         return sig
 
     def find_signal(self, name: str) -> Optional[Signal]:
         """Look up a signal by exact name, or ``None``."""
         return self._signal_index.get(name)
+
+    def set_settle_order(
+        self, order: Optional[Sequence[Component]],
+    ) -> None:
+        """Settle each cycle in one pass over *order*; ``None`` restores
+        the fixpoint.
+
+        *order* must hold every component whose
+        :meth:`~Component.settle` drives a signal, each before every
+        component whose ``settle`` reads a signal it drives, so the
+        combinational network must be acyclic.  Every non-sticky signal
+        must be driven only by ``settle`` or by ``publish``.  The caller
+        vouches for both (:mod:`repro.lid` derives the order from its
+        structural lint); the kernel does not check them.
+        """
+        self._settle_order = None if order is None else list(order)
 
     def add_cycle_hook(self, hook: Callable[["Simulator"], None]) -> None:
         """Run *hook(sim)* after the settle phase of every cycle.
@@ -112,12 +149,12 @@ class Simulator:
     ) -> None:
         """Register a fault-injection hook (see :mod:`repro.inject`).
 
-        ``phase="wire"`` hooks run after the settle fixpoint and before
+        ``phase="wire"`` hooks run after the settle phase and before
         the cycle hooks: they may overwrite settled signal values, and
         monitors sample the faulted wires.  ``phase="state"`` hooks run
         after the edge phase: they may corrupt registers as they latch.
-        With no hooks registered both call sites are a single falsy
-        branch per cycle.
+        With no hooks registered both call sites loop over an empty
+        list.
         """
         if phase == "wire":
             self._inject_wire_hooks.append(hook)
@@ -145,14 +182,13 @@ class Simulator:
         self._was_reset = True
 
     def capture_state(self) -> "SimState":
-        """Boundary state: the cycle, the settle-pass count and every
-        component's :meth:`~Component.capture_state`, in registration
-        order.  Taken from a cycle hook, the component states are those
-        of the current cycle's boundary, but the settle-pass count
-        already includes this cycle's settle."""
+        """Boundary state: the cycle and every component's
+        :meth:`~Component.capture_state`, in registration order.  Taken
+        from a cycle hook, it is the boundary state of the current
+        cycle."""
         if not self._was_reset:
             self.reset()
-        return SimState(self.cycle, self.settle_passes_total,
+        return SimState(self.cycle,
                         tuple(comp.capture_state()
                               for comp in self._components))
 
@@ -168,10 +204,28 @@ class Simulator:
         for comp, comp_state in zip(self._components, state.components):
             comp.restore_state(comp_state)
         self.cycle = state.cycle
-        self.settle_passes_total = state.settle_passes
         self._was_reset = True
 
-    def _settle(self) -> None:
+    def settle(self) -> None:
+        """Settle the current cycle: publish every component's Moore
+        outputs, then drive the combinational signals.
+
+        The step loop starts every cycle with this; a lockstep harness
+        that ticks the components itself calls it in place of
+        :meth:`step`.
+        """
+        order = self._settle_order
+        if order is None:
+            self._settle_fixpoint()
+            return
+        for sig in self._volatile:
+            sig.reset_for_settle()
+        for comp in self._components:
+            comp.publish()
+        for comp in order:
+            comp.settle()
+
+    def _settle_fixpoint(self) -> None:
         for sig in self._signals:
             sig.reset_for_settle()
         for comp in self._components:
@@ -184,7 +238,6 @@ class Simulator:
         for _ in range(max_passes):
             for comp in self._components:
                 comp.settle()
-            self.settle_passes_total += 1
             if not any(sig.consume_changed() for sig in self._signals):
                 return
         raise ConvergenceError(
@@ -195,56 +248,7 @@ class Simulator:
 
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by *cycles* clock cycles."""
-        if not self._was_reset:
-            self.reset()
-        telemetry = self.telemetry
-        profiler = telemetry.profiler if telemetry is not None else None
-        if profiler is not None:
-            return self._step_profiled(cycles, profiler)
-        for _ in range(cycles):
-            self._settle()
-            if self._inject_wire_hooks:
-                for hook in self._inject_wire_hooks:
-                    hook(self)
-            for hook in self._cycle_hooks:
-                hook(self)
-            for comp in self._components:
-                comp.tick()
-            if self._inject_state_hooks:
-                for hook in self._inject_state_hooks:
-                    hook(self)
-            self.cycle += 1
-
-    def _step_profiled(self, cycles: int, profiler) -> None:
-        """The same loop as :meth:`step`, with per-phase wall timing."""
-        settle_s = hooks_s = edge_s = 0.0
-        for _ in range(cycles):
-            t0 = perf_counter()
-            self._settle()
-            if self._inject_wire_hooks:
-                for hook in self._inject_wire_hooks:
-                    hook(self)
-            t1 = perf_counter()
-            for hook in self._cycle_hooks:
-                hook(self)
-            t2 = perf_counter()
-            for comp in self._components:
-                comp.tick()
-            if self._inject_state_hooks:
-                for hook in self._inject_state_hooks:
-                    hook(self)
-            t3 = perf_counter()
-            settle_s += t1 - t0
-            hooks_s += t2 - t1
-            edge_s += t3 - t2
-            self.cycle += 1
-        profiler.add("publish+settle", settle_s, calls=cycles)
-        profiler.add("hooks", hooks_s, calls=cycles)
-        profiler.add("edge", edge_s, calls=cycles)
-        profiler.note_cycles(cycles)
-        events = self.telemetry.events
-        if events is not None:
-            profiler.events = events.emitted
+        self._run(cycles)
 
     def run_until(
         self,
@@ -256,27 +260,69 @@ class Simulator:
         Returns the cycle number at which the predicate first held.
         Raises ``TimeoutError`` if *max_cycles* elapse first.
         """
+        hit = self._run(max_cycles, predicate)
+        if hit is None:
+            raise TimeoutError(
+                f"predicate not satisfied within {max_cycles} cycles of "
+                f"{self.name}")
+        return hit
+
+    def _run(
+        self,
+        cycles: int,
+        until: Optional[Callable[["Simulator"], bool]] = None,
+    ) -> Optional[int]:
+        """The step loop.  Each cycle: settle, wire hooks, cycle hooks,
+        edge, state hooks.  Stops after the first cycle at which
+        *until(sim)* holds (sampled after the cycle hooks) and returns
+        that cycle, else runs *cycles* cycles and returns ``None``."""
         if not self._was_reset:
             self.reset()
-        for _ in range(max_cycles):
-            self._settle()
-            if self._inject_wire_hooks:
-                for hook in self._inject_wire_hooks:
-                    hook(self)
-            for hook in self._cycle_hooks:
+        telemetry = self.telemetry
+        profiler = telemetry.profiler if telemetry is not None else None
+        settle_s = hooks_s = edge_s = 0.0
+        t0 = t1 = t2 = 0.0
+        components = self._components
+        wire_hooks = self._inject_wire_hooks
+        cycle_hooks = self._cycle_hooks
+        state_hooks = self._inject_state_hooks
+        start = self.cycle
+        hit = None
+        for _ in range(cycles):
+            if profiler is not None:
+                t0 = perf_counter()
+            self.settle()
+            for hook in wire_hooks:
                 hook(self)
-            hit = predicate(self)
-            for comp in self._components:
+            if profiler is not None:
+                t1 = perf_counter()
+            for hook in cycle_hooks:
+                hook(self)
+            if until is not None and until(self):
+                hit = self.cycle
+            if profiler is not None:
+                t2 = perf_counter()
+            for comp in components:
                 comp.tick()
-            if self._inject_state_hooks:
-                for hook in self._inject_state_hooks:
-                    hook(self)
+            for hook in state_hooks:
+                hook(self)
+            if profiler is not None:
+                settle_s += t1 - t0
+                hooks_s += t2 - t1
+                edge_s += perf_counter() - t2
             self.cycle += 1
-            if hit:
-                return self.cycle - 1
-        raise TimeoutError(
-            f"predicate not satisfied within {max_cycles} cycles of {self.name}"
-        )
+            if hit is not None:
+                break
+        if profiler is not None:
+            ran = self.cycle - start
+            profiler.add("publish+settle", settle_s, calls=ran)
+            profiler.add("hooks", hooks_s, calls=ran)
+            profiler.add("edge", edge_s, calls=ran)
+            profiler.note_cycles(ran)
+            events = telemetry.events
+            if events is not None:
+                profiler.events = events.emitted
+        return hit
 
     # -- introspection ---------------------------------------------------
 

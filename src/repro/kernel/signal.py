@@ -2,9 +2,9 @@
 
 A :class:`Signal` carries one value per clock cycle.  During the
 *settle* phase of a cycle, components write combinational values into
-signals; the scheduler iterates settle passes until no signal changes
-(a fixpoint).  During the *edge* phase, registered components sample the
-settled values and update their internal state.
+signals, in one pass over a settle order or in repeated passes until no
+signal changes (a fixpoint).  During the *edge* phase, registered
+components sample the settled values and update their internal state.
 
 Signals are deliberately dumb: no drivers list, no resolution function.
 Single-driver discipline is enforced structurally by the layers above

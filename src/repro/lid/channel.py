@@ -10,6 +10,12 @@ A channel has exactly one producer port and one consumer port; fan-out is
 expressed with one channel per sink (the shell replicates its output
 token onto each of them), which matches the RTL the paper describes and
 keeps the single-driver discipline trivial.
+
+The forward wires are Moore outputs of the producer, driven again at
+every publish, so they are *sticky* signals; only ``stop`` is
+combinational and starts each settle phase low.  The channel also keeps
+the token its producer drove and hands that same object to the consumer
+(tokens are immutable), so reading a channel allocates nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ class Channel:
 
     Create channels through :meth:`Channel.create` so the underlying
     signals are registered with the simulator (and therefore participate
-    in the settle fixpoint and in traces).
+    in the settle phase and in traces).
     """
 
     def __init__(self, name: str, data: Signal, valid: Signal, stop: Signal):
@@ -36,12 +42,13 @@ class Channel:
         self.stop = stop
         self.producer: Optional[str] = None
         self.consumer: Optional[str] = None
+        self._token: Token = VOID
 
     @classmethod
     def create(cls, sim: Simulator, name: str) -> "Channel":
         """Instantiate the three signals on *sim* and wrap them."""
-        data = sim.signal(f"{name}.data", default=None)
-        valid = sim.signal(f"{name}.valid", default=False)
+        data = sim.signal(f"{name}.data", default=None, sticky=True)
+        valid = sim.signal(f"{name}.valid", default=False, sticky=True)
         stop = sim.signal(f"{name}.stop", default=False)
         return cls(name, data, valid, stop)
 
@@ -49,12 +56,9 @@ class Channel:
 
     def drive(self, token: Token) -> None:
         """Publish *token* on the forward wires (producer, Moore)."""
-        if token.valid:
-            self.data.set(token.value)
-            self.valid.set(True)
-        else:
-            self.data.set(None)
-            self.valid.set(False)
+        self._token = token
+        self.data.set(token.value)
+        self.valid.set(token.valid)
 
     def stop_asserted(self) -> bool:
         """Settled value of the backward stop wire (producer reads)."""
@@ -63,10 +67,9 @@ class Channel:
     # -- consumer side ---------------------------------------------------
 
     def read(self) -> Token:
-        """Current forward token (consumer, after publish phase)."""
-        if self.valid.value:
-            return Token(self.data.value)
-        return VOID
+        """Current forward token (consumer, after publish phase): the
+        token the producer drove, or the one a fault forced."""
+        return self._token
 
     def set_stop(self, value: bool) -> None:
         """Drive the backward stop wire (consumer).
@@ -81,8 +84,8 @@ class Channel:
     # The force_* helpers are the targetable surface used by
     # :mod:`repro.inject`.  They overwrite *settled* wire values and are
     # only legal from a scheduler wire-injection hook (after the settle
-    # fixpoint, before the cycle hooks): calling them during settle
-    # would break the monotonicity the fixpoint relies on.
+    # phase, before the cycle hooks): calling them during settle would
+    # break the monotonicity the settle phase relies on.
 
     def force_stop(self, value: bool) -> None:
         """Overwrite the settled stop wire (stuck-at / glitch faults)."""
@@ -95,8 +98,7 @@ class Channel:
         paper's void fault); forcing ``True`` fabricates a phantom token
         whose payload is *data*.
         """
-        self.valid.set(bool(value))
-        self.data.set(data if value else None)
+        self.drive(Token(data) if value else VOID)
 
     def force_payload(self, value) -> None:
         """Corrupt the payload of the currently presented token.
@@ -104,8 +106,8 @@ class Channel:
         A no-op on a void token: the data wire is a don't-care when
         ``valid`` is low, so there is nothing to corrupt.
         """
-        if self.valid.value:
-            self.data.set(value)
+        if self._token.valid:
+            self.drive(Token(value))
 
     # -- bookkeeping -------------------------------------------------------
 

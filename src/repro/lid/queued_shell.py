@@ -26,9 +26,10 @@ shell.  Consequences, all exercised by the tests:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict
+from typing import Deque, Dict, Sequence
 
 from ..errors import StructuralError
+from .channel import Channel
 from .shell import Shell
 from .token import Token, VOID
 from .variant import DEFAULT_VARIANT, ProtocolVariant
@@ -85,6 +86,10 @@ class QueuedShell(Shell):
                         chan.stop_asserted(), self._out_regs[chan].valid):
                     return False
         return True
+
+    def combinational_stop_inputs(self) -> Sequence[Channel]:
+        """None: the input stops are registered (queue full)."""
+        return ()
 
     def settle(self) -> None:
         # No combinational back pressure: the registered stop published

@@ -31,7 +31,7 @@ outputs during the transient).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..errors import StructuralError
 from ..kernel.component import Component, capture_history, restore_history
@@ -122,6 +122,10 @@ class RelayStation(_RelayBase):
     @property
     def registers(self) -> int:
         return 2
+
+    def combinational_stop_inputs(self) -> Sequence[Channel]:
+        """None: the stop output is registered."""
+        return ()
 
     @property
     def occupancy(self) -> int:
@@ -232,6 +236,12 @@ class HalfRelayStation(_RelayBase):
     def registers(self) -> int:
         return 1
 
+    def combinational_stop_inputs(self) -> Sequence[Channel]:
+        """The input channel, whose stop :meth:`settle` drives from the
+        output stop within the cycle; none for the registered-stop
+        ablation."""
+        return () if self.registered_stop else (self.input,)
+
     @property
     def occupancy(self) -> int:
         """Number of valid tokens currently buffered (0 or 1)."""
@@ -271,7 +281,7 @@ class HalfRelayStation(_RelayBase):
         # station's own input — which includes the stop this station
         # itself propagated combinationally during settle (transparent
         # mode) or published (registered-stop ablation).  Ticks always
-        # run after the settle fixpoint, so the accessor sees the final
+        # run after the settle phase, so the accessor sees the final
         # value; see the same-cycle-stop regression in
         # tests/lid/test_relay.py.
         accepted = incoming.valid and not self.input.stop_asserted()

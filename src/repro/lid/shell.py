@@ -105,6 +105,13 @@ class Shell(Component):
     def input_channels(self) -> Mapping[str, Channel]:
         return dict(self._inputs)
 
+    def combinational_stop_inputs(self) -> Sequence[Channel]:
+        """Input channels whose stop :meth:`settle` drives from the
+        output stops within the cycle: all of them, because the
+        simplified shell does not register stops (the structural lint
+        and the settle order read this)."""
+        return tuple(self._inputs.values())
+
     @property
     def output_channels(self) -> Mapping[str, Sequence[Channel]]:
         return {p: list(chans) for p, chans in self._outputs.items()}

@@ -21,6 +21,7 @@ from ..kernel.scheduler import Simulator
 from ..kernel.trace import Trace
 from .channel import Channel
 from .endpoints import Sink, Source
+from .lint import check_shell_to_shell, settle_order
 from .relay import HalfRelayStation, RelayStation, _RelayBase
 from .shell import Shell
 from .token import Token
@@ -46,6 +47,7 @@ class LidSystem:
         self.relays: Dict[str, _RelayBase] = {}
         self.channels: List[Channel] = []
         self._finalized = False
+        self._strict = True
         self._channel_counter = 0
         self.telemetry = None
 
@@ -115,6 +117,21 @@ class LidSystem:
         self.relays[name] = relay
         self.sim.add_component(relay)
         return relay
+
+    def replace_relay(self, name: str, station) -> None:
+        """Swap relay station *name* for *station*, which takes over
+        its channels (e.g. a gate-level netlist of the same kind).
+
+        The system counts as unfinalized again, so the next
+        :meth:`run` repeats the lint and derives the settle order with
+        *station* in it.
+        """
+        old = self.relays[name]
+        station.input = old.input
+        station.output = old.output
+        self.relays[name] = station
+        self.sim.replace_component(old, station)
+        self._finalized = False
 
     def connect(
         self,
@@ -190,18 +207,22 @@ class LidSystem:
     # -- execution -----------------------------------------------------------
 
     def finalize(self, strict: bool = True) -> None:
-        """Check wiring and run the structural lint.
+        """Check wiring, run the structural lint and fix the settle
+        order.
 
         With ``strict=True`` (default) the lint enforces the paper's
         implementation rules: at least one relay station between any two
-        shells, and no combinational stop cycles.
+        shells, and no combinational stop cycles.  The walk that looks
+        for stop cycles also orders the blocks for the kernel's one-pass
+        settle; a system with a stop cycle, which only ``strict=False``
+        admits, settles by the kernel's fixpoint instead.
         """
         for block in self._all_blocks():
             block.check_wiring()
         if strict:
-            from .lint import lint_system
-
-            lint_system(self)
+            check_shell_to_shell(self)
+        self.sim.set_settle_order(settle_order(self, strict=strict))
+        self._strict = strict
         self._finalized = True
 
     def _all_blocks(self):
@@ -209,9 +230,10 @@ class LidSystem:
             yield from group.values()
 
     def run(self, cycles: int, reset: bool = True) -> None:
-        """Simulate for *cycles* clock cycles (finalizing lazily)."""
+        """Simulate for *cycles* clock cycles (finalizing lazily, with
+        the strictness of the last :meth:`finalize`)."""
         if not self._finalized:
-            self.finalize()
+            self.finalize(strict=self._strict)
         if reset:
             self.sim.reset()
         self.sim.step(cycles)
@@ -272,7 +294,7 @@ class LidSystem:
         """Deterministic metrics snapshot of the run so far.
 
         Folds the live block counters (shell fires and rates, sink
-        deliveries, settle passes) into the attached registry — or a
+        deliveries) into the attached registry — or a
         fresh one when no telemetry is attached — and returns
         :meth:`~repro.obs.MetricsRegistry.snapshot`.
         """
@@ -284,8 +306,6 @@ class LidSystem:
                     else MetricsRegistry())
         cycles = self.sim.cycle
         registry.gauge("lid/cycles").set(cycles)
-        registry.gauge("lid/settle_passes").set(
-            self.sim.settle_passes_total)
         for name, shell in self.shells.items():
             registry.gauge(f"lid/shell/{name}/fires").set(
                 shell.fire_count)
@@ -322,7 +342,7 @@ class LidSystem:
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Run summary: firings, deliveries, occupancies, settle cost.
+        """Run summary: firings, deliveries, occupancies.
 
         Call after :meth:`run`; the dictionary is JSON-compatible and
         convenient for experiment logs.
@@ -347,10 +367,6 @@ class LidSystem:
             },
             "relay_occupancy": relay_occupancy,
             "buffered_tokens": sum(relay_occupancy.values()),
-            "settle_passes": self.sim.settle_passes_total,
-            "settle_passes_per_cycle": (
-                self.sim.settle_passes_total / cycles if cycles else 0.0
-            ),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

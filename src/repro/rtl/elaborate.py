@@ -15,7 +15,7 @@ be integers that fit the configured width.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..errors import ElaborationError, StructuralError
 from ..kernel.component import Component
@@ -70,6 +70,12 @@ class NetlistRelayStation(Component):
     @property
     def registers(self) -> int:
         return 2 if self.kind == "full" else 1
+
+    def combinational_stop_inputs(self) -> Sequence[Channel]:
+        """Like the behavioural stations: the half netlist drives its
+        input stop from ``stop_in`` within the cycle, the full one
+        registers it."""
+        return (self.input,) if self.kind == "half" else ()
 
     @property
     def occupancy(self) -> int:
@@ -144,8 +150,8 @@ def transplant_netlist_station(system, relay_name: str,
     """Swap one behavioural relay station of *system* for its netlist.
 
     Returns the new gate-level station, wired to the same channels.
-    Call before ``run``; the system must not have been finalized with
-    the old component still registered in a trace.
+    Works on a finalized system too (every ``graph.elaborate()`` result
+    is one): the next ``run`` repeats the lint and the settle order.
     """
     from ..lid.relay import HalfRelayStation, RelayStation
 
@@ -161,10 +167,5 @@ def transplant_netlist_station(system, relay_name: str,
         raise ElaborationError(f"{relay_name!r} is not a relay station")
     replacement = NetlistRelayStation(
         relay_name, kind=kind, width=width, variant=old.variant)
-    replacement.input = old.input
-    replacement.output = old.output
-    system.relays[relay_name] = replacement
-    components = system.sim._components
-    components[components.index(old)] = replacement
-    replacement.attached(system.sim)
+    system.replace_relay(relay_name, replacement)
     return replacement

@@ -146,7 +146,7 @@ def cosimulate_relay_spec(
     spec_state: Any = fsm.FullRsState() if is_full else fsm.HalfRsState()
 
     for cycle in range(cycles):
-        sim._settle()
+        sim.settle()
         if is_full:
             out_tok, stop_out = fsm.full_rs_outputs(spec_state)
         else:

@@ -143,3 +143,46 @@ class TestSimulator:
         sim.add_cycle_hook(lambda s: seen.append(stop.value))
         sim.step(2)
         assert seen == [True, False]
+
+
+class TestSettleOrder:
+    def _chain(self):
+        sim = Simulator()
+        a = sim.signal("a", default=False)
+        b = sim.signal("b", default=False)
+        c = sim.signal("c", default=False)
+
+        class Pulse(Component):
+            def settle(self):
+                if self.cycle % 2 == 0:
+                    a.set(True)
+
+        f2, f1, pulse = Follower("f2", b, c), Follower("f1", a, b), \
+            Pulse("pulse")
+        for comp in (f2, f1, pulse):
+            sim.add_component(comp)
+        seen = []
+        sim.add_cycle_hook(lambda s: seen.append((a.value, b.value, c.value)))
+        return sim, (pulse, f1, f2), seen
+
+    def test_one_pass_in_order_settles_the_chain(self):
+        sim, order, seen = self._chain()
+        sim.set_settle_order(order)
+        sim.step(3)
+        # Non-sticky signals start every cycle from their defaults.
+        assert seen == [(True,) * 3, (False,) * 3, (True,) * 3]
+
+    def test_one_pass_settles_each_component_once(self):
+        sim, order, seen = self._chain()
+        sim.set_settle_order(tuple(reversed(order)))
+        sim.step(1)
+        assert seen == [(True, False, False)]
+
+    def test_replace_component_drops_the_order(self):
+        sim, (pulse, f1, f2), seen = self._chain()
+        sim.set_settle_order((pulse, f1))  # f2 missing: c stays low
+        f2_new = Follower("f2", f2.inp, f2.out)
+        sim.replace_component(f2, f2_new)
+        assert sim.components[0] is f2_new
+        sim.step(1)
+        assert seen == [(True, True, True)]  # the fixpoint again

@@ -1,8 +1,8 @@
 """Checkpoints: capture a system mid-run, resume it in a fresh one.
 
 A run resumed from a checkpoint must be indistinguishable from the
-uninterrupted run: same sink streams, shell firings, relay activity,
-queue contents and settle-pass count, for every block type.
+uninterrupted run: same sink streams, shell firings, relay activity
+and queue contents, for every block type.
 """
 
 import pickle

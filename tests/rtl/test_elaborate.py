@@ -3,7 +3,8 @@
 import pytest
 
 from repro import LidSystem, pearls
-from repro.errors import ElaborationError
+from repro.errors import CombinationalLoopError, ElaborationError
+from repro.graph import SystemGraph
 from repro.lid.reference import is_prefix
 from repro.rtl import NetlistRelayStation, transplant_netlist_station
 
@@ -93,3 +94,40 @@ class TestMixedSimulation:
         system, _sink, _station = mixed_system("full")
         with pytest.raises(KeyError):
             transplant_netlist_station(system, "nonexistent")
+
+
+class TestTransplantRelint:
+    def test_lint_sees_gate_level_half_stations(self):
+        system = LidSystem("ring")
+        a = system.add_shell("A", pearls.Identity())
+        b = system.add_shell("B", pearls.Identity())
+        sink = system.add_sink("out")
+        system.connect(a, b, relays=["half"])
+        system.connect(b, a, relays=["half"])
+        system.connect(a, sink)
+        for name in list(system.relays):
+            transplant_netlist_station(system, name)
+        with pytest.raises(CombinationalLoopError, match="full relay"):
+            system.finalize()
+
+    def test_transplant_after_elaborate(self):
+        """graph.elaborate() finalizes; swapping every half station
+        afterwards must still settle the gate-level stations."""
+        graph = SystemGraph("halves")
+        graph.add_source("src")
+        for name in ("S0", "S1", "S2"):
+            graph.add_shell(name, pearls.Identity)
+        graph.add_sink("out", stop_script=lambda c: (c // 2) % 3 == 0)
+        graph.add_edge("src", "S0")
+        graph.add_edge("S0", "S1", relays=["half"])
+        graph.add_edge("S1", "S2", relays=["half"])
+        graph.add_edge("S2", "out")
+        behavioural = graph.elaborate()
+        behavioural.run(60)
+        mixed = graph.elaborate()
+        for name in list(mixed.relays):
+            transplant_netlist_station(mixed, name)
+        mixed.run(60)
+        assert mixed.sinks["out"].received == \
+            behavioural.sinks["out"].received
+        assert mixed.sinks["out"].payloads[:8] == [0, 0, 0, 0, 1, 2, 3, 4]

@@ -101,3 +101,28 @@ class TestCodegenRule:
                            "codegen.py")
         assert check_layering.check_file(
             src, "repro.skeleton.codegen") == []
+
+
+class TestKernelRule:
+    """The kernel knows components and signals, not the protocol."""
+
+    def _violations(self, tmp_path, source):
+        path = tmp_path / "scheduler.py"
+        path.write_text(textwrap.dedent(source))
+        return check_layering.check_file(str(path),
+                                         "repro.kernel.scheduler")
+
+    def test_errors_and_obs_allowed(self, tmp_path):
+        assert self._violations(tmp_path, """\
+            from typing import TYPE_CHECKING
+            from ..errors import ConvergenceError
+            if TYPE_CHECKING:
+                from ..obs import Telemetry
+            """) == []
+
+    def test_lid_import_is_flagged(self, tmp_path):
+        found = self._violations(tmp_path, """\
+            def late():
+                from ..lid.relay import RelayStation
+            """)
+        assert found and "repro.lid" in found[0]

@@ -48,7 +48,7 @@ class TestFullRsConformance:
         sim.reset()
         spec = fsm.FullRsState()
         for cycle in range(len(offers)):
-            sim._settle()
+            sim.settle()
             out_tok, stop_out = fsm.full_rs_outputs(spec)
             assert chan_out.valid.value == (out_tok is not None), cycle
             if out_tok is not None:
@@ -77,7 +77,7 @@ class TestHalfRsConformance:
         sim.reset()
         spec = fsm.HalfRsState()
         for cycle in range(len(offers)):
-            sim._settle()
+            sim.settle()
             stop_in = chan_out.stop_asserted()
             expected_stop = fsm.half_rs_stop_out(
                 spec, stop_in, variant, registered)

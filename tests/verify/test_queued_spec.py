@@ -90,7 +90,7 @@ class TestConformance:
         spec = fsm.QueuedShellState(
             queue=(), out=(PAYLOAD_MODULUS - 1,), depth=depth)
         for cycle in range(len(offers)):
-            sim._settle()
+            sim.settle()
             # Moore outputs must agree before the edge.
             assert chan_out.valid.value == (spec.out[0] is not None), \
                 cycle

@@ -23,7 +23,11 @@ the *forbidden prefixes*):
   a :class:`~repro.ir.LoweredSystem`) and ``repro.exec.cache`` (the
   optional compile-cache disk layer, duck-typed) besides its own
   package — not ``repro.lid`` (the variant is duck-typed), not the
-  rest of ``repro.exec``, and nothing above.
+  rest of ``repro.exec``, and nothing above;
+* ``repro.kernel`` knows components and signals only — no protocol
+  layer (``repro.lid`` hands it a settle order, never a notion of
+  stop) and nothing above; ``repro.errors`` and ``repro.obs`` stay
+  allowed.
 
 A rule may carve out *allowed* sub-prefixes of a forbidden prefix
 (e.g. ``repro.exec.cache`` inside a forbidden ``repro.exec``).
@@ -58,6 +62,10 @@ RULES: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
      ("repro.lid", "repro.exec", "repro.inject", "repro.obs",
       "repro.analysis", "repro.bench", "repro.cli"),
      ("repro.exec.cache",)),
+    ("repro.kernel",
+     ("repro.lid", "repro.inject", "repro.graph", "repro.ir",
+      "repro.skeleton", "repro.rtl", "repro.verify", "repro.analysis",
+      "repro.exec", "repro.serve", "repro.bench", "repro.cli"), ()),
 )
 
 
