@@ -48,10 +48,16 @@ class Signal:
         return self._value
 
     def set(self, value: Any) -> None:
-        """Drive the signal; records whether the value actually changed."""
+        """Drive the signal; records whether the value actually changed.
+
+        The signal holds *value* itself even when it compares equal to
+        the current value (``0.0`` after ``0``, ``True`` after ``1``):
+        a sticky signal is never reset, so keeping the old object would
+        show the previous cycle's type to every reader.
+        """
         if value != self._value:
-            self._value = value
             self._changed = True
+        self._value = value
 
     def reset_for_settle(self) -> None:
         """Return to the default value at the start of a settle phase."""

@@ -27,7 +27,7 @@ from repro.inject import (
 from repro.lid.token import Token
 from repro.lid.variant import ProtocolVariant
 from repro.obs import Telemetry
-from repro.pearls import FunctionPearl, Identity
+from repro.pearls import FunctionPearl, Identity, MovingAverage
 
 CLASSES = tuple(cls for cls in FAULT_CLASSES if cls != "cdc")
 VARIANTS = (ProtocolVariant.CASU, ProtocolVariant.CARLONI)
@@ -195,6 +195,29 @@ class TestCorners:
                 assert result["fired"] == bool(bites), spec.label()
         assert not forked[faults.index(
             FaultSpec("payload", chan, cycle, value=value))]["fired"]
+
+    def test_payload_fault_corrupts_the_presented_type(self):
+        # A moving average publishes its int reset value 0, then the
+        # float mean 0.0.  The default corruptor picks its behaviour by
+        # type, so a payload fault in the cycle the output turns to 0.0
+        # must tag the float rather than flip bit 0 of the stale int.
+        graph = SystemGraph("moving-average")
+        graph.add_source("src")
+        graph.add_shell("avg", lambda: MovingAverage(window=2))
+        graph.add_sink("out")
+        graph.add_edge("src", "avg")
+        graph.add_edge("avg", "out", relays=1)
+        faults = [FaultSpec("payload", chan.name, cycle)
+                  for chan in graph.elaborate().channels
+                  for cycle in range(4)]
+        forked = _forked(graph, faults, ProtocolVariant.CASU, CYCLES,
+                         False)
+        assert forked == _from_reset(graph, faults, ProtocolVariant.CASU,
+                                     CYCLES, False)
+        details = {result["label"]: result["detail"] for result in forked}
+        for label in ("payload@avg->out#2@c1", "payload@avg->out#3@c2"):
+            assert details[label] == ("sink 'out' diverges at token 1: "
+                                      "got ('corrupt', 0.0), expected 0.0")
 
     def test_callable_shell_corrupt(self):
         graph = parse_topology("figure2:relays=2")

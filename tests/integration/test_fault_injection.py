@@ -69,12 +69,8 @@ def faulty_system(relay_cls, stop_script=None, stream=None):
     system.connect(a, b, relays=1)
     system.connect(b, sink)
     # Transplant the faulty relay in place of the healthy one.
-    (name, healthy), = system.relays.items()
-    faulty = relay_cls(name, variant=system.variant)
-    faulty.input = healthy.input
-    faulty.output = healthy.output
-    system.relays[name] = faulty
-    system.sim._components[system.sim._components.index(healthy)] = faulty
+    name, = system.relays
+    system.replace_relay(name, relay_cls(name, variant=system.variant))
     return system, sink
 
 

@@ -31,6 +31,18 @@ class TestSignal:
         sig.consume_changed()
         assert sig.consume_changed() is False
 
+    def test_set_equal_value_keeps_the_new_object(self):
+        # 0.0 == 0, but readers (traces, the payload corruptor) see the
+        # type, so a sticky signal must hold what was driven last.
+        sig = Signal("s", default=None, sticky=True)
+        sig.set(0)
+        sig.consume_changed()
+        sig.set(0.0)
+        assert type(sig.value) is float
+        assert sig.consume_changed() is False
+        sig.set(True)
+        assert sig.value is True
+
     def test_reset_for_settle_restores_default(self):
         sig = Signal("s", default=False)
         sig.set(True)

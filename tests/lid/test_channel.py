@@ -35,6 +35,12 @@ class TestChannelSignals:
         assert chan.valid.value is False
         assert chan.data.value is None
 
+    def test_data_wire_follows_the_driven_type(self, chan):
+        for token in (Token(0), Token(0.0), Token(1), Token(True)):
+            chan.drive(token)
+            assert chan.read() is token
+            assert type(chan.data.value) is type(token.value)
+
     def test_read_roundtrip(self, chan):
         chan.drive(Token("payload"))
         assert chan.read() == Token("payload")
