@@ -20,8 +20,6 @@ We check three things:
 Run:  python examples/hadamard_soc.py
 """
 
-import numpy as np
-
 from repro.graph import butterfly_network
 from repro.lid.reference import is_prefix
 from repro.lid.token import Token
@@ -69,7 +67,7 @@ def main() -> None:
     # time step t mixes in[lane][t] = (lane+1)*100 + t across lanes, so
     # feeding impulses instead isolates the columns.  We rebuild W by
     # linearity from two probe vectors per column.
-    W = np.zeros((N, N), dtype=int)
+    W = [[0] * N for _ in range(N)]
     for col in range(N):
         probe = build_wht(relays_per_hop=1)
         for lane in range(N):
@@ -82,12 +80,15 @@ def main() -> None:
         ref = probe_system.reference_outputs(20)
         for row in range(N):
             # Skip the initial-register artifacts: take a settled value.
-            W[row, col] = ref[f"out{row}"][-1]
+            W[row][col] = ref[f"out{row}"][-1]
 
     print("\nrecovered transform matrix W:")
-    print(W)
-    assert set(np.unique(W)) == {-1, 1}
-    assert np.array_equal(W @ W.T, N * np.eye(N, dtype=int))
+    print("[" + "\n ".join("[" + " ".join(f"{w:2d}" for w in row) + "]"
+                           for row in W) + "]")
+    assert {w for row in W for w in row} == {-1, 1}
+    gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in W] for ri in W]
+    assert gram == [[N if i == j else 0 for j in range(N)]
+                    for i in range(N)]
     print(f"\nW has +/-1 entries and W @ W.T = {N}*I: the network "
           f"computes a true 8-point Hadamard transform, token-perfectly,"
           f"\nacross {graph.relay_count()} pipelined wire segments.")

@@ -58,9 +58,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..errors import AnalysisError
+from ..graph import digraph
 from ..graph.model import SystemGraph
 from ..ir import LoweredSystem, lower
 
@@ -126,7 +125,7 @@ def reconvergence_pairs(graph: SystemGraph) -> List[Tuple[str, str]]:
     joins (a sink has a single input channel).
     """
     low = _as_lowered(graph)
-    g = low.block_digraph()
+    succ = low.block_digraph()
     pairs: List[Tuple[str, str]] = []
     for div_node in low.nodes:
         if div_node.kind == "sink":
@@ -138,11 +137,8 @@ def reconvergence_pairs(graph: SystemGraph) -> List[Tuple[str, str]]:
                 continue
             if len(low.in_edges(join)) < 2:
                 continue
-            try:
-                paths = list(nx.node_disjoint_paths(g, div, join))
-            except nx.NetworkXNoPath:
-                continue
-            if len(paths) >= 2:
+            if len(digraph.node_disjoint_paths(succ, div, join,
+                                               limit=2)) >= 2:
                 pairs.append((div, join))
     return pairs
 
@@ -171,11 +167,9 @@ def analyze_reconvergence(
     determines the throughput.
     """
     low = _as_lowered(graph)
-    g = low.block_digraph()
-    try:
-        paths = list(nx.node_disjoint_paths(g, divergence, join))
-    except nx.NetworkXNoPath:
-        raise AnalysisError(f"no path {divergence!r} -> {join!r}") from None
+    paths = digraph.node_disjoint_paths(low.block_digraph(), divergence, join)
+    if not paths:
+        raise AnalysisError(f"no path {divergence!r} -> {join!r}")
     if len(paths) < 2:
         raise AnalysisError(
             f"{divergence!r} -> {join!r} is not reconvergent "

@@ -17,9 +17,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-import networkx as nx
-
 from ..errors import AnalysisError
+from ..graph import digraph
 from ..graph.model import SystemGraph
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
 from ..skeleton.periodicity import transient_bound
@@ -47,24 +46,18 @@ def longest_register_path(graph: SystemGraph) -> int:
     pipeline depth; the tree claim bounds the transient by it.  Raises
     for cyclic graphs.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    for edge in graph.edges:
-        weight = edge.relay_count + 1
-        existing = g.get_edge_data(edge.src, edge.dst)
-        if existing is None or existing["w"] < weight:
-            g.add_edge(edge.src, edge.dst, w=weight)
-    if not nx.is_directed_acyclic_graph(g):
+    order = digraph.topological_order(digraph.successors(
+        graph.nodes, ((edge.src, edge.dst) for edge in graph.edges)))
+    if order is None:
         raise AnalysisError("longest path needs an acyclic graph")
+    incoming: Dict[str, list] = {node: [] for node in order}
+    for edge in graph.edges:
+        incoming[edge.dst].append(edge)
     depth: Dict[str, int] = {}
-    best = 0
-    for node in nx.topological_sort(g):
-        incoming = [
-            depth[u] + data["w"] for u, _v, data in g.in_edges(node, data=True)
-        ]
-        depth[node] = max(incoming) if incoming else 0
-        best = max(best, depth[node])
-    return best
+    for node in order:
+        depth[node] = max((depth[edge.src] + edge.relay_count + 1
+                           for edge in incoming[node]), default=0)
+    return max(depth.values(), default=0)
 
 
 def analyze_transient(

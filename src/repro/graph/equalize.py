@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from ..errors import AnalysisError
+from . import digraph
 from .model import Edge, SystemGraph
 
 
@@ -35,21 +34,18 @@ def _loop_edge_indices(graph: SystemGraph) -> set:
     These are the feedback arcs: equalization never pads them (a loop
     sets its own throughput, which spare relay stations only lower).
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    for edge in graph.edges:
-        g.add_edge(edge.src, edge.dst)
     component_of: Dict[str, int] = {}
-    for index, comp in enumerate(nx.strongly_connected_components(g)):
+    for index, comp in enumerate(digraph.strongly_connected_components(
+            _successors(graph, graph.edges))):
         for node in comp:
             component_of[node] = index
-    on_loop = set()
-    for idx, edge in enumerate(graph.edges):
-        if edge.src == edge.dst:
-            on_loop.add(idx)
-        elif component_of[edge.src] == component_of[edge.dst]:
-            on_loop.add(idx)
-    return on_loop
+    return {idx for idx, edge in enumerate(graph.edges)
+            if component_of[edge.src] == component_of[edge.dst]}
+
+
+def _successors(graph: SystemGraph, edges: List[Edge]) -> digraph.Successors:
+    return digraph.successors(graph.nodes,
+                              ((edge.src, edge.dst) for edge in edges))
 
 
 def relay_depths(graph: SystemGraph, strict: bool = True) -> Dict[str, int]:
@@ -64,19 +60,15 @@ def relay_depths(graph: SystemGraph, strict: bool = True) -> Dict[str, int]:
     loop_edges = _loop_edge_indices(graph)
     if strict and loop_edges:
         raise AnalysisError("relay depths need an acyclic graph")
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(graph.nodes)
-    for idx, edge in enumerate(graph.edges):
-        if idx in loop_edges:
-            continue
-        g.add_edge(edge.src, edge.dst, w=edge.relay_count)
+    kept = [edge for idx, edge in enumerate(graph.edges)
+            if idx not in loop_edges]
+    incoming: Dict[str, List[Edge]] = {node: [] for node in graph.nodes}
+    for edge in kept:
+        incoming[edge.dst].append(edge)
     depth: Dict[str, int] = {}
-    for node in nx.topological_sort(g):
-        incoming = [
-            depth[u] + data["w"]
-            for u, _v, data in g.in_edges(node, data=True)
-        ]
-        depth[node] = max(incoming) if incoming else 0
+    for node in digraph.topological_order(_successors(graph, kept)):
+        depth[node] = max((depth[edge.src] + edge.relay_count
+                           for edge in incoming[node]), default=0)
     return depth
 
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import AnalysisError, StructuralError
+from . import digraph
 from .equalize import equalize
 from .model import Edge, SystemGraph
 
@@ -62,22 +63,15 @@ def layered_placement(graph: SystemGraph, row_pitch: float = 1.0,
     assigned in name order within a column — crude, deterministic, and
     good enough to exercise wire-length effects.
     """
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    for edge in graph.edges:
-        g.add_edge(edge.src, edge.dst)
+    succ = digraph.successors(
+        graph.nodes, ((edge.src, edge.dst) for edge in graph.edges))
     # Break cycles for layering purposes only.
-    removed = []
-    while not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        g.remove_edge(*cycle[-1][:2])
-        removed.append(cycle[-1][:2])
+    for src, dst in digraph.back_edges(succ):
+        succ[src].remove(dst)
+    preds = digraph.predecessors(succ)
     column: Dict[str, int] = {}
-    for node in nx.topological_sort(g):
-        preds = [column[p] for p in g.predecessors(node)]
-        column[node] = max(preds) + 1 if preds else 0
+    for node in digraph.topological_order(succ):
+        column[node] = max((column[p] + 1 for p in preds[node]), default=0)
     rows: Dict[int, int] = {}
     positions: Dict[str, Coordinate] = {}
     for name in sorted(graph.nodes):

@@ -24,8 +24,6 @@ import dataclasses
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
-
 from ..errors import StructuralError
 
 #: Relay chain entry: "full", "half", or "half-registered".
@@ -356,8 +354,14 @@ class SystemGraph:
                 total += sum(1 for s in edge.relays if s == kind)
         return total
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Block-level multigraph (edge data: the :class:`Edge`)."""
+    def to_networkx(self):
+        """Block-level ``networkx.MultiDiGraph`` (edge data: the :class:`Edge`).
+
+        The one use of networkx in the package, for interop; it is
+        imported here, on demand, and is not a runtime dependency.
+        """
+        import networkx as nx
+
         g = nx.MultiDiGraph(name=self.name)
         for node in self.nodes.values():
             g.add_node(node.name, kind=node.kind)

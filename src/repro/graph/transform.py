@@ -16,35 +16,11 @@ All transforms return modified copies; the input graph is untouched.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import AnalysisError, StructuralError
+from .equalize import _loop_edge_indices
 from .model import SystemGraph
-
-
-def _edges_on_loops(graph: SystemGraph) -> Set[int]:
-    """Indices (into ``graph.edges``) of edges lying on some cycle."""
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    for edge in graph.edges:
-        g.add_edge(edge.src, edge.dst)
-    on_loop: Set[int] = set()
-    sccs = [c for c in nx.strongly_connected_components(g) if len(c) > 1]
-    loop_nodes = set().union(*sccs) if sccs else set()
-    # Self loops:
-    loop_nodes |= {e.src for e in graph.edges if e.src == e.dst}
-    for idx, edge in enumerate(graph.edges):
-        if edge.src in loop_nodes and edge.dst in loop_nodes:
-            # Edge is on a cycle iff both ends share a component.
-            for comp in sccs:
-                if edge.src in comp and edge.dst in comp:
-                    on_loop.add(idx)
-                    break
-            if edge.src == edge.dst:
-                on_loop.add(idx)
-    return on_loop
 
 
 def desugar_queues(graph: SystemGraph,
@@ -91,7 +67,7 @@ def promote_half_relays(
     are harmless and stay.
     """
     cured = graph.copy(name or f"{graph.name}_promoted")
-    targets = _edges_on_loops(graph) if only_loops else set(
+    targets = _loop_edge_indices(graph) if only_loops else set(
         range(len(graph.edges)))
     for idx, edge in enumerate(cured.edges):
         if idx in targets:
@@ -134,7 +110,7 @@ def half_relays_on_loops(graph: SystemGraph) -> List[Tuple[str, str, int]]:
     are present in loops"*.
     """
     hazards: List[Tuple[str, str, int]] = []
-    for idx in sorted(_edges_on_loops(graph)):
+    for idx in sorted(_loop_edge_indices(graph)):
         edge = graph.edges[idx]
         for k, spec in enumerate(edge.relays):
             if spec.startswith("half"):

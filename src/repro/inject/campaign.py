@@ -1025,18 +1025,21 @@ def skeleton_campaign(
         handle.run_cycles(tail)
         fires = handle.fire_counts()
         accepts = handle.accept_counts()
-        tail_fires = fires - head_fires
         voids = handle.void_stop_counts()
+        # Shell firings in the tail window, one total per instance.
+        tail_fires = [sum(now[c] - then[c]
+                          for now, then in zip(fires, head_fires))
+                      for c in range(handle.batch)]
 
-        golden_fires = [int(x) for x in fires[:, 0]]
-        golden_accepts = [int(x) for x in accepts[:, 0]]
-        golden_tail = int(tail_fires[:, 0].sum())
-        golden_voids = int(voids[0])
+        golden_fires = [row[0] for row in fires]
+        golden_accepts = [row[0] for row in accepts]
+        golden_tail = tail_fires[0]
+        golden_voids = voids[0]
         for column, (spec, _src, _snk) in enumerate(expressible, start=1):
-            col_fires = [int(x) for x in fires[:, column]]
-            col_accepts = [int(x) for x in accepts[:, column]]
-            col_tail = int(tail_fires[:, column].sum())
-            col_voids = int(voids[column])
+            col_fires = [row[column] for row in fires]
+            col_accepts = [row[column] for row in accepts]
+            col_tail = tail_fires[column]
+            col_voids = voids[column]
             if strict_detect and col_voids > golden_voids:
                 verdict, detail = "detected", (
                     f"strict stop-shape monitor: "
@@ -1065,11 +1068,12 @@ def skeleton_campaign(
         if payload_specs:
             # Payload corruption is control-transparent: classify it
             # from the golden column's per-cycle accepts (column 0).
-            accept_hist = handle.accept_history()
+            accept_hist = handle.accept_history(0)
             sink_index = {name: i
                           for i, name in enumerate(handle.sink_names)}
             for spec, sink_name in payload_specs:
-                accepts_at = accept_hist[:, sink_index[sink_name], 0]
+                sink = sink_index[sink_name]
+                accepts_at = [accepts[sink] for accepts in accept_hist]
                 stop_at = cycles if spec.stuck else min(
                     cycles, spec.cycle + spec.duration)
                 hits = [c for c in range(spec.cycle, stop_at)

@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import StructuralError
+from ..graph import digraph
 from ..graph.model import (
     DEFAULT_DOMAIN,
     SystemGraph,
@@ -307,16 +308,17 @@ class LoweredSystem:
             object.__setattr__(self, "_skeleton_view", cached)
         return cached
 
-    def block_digraph(self):
-        """Block-level ``nx.DiGraph`` (names as nodes). Treat read-only."""
+    def block_digraph(self) -> digraph.Successors:
+        """Block-level successor dict (see :mod:`repro.graph.digraph`).
+
+        Node names in node order, each mapped to its successors in edge
+        order, parallel edges once.  Treat read-only.
+        """
         cached = self.__dict__.get("_block_digraph")
         if cached is None:
-            import networkx as nx
-
-            cached = nx.DiGraph()
-            cached.add_nodes_from(n.name for n in self.nodes)
-            for edge in self.edges:
-                cached.add_edge(edge.src_name, edge.dst_name)
+            cached = digraph.successors(
+                (n.name for n in self.nodes),
+                ((e.src_name, e.dst_name) for e in self.edges))
             object.__setattr__(self, "_block_digraph", cached)
         return cached
 
@@ -349,17 +351,20 @@ class LoweredSystem:
     # -- graph walkers (shared by the analysis layer) --------------------
 
     def shell_cycles(self) -> List[List[str]]:
-        """Simple cycles of the block graph (each a list of node names)."""
-        import networkx as nx
+        """Simple cycles of the block graph (each a list of node names).
 
-        return [list(c) for c in nx.simple_cycles(nx.DiGraph(
-            (e.src_name, e.dst_name) for e in self.edges))]
+        Self-loops come first.  Every other loop begins at its earliest
+        node in graph order, and loops are grouped by that node in graph
+        order, so every process lists them the same way.
+        """
+        return list(digraph.simple_cycles(self.block_digraph()))
 
     def is_feedforward(self) -> bool:
         """True when the block graph is acyclic."""
         cached = self.__dict__.get("_feedforward")
         if cached is None:
-            cached = not self.shell_cycles()
+            cached = digraph.topological_order(
+                self.block_digraph()) is not None
             object.__setattr__(self, "_feedforward", cached)
         return cached
 

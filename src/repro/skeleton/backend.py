@@ -112,29 +112,32 @@ class _Backend:
         """Step every instance a fixed number of cycles."""
         raise NotImplementedError
 
-    def fire_counts(self):
-        """(n_shells, batch) cumulative firing counts."""
+    def fire_counts(self) -> List[List[int]]:
+        """Cumulative firing counts: one row per shell, one int per
+        instance (``counts[shell][instance]``)."""
         raise NotImplementedError
 
-    def accept_counts(self):
-        """(n_sinks, batch) cumulative sink acceptance counts."""
+    def accept_counts(self) -> List[List[int]]:
+        """Cumulative sink acceptance counts: one row per sink, one int
+        per instance (``counts[sink][instance]``)."""
         raise NotImplementedError
 
-    def accept_history(self):
-        """(cycles, n_sinks, batch) boolean per-cycle acceptance.
+    def accept_history(self, instance: int) -> List[Tuple[bool, ...]]:
+        """Per cycle, whether each sink accepted a token in *instance*.
 
-        Cycle-resolved form of :meth:`accept_counts`; the payload-fault
-        classification of :func:`repro.inject.campaign.
-        skeleton_campaign` reads the golden column from it.
+        Cycle-resolved form of one column of :meth:`accept_counts`; the
+        payload-fault classification of :func:`repro.inject.campaign.
+        skeleton_campaign` reads the golden column (instance 0).
         """
         raise NotImplementedError
 
-    def stop_assertion_counts(self):
-        """(batch,) cumulative asserted-stop-wire counts."""
+    def stop_assertion_counts(self) -> List[int]:
+        """Cumulative asserted-stop-wire counts, one int per instance."""
         raise NotImplementedError
 
-    def void_stop_counts(self):
-        """(batch,) cumulative stops asserted on **void** tokens.
+    def void_stop_counts(self) -> List[int]:
+        """Cumulative stops asserted on **void** tokens, one int per
+        instance.
 
         The paper-claim locality counter; strict fault campaigns use
         the per-column excess over the golden column as the "detected"
@@ -161,6 +164,16 @@ class _Backend:
         ``[cycle, cycle + duration)``, clamped to ``[0, depth]``.
         """
         raise NotImplementedError
+
+
+def _column_sums(histories: List[List[Sequence]],
+                 width: int) -> List[List[int]]:
+    """``counts[j][i]``: how many entries of history *i* have slot *j* set."""
+    counts = [[0] * len(histories) for _ in range(width)]
+    for i, history in enumerate(histories):
+        for j, total in enumerate(map(sum, zip(*history))):
+            counts[j][i] = total
+    return counts
 
 
 class ScalarBackend(_Backend):
@@ -211,51 +224,23 @@ class ScalarBackend(_Backend):
             for _ in range(cycles):
                 sim.step()
 
-    def fire_counts(self):
-        import numpy as np
+    def fire_counts(self) -> List[List[int]]:
+        return _column_sums([sim.fire_history for sim in self.sims],
+                            len(self.shell_names))
 
-        counts = np.zeros((len(self.shell_names), self.batch),
-                          dtype=np.int64)
-        for i, sim in enumerate(self.sims):
-            for fires in sim.fire_history:
-                for j, fired in enumerate(fires):
-                    counts[j, i] += fired
-        return counts
+    def accept_counts(self) -> List[List[int]]:
+        return _column_sums([sim.accept_history for sim in self.sims],
+                            len(self.sink_names))
 
-    def accept_counts(self):
-        import numpy as np
+    def accept_history(self, instance: int) -> List[Tuple[bool, ...]]:
+        return [tuple(bool(a) for a in accepts)
+                for accepts in self.sims[instance].accept_history]
 
-        counts = np.zeros((len(self.sink_names), self.batch),
-                          dtype=np.int64)
-        for i, sim in enumerate(self.sims):
-            for accepts in sim.accept_history:
-                for j, accepted in enumerate(accepts):
-                    counts[j, i] += accepted
-        return counts
+    def stop_assertion_counts(self) -> List[int]:
+        return [sim.stop_assertions_total for sim in self.sims]
 
-    def accept_history(self):
-        import numpy as np
-
-        cycles = len(self.sims[0].accept_history) if self.sims else 0
-        history = np.zeros((cycles, len(self.sink_names), self.batch),
-                           dtype=bool)
-        for i, sim in enumerate(self.sims):
-            for cycle, accepts in enumerate(sim.accept_history):
-                for j, accepted in enumerate(accepts):
-                    history[cycle, j, i] = accepted
-        return history
-
-    def stop_assertion_counts(self):
-        import numpy as np
-
-        return np.array([sim.stop_assertions_total for sim in self.sims],
-                        dtype=np.int64)
-
-    def void_stop_counts(self):
-        import numpy as np
-
-        return np.array([sim.stops_on_voids_total for sim in self.sims],
-                        dtype=np.int64)
+    def void_stop_counts(self) -> List[int]:
+        return [sim.stops_on_voids_total for sim in self.sims]
 
     def metrics_snapshots(self) -> List[Dict]:
         return [sim.metrics_snapshot() for sim in self.sims]
@@ -292,8 +277,8 @@ class BitplaneBackend(_Backend):
     """A :class:`BitplaneSkeletonSim` behind the shared interface.
 
     State lives in Python integers (bit *p* = instance *p*); the
-    accessors below unpack the vertical counters into the same numpy
-    shapes the other backends return, so callers never see the plane
+    accessors below unpack the vertical counters into the same rows
+    of ints the other backends return, so callers never see the plane
     layout.
     """
 
@@ -321,34 +306,20 @@ class BitplaneBackend(_Backend):
     def run_cycles(self, cycles: int) -> None:
         self.sim.run(cycles)
 
-    def fire_counts(self):
-        import numpy as np
+    def fire_counts(self) -> List[List[int]]:
+        return [ctr.values(self.batch) for ctr in self.sim.shell_fired]
 
-        return np.array(
-            [ctr.values(self.batch) for ctr in self.sim.shell_fired],
-            dtype=np.int64).reshape(len(self.shell_names), self.batch)
+    def accept_counts(self) -> List[List[int]]:
+        return [ctr.values(self.batch) for ctr in self.sim.sink_accepted]
 
-    def accept_counts(self):
-        import numpy as np
+    def accept_history(self, instance: int) -> List[Tuple[bool, ...]]:
+        return self.sim.accept_history(instance)
 
-        return np.array(
-            [ctr.values(self.batch) for ctr in self.sim.sink_accepted],
-            dtype=np.int64).reshape(len(self.sink_names), self.batch)
+    def stop_assertion_counts(self) -> List[int]:
+        return self.sim.stop_assertions.values(self.batch)
 
-    def accept_history(self):
-        return self.sim.accept_history()
-
-    def stop_assertion_counts(self):
-        import numpy as np
-
-        return np.array(self.sim.stop_assertions.values(self.batch),
-                        dtype=np.int64)
-
-    def void_stop_counts(self):
-        import numpy as np
-
-        return np.array(self.sim.stops_on_voids.values(self.batch),
-                        dtype=np.int64)
+    def void_stop_counts(self) -> List[int]:
+        return self.sim.stops_on_voids.values(self.batch)
 
     def metrics_snapshots(self) -> List[Dict]:
         return [self.sim.metrics_snapshot(i) for i in range(self.batch)]

@@ -826,19 +826,10 @@ class BitplaneSkeletonSim:
     def accept_count(self, sink: int, plane: int) -> int:
         return self.sink_accepted[sink].value(plane)
 
-    def accept_history(self):
-        """(cycles, n_sinks, batch) boolean acceptance history."""
-        import numpy as np
-
-        n_bytes = (self.batch + 7) // 8
-        raw = b"".join(word.to_bytes(n_bytes, "little")
-                       for words in self._accept_history
-                       for word in words)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                             bitorder="little")
-        return bits.reshape(len(self._accept_history),
-                            len(self.sink_names), n_bytes * 8)[
-            :, :, :self.batch].astype(bool)
+    def accept_history(self, plane: int) -> List[Tuple[bool, ...]]:
+        """Per cycle, each sink's acceptance bit in *plane*."""
+        return [tuple(bool((word >> plane) & 1) for word in words)
+                for words in self._accept_history]
 
     # -- telemetry ----------------------------------------------------------
 

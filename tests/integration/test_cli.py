@@ -1,5 +1,10 @@
 """Integration tests for the repro-lid CLI."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import _parse_topology, main
@@ -355,3 +360,30 @@ class TestArgparseValidation:
     def test_client_requires_manifest(self):
         with pytest.raises(SystemExit, match="--manifest"):
             main(["client", "--port", "1"])
+
+
+class TestHashSeedIndependence:
+    """``analyze`` lists loops in graph order, not in the iteration order
+    of a ``set``, so its output does not depend on ``PYTHONHASHSEED``."""
+
+    SPECS = (["ring:shells=3"], ["loopy:shells=5", "--seed", "3"],
+             ["figure2:relays=2"])
+
+    def _analyze(self, hash_seed):
+        src = pathlib.Path(__file__).parent.parent.parent / "src"
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (str(src), os.environ.get("PYTHONPATH"))
+                   if p)}
+        code = ("from repro.cli import main\n"
+                f"for argv in {self.SPECS!r}:\n"
+                "    assert main(['analyze'] + argv) == 0\n")
+        return subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=300, check=True).stdout
+
+    def test_analyze_output_is_identical_across_hash_seeds(self):
+        outputs = [self._analyze(seed) for seed in (0, 1, 2)]
+        assert "loop S0 -> S1 -> S2:" in outputs[0]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]

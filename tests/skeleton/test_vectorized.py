@@ -17,7 +17,7 @@ def _sink_rates(handle, cycles):
     """Per instance, each sink's accepts per cycle after *cycles*."""
     handle.run_cycles(cycles)
     counts = handle.accept_counts()
-    return {name: counts[j] / cycles
+    return {name: [count / cycles for count in counts[j]]
             for j, name in enumerate(handle.sink_names)}
 
 
@@ -161,7 +161,7 @@ class TestSweeps:
         handle.run_cycles(300)
         fires = handle.fire_counts()
         stalled = [i for i in range(handle.batch)
-                   if (fires[:, i] == 0).any()]
+                   if any(row[i] == 0 for row in fires)]
         assert stalled == [1]
 
     def test_figure2_rate_in_batch(self):

@@ -126,3 +126,45 @@ class TestKernelRule:
                 from ..lid.relay import RelayStation
             """)
         assert found and "repro.lid" in found[0]
+
+
+class TestThirdPartyRule:
+    """The runtime is stdlib-only: numpy and networkx are test oracles,
+    and only ``SystemGraph.to_networkx`` may import networkx, lazily."""
+
+    def _violations(self, tmp_path, module, source):
+        path = tmp_path / "mod.py"
+        path.write_text(textwrap.dedent(source))
+        return check_layering.check_file(str(path), module)
+
+    def test_lazy_numpy_import_is_flagged(self, tmp_path):
+        found = self._violations(tmp_path, "repro.skeleton.backend", """\
+            def fire_counts():
+                import numpy as np
+            """)
+        assert found and "numpy" in found[0]
+
+    def test_networkx_from_import_is_flagged(self, tmp_path):
+        found = self._violations(tmp_path, "repro.analysis.throughput",
+                                 "from networkx import node_disjoint_paths\n")
+        assert found and "networkx" in found[0]
+
+    def test_module_level_networkx_in_model_is_flagged(self, tmp_path):
+        found = self._violations(tmp_path, "repro.graph.model",
+                                 "import networkx as nx\n")
+        assert found and "networkx" in found[0]
+
+    def test_to_networkx_may_import_networkx_lazily(self, tmp_path):
+        assert self._violations(tmp_path, "repro.graph.model", """\
+            class SystemGraph:
+                def to_networkx(self):
+                    import networkx as nx
+            """) == []
+
+    def test_exemption_covers_networkx_only(self, tmp_path):
+        found = self._violations(tmp_path, "repro.graph.model", """\
+            class SystemGraph:
+                def to_networkx(self):
+                    import numpy
+            """)
+        assert found and "numpy" in found[0]

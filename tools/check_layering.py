@@ -27,7 +27,10 @@ the *forbidden prefixes*):
 * ``repro.kernel`` knows components and signals only — no protocol
   layer (``repro.lid`` hands it a settle order, never a notion of
   stop) and nothing above; ``repro.errors`` and ``repro.obs`` stay
-  allowed.
+  allowed;
+* no module of ``repro`` imports ``numpy`` or ``networkx`` — the
+  runtime is stdlib-only and both are test oracles.  The one exemption
+  is the lazy networkx import inside ``SystemGraph.to_networkx``.
 
 A rule may carve out *allowed* sub-prefixes of a forbidden prefix
 (e.g. ``repro.exec.cache`` inside a forbidden ``repro.exec``).
@@ -46,7 +49,7 @@ from __future__ import annotations
 import ast
 import os
 import sys
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
@@ -67,6 +70,12 @@ RULES: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
       "repro.skeleton", "repro.rtl", "repro.verify", "repro.analysis",
       "repro.exec", "repro.serve", "repro.bench", "repro.cli"), ()),
 )
+
+
+#: Packages the runtime must not import (the ``test`` extra has them).
+THIRD_PARTY = ("numpy", "networkx")
+#: (module, function) -> the package that function may import lazily.
+THIRD_PARTY_EXEMPT = {("repro.graph.model", "to_networkx"): "networkx"}
 
 
 def _module_name(path: str) -> str:
@@ -112,21 +121,44 @@ def _matches(module: str, prefix: str) -> bool:
     return module == prefix or module.startswith(prefix + ".")
 
 
+def _exempt_lines(path: str, module: str) -> Dict[int, str]:
+    """Line -> third-party package allowed there (exempt functions)."""
+    functions = {function: package
+                 for (owner, function), package in THIRD_PARTY_EXEMPT.items()
+                 if owner == module}
+    if not functions:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    lines: Dict[int, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name in functions:
+            for line in range(node.lineno, node.end_lineno + 1):
+                lines[line] = functions[node.name]
+    return lines
+
+
 def check_file(path: str, module: str) -> List[str]:
-    """Violations in one module (empty when no rule matches it)."""
+    """Violations in one module."""
     violations: List[str] = []
     active = [(forbidden, allowed)
               for source, forbidden, allowed in RULES
               if _matches(module, source)]
-    if not active:
-        return violations
+    exempt = _exempt_lines(path, module)
+    rel = os.path.relpath(path, REPO_ROOT)
     for lineno, imported in _imports(path, module):
+        for package in THIRD_PARTY:
+            if _matches(imported, package) and exempt.get(lineno) != package:
+                violations.append(
+                    f"{rel}:{lineno}: {module} imports {imported} "
+                    f"(the runtime is stdlib-only; {package} is a "
+                    f"test oracle)")
         for forbidden, allowed in active:
             if any(_matches(imported, p) for p in allowed):
                 continue
             hits = [p for p in forbidden if _matches(imported, p)]
             for prefix in hits:
-                rel = os.path.relpath(path, REPO_ROOT)
                 violations.append(
                     f"{rel}:{lineno}: {module} imports "
                     f"{imported} (layer {prefix} is above it; "
