@@ -7,9 +7,12 @@ Three engines implement the exact same valid/stop semantics:
 * :class:`~repro.skeleton.bitsim.BitplaneSkeletonSim` — SBFI-style
   bit planes, one instance per bit of a Python integer (the batch
   engine: sweeps, fault campaigns and GALS graphs);
-* :class:`~repro.skeleton.codegen.CodegenSkeletonSim` — per-topology
-  compiled straight-line Python (one ``compile()`` per structural
-  fingerprint, reused across every instance and run).
+* :class:`~repro.skeleton.codegen.CodegenSkeletonSim` — one instance
+  of per-topology compiled straight-line Python.
+
+Both non-reference steps are compiled by :mod:`repro.skeleton.codegen`
+(one ``compile()`` per topology and engine options, reused across
+every instance and run).
 
 :func:`select` hides the choice: callers describe *what* to simulate
 (a topology, a protocol variant, and one script set per instance) and

@@ -1,49 +1,68 @@
-"""Compiled skeleton backend: specialize the cycle loop per topology.
+"""Compiled skeleton steps: specialize the cycle loop per topology.
 
-The scalar engine interprets the lowered tables every cycle — list
-indexing, kind dispatch, method calls.  For a *fixed* topology all of
-that is constant: which hop reads which register, the Gauss–Seidel
-sweep order of the stop network, which relay updates are registered
-(and therefore fixed before the sweep even starts).  This module bakes
-those constants into straight-line Python source — every hop, register
-and script phase a local variable, no per-cycle dispatch or dict
-lookups — compiled once via ``compile()``/``exec()`` and reused for
-every simulator instance that shares the plan.
+The interpreters walk the lowered tables every cycle — list indexing,
+kind dispatch, method calls.  For a *fixed* topology all of that is
+constant: which hop reads which register, the Gauss–Seidel sweep order
+of the stop network, which relay updates are registered (and therefore
+fixed before the sweep even starts).  This module bakes those
+constants into straight-line Python source — every hop, register and
+script phase a local variable, no per-cycle dispatch or dict lookups —
+compiled once via ``compile()``/``exec()`` and reused for every
+simulator that shares the plan.
 
-Two entry points are generated from one body emitter:
+Two emitters share one plan cache:
 
-* ``cycle(sim)`` — advance one cycle, state written back each call
-  (drives the inherited ``step()``/``run()`` periodicity detection);
+* :func:`generate_source` — the **scalar** step, one instance of
+  Python bools; backs :class:`CodegenSkeletonSim`;
+* :func:`~repro.skeleton.codegen.planes.generate_plane_source` — the
+  **bit-plane** step over plane words (bit *p* of every int is
+  instance *p*); backs :class:`~repro.skeleton.bitsim.
+  BitplaneSkeletonSim`, GALS graphs included.  Its module is imported
+  on first use, so a process that never runs a batch never loads it.
+
+Each emits two entry points from one body:
+
+* ``cycle(sim)`` — advance one cycle (drives ``step()`` and the
+  periodicity detection);
 * ``run_cycles(sim, n)`` — the campaign fast path: state loaded into
   locals once, the unrolled body looped ``n`` times, written back once
   (histories and telemetry still accumulate per cycle).
 
 Bit-exactness is structural, not incidental: the generated source
-replicates :meth:`repro.skeleton.sim.SkeletonSim.step` operation for
-operation (same fixed-stop partition, same sweep order, same guard
-counter, same register-update expressions), and
-:class:`CodegenSkeletonSim` subclasses ``SkeletonSim`` so that state
-layout, ``run()`` periodicity detection, ``metrics_snapshot()`` and
-``external_step()`` are *shared code*, not parallel implementations.
-The differential conformance suite (``tests/skeleton/
-test_backend_conformance.py``) holds all four engines to the byte.
+replicates the reference step operation for operation (same fixed-stop
+partition, same sweep order, same guard counter, same register-update
+equations).  :class:`CodegenSkeletonSim` subclasses ``SkeletonSim`` so
+that state layout, ``run()`` periodicity detection,
+``metrics_snapshot()`` and ``external_step()`` are *shared code*, not
+parallel implementations.  The differential conformance suite
+(``tests/skeleton/test_backend_conformance.py``) holds every engine to
+the byte.
+
+**Plan key vs runtime data.**  The key (:attr:`CompiledPlan.key`) holds
+everything the generated source bakes in: the structural fingerprint
+*and* the declaration order the tables are indexed by (the fingerprint
+sorts nodes and edges, so two builds of one graph in different orders
+share a fingerprint but not a hop table), the clock domains, the
+emitter, the variant and fixpoint, whether the ambiguity probe is
+emitted, and the telemetry flags.  Everything else is **runtime data**
+read from the simulator on every call and never baked in: batch width
+and mask, source and sink scripts and their spans, source holds,
+bridge pokes and the cycle count.  One plan therefore serves every
+script combination of a campaign.
 
 Plans are cached at two levels:
 
-* **in-process** — a module dict keyed by ``(structural fingerprint,
-  variant, fixpoint, detect_ambiguity, telemetry flags)``; building a
-  thousand simulators over one topology compiles once (see
-  :data:`STATS`, the EXP-C1 bench asserts this);
+* **in-process** — an LRU of :data:`PLAN_CACHE_SIZE` plans keyed by
+  the plan key; building a thousand simulators over one topology
+  compiles once (see :data:`STATS`, the EXP-C1 bench asserts this),
+  and a long-lived process that meets a new topology per request stays
+  bounded;
 * **on disk (optional)** — pass ``compile_cache=`` a
   :class:`repro.exec.cache.ResultCache`: the generated *source text*
   is stored under the exec-cache key discipline (schema + git_rev +
   plan key), so a second process skips generation and recompiles from
   the cached source.  Code objects are process-bound; source is the
   durable artifact.
-
-Scripts and patterns stay **runtime data** (read from the sim instance
-each batch), so one compiled plan serves every script combination of a
-campaign — the plan key deliberately excludes them.
 
 Layering: this module may import ``repro.ir`` and ``repro.exec.cache``
 only (enforced by ``tools/check_layering.py``); the protocol variant is
@@ -53,17 +72,19 @@ consumed duck-typed (``discards_void_stops`` + ``str()``), never via a
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..ir import RS_FULL, RS_HALF, RS_HALF_REG, SHELL, SINK, SRC, LoweredSystem
-from .sim import SkeletonSim
+from ...ir import RS_FULL, RS_HALF, RS_HALF_REG, SHELL, SRC, LoweredSystem
+from ..sim import SkeletonSim
 
 __all__ = [
     "CODEGEN_SCHEMA",
     "CodegenSkeletonSim",
     "CodegenStats",
     "CompiledPlan",
+    "PLAN_CACHE_SIZE",
     "STATS",
     "clear_plan_cache",
     "generate_source",
@@ -71,8 +92,11 @@ __all__ = [
 ]
 
 #: Folded into every disk-cache key; bump when the generated source's
-#: meaning changes in a way the structural plan key cannot see.
-CODEGEN_SCHEMA = "repro-codegen/v1"
+#: meaning changes in a way the plan key cannot see.
+CODEGEN_SCHEMA = "repro-codegen/v2"
+
+#: Compiled plans kept in-process (least recently used evicted first).
+PLAN_CACHE_SIZE = 16
 
 
 @dataclasses.dataclass
@@ -82,15 +106,18 @@ class CodegenStats:
     compiles: int = 0
     plan_hits: int = 0
     disk_hits: int = 0
+    evictions: int = 0
 
     def reset(self) -> None:
         self.compiles = 0
         self.plan_hits = 0
         self.disk_hits = 0
+        self.evictions = 0
 
 
 #: Global counters: how often a plan was generated+compiled vs. served
-#: from the in-process cache vs. recompiled from disk-cached source.
+#: from the in-process cache vs. recompiled from disk-cached source,
+#: and how many plans the LRU bound pushed out.
 #: ``benchmarks/bench_codegen.py`` uses this to show one compile serves
 #: many runs.
 STATS = CodegenStats()
@@ -106,10 +133,11 @@ class CompiledPlan:
     run_cycles: Callable
 
 
-#: In-process plan cache; plans are tiny (two code objects each) and
-#: keyed per topology, so no bound is needed here — the *disk* layer
-#: reuses ResultCache, which carries the LRU bound.
-_PLAN_CACHE: Dict[Tuple, CompiledPlan] = {}
+#: In-process plan cache, least recently used first.  Every new
+#: ``dag:``/``loopy:`` seed is a new topology and so a new plan; the
+#: bound keeps a long-lived process flat.
+_PLAN_CACHE: "collections.OrderedDict[Tuple, CompiledPlan]" = \
+    collections.OrderedDict()
 
 
 def clear_plan_cache() -> None:
@@ -469,6 +497,54 @@ def _compile(source: str, tag: str) -> Tuple[Callable, Callable]:
     return namespace["cycle"], namespace["run_cycles"]
 
 
+def _declaration_order(low: LoweredSystem) -> Tuple:
+    """What the fingerprint sorts away but the generated code indexes.
+
+    The structural fingerprint sorts nodes and edges, so two builds of
+    one graph in different orders share it; their shell, hop, register
+    and relay tables (all in declaration order) do not.  Node names in
+    order fix the shell/source/sink tables and the domain order; the
+    edges in order fix the hop, register, relay and bridge tables.
+    """
+    bridge_depth = [b.depth for b in low.bridges]
+    return (
+        tuple(n.name for n in low.nodes),
+        tuple((e.src_name, e.src_port, e.dst_name, e.dst_port, e.relays,
+               None if e.bridge is None else bridge_depth[e.bridge])
+              for e in low.edges),
+        tuple((d.name, str(d.rate)) for d in low.domains),
+    )
+
+
+def _plan_key(
+    low: LoweredSystem,
+    variant,
+    *,
+    planes: bool,
+    fixpoint: str,
+    detect_ambiguity: bool,
+    metrics_on: bool,
+    events_on: bool,
+) -> Tuple:
+    """Everything a generated plan bakes in, and nothing it reads.
+
+    Scripts, batch width, pokes and the cycle count are runtime data
+    and deliberately absent (see the module docstring).
+    """
+    return (
+        "planes" if planes else "scalar",
+        low.fingerprint,
+        _declaration_order(low),
+        str(variant),
+        bool(variant.discards_void_stops),
+        fixpoint,
+        bool(detect_ambiguity),
+        bool(low.may_be_ambiguous),  # ambiguity probe; one pass vs sweep
+        bool(metrics_on),
+        bool(events_on),
+    )
+
+
 def plan_for(
     low: LoweredSystem,
     variant,
@@ -477,28 +553,25 @@ def plan_for(
     detect_ambiguity: bool,
     metrics_on: bool,
     events_on: bool,
+    planes: bool = False,
     disk_cache=None,
 ) -> CompiledPlan:
     """Compiled plan for *(low, variant, engine options)*, cached.
 
-    *low* must be a skeleton view.  *variant* is duck-typed: anything
-    with ``discards_void_stops`` and a stable ``str()`` works (the
-    layering rules keep ``repro.lid`` out of this module).
-    *disk_cache* is an optional :class:`repro.exec.cache.ResultCache`;
-    the generated source text (not the code object) is what persists.
+    *low* must be a skeleton view.  *planes* picks the bit-plane
+    emitter (:mod:`repro.skeleton.codegen.planes`) over the scalar one.
+    *variant* is duck-typed: anything with ``discards_void_stops`` and
+    a stable ``str()`` works (the layering rules keep ``repro.lid`` out
+    of this module).  *disk_cache* is an optional
+    :class:`repro.exec.cache.ResultCache`; the generated source text
+    (not the code object) is what persists.
     """
-    is_casu = bool(variant.discards_void_stops)
-    key = (
-        low.fingerprint,
-        str(variant),
-        is_casu,
-        fixpoint,
-        bool(detect_ambiguity),
-        bool(metrics_on),
-        bool(events_on),
-    )
+    key = _plan_key(low, variant, planes=planes, fixpoint=fixpoint,
+                   detect_ambiguity=detect_ambiguity,
+                   metrics_on=metrics_on, events_on=events_on)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
+        _PLAN_CACHE.move_to_end(key)
         STATS.plan_hits += 1
         return plan
 
@@ -512,9 +585,15 @@ def plan_for(
             source = hit
             from_disk = True
     if source is None:
-        source = generate_source(
+        if planes:
+            # Imported on first use: a process that never batches never
+            # compiles the plane emitter's module.
+            from .planes import generate_plane_source as emitter
+        else:
+            emitter = generate_source
+        source = emitter(
             low,
-            is_casu=is_casu,
+            is_casu=bool(variant.discards_void_stops),
             fixpoint=fixpoint,
             detect_ambiguity=detect_ambiguity,
             metrics_on=metrics_on,
@@ -530,6 +609,9 @@ def plan_for(
     plan = CompiledPlan(key=key, source=source, cycle=cycle,
                         run_cycles=run_cycles)
     _PLAN_CACHE[key] = plan
+    while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
+        _PLAN_CACHE.popitem(last=False)
+        STATS.evictions += 1
     return plan
 
 
@@ -580,7 +662,7 @@ class CodegenSkeletonSim(SkeletonSim):
             kwargs["variant"] = variant
         super().__init__(graph, **kwargs)
         if not self.lowered.single_clock:
-            from ..errors import StructuralError
+            from ...errors import StructuralError
 
             raise StructuralError(
                 f"{self.lowered.name}: the codegen engine models "

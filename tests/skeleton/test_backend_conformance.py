@@ -39,6 +39,7 @@ from repro.skeleton import (
     codegen_supported,
     select,
 )
+from repro.skeleton.codegen import STATS
 
 from .test_gals import GALS_SPECS
 
@@ -329,6 +330,140 @@ class TestGalsLockstep:
     @pytest.mark.parametrize("fixpoint", ["least", "greatest"])
     def test_gals_matches_scalar(self, spec, variant, fixpoint):
         _gals_lockstep(spec, variant, fixpoint)
+
+
+def _planes_match_scalar(graph, sink_maps, source_maps, cycles,
+                         pokes=()):
+    """One bit-plane batch vs one scalar run per plane, every cycle.
+
+    *pokes* lists ``(plane, bridge, cycle, delta, duration)``.  Returns
+    the batch so callers can inspect which runtime paths it took.
+    """
+    batch = BitplaneSkeletonSim(graph, sink_maps,
+                                source_patterns=source_maps,
+                                telemetry=Telemetry.metrics_only())
+    scalars = [SkeletonSim(graph, sink_patterns=sink_maps[p],
+                           source_patterns=source_maps[p],
+                           telemetry=Telemetry.metrics_only())
+               for p in range(len(sink_maps))]
+    for plane, bridge, at, delta, duration in pokes:
+        batch.poke_bridge(plane, bridge, at, delta, duration)
+        scalars[plane].poke_bridge(bridge, at, delta, duration)
+    for cycle in range(cycles):
+        b_fires, b_accepts = batch.step() if cycle % 2 else (None, None)
+        if not cycle % 2:
+            batch.run(1)  # both entry points, interleaved
+        for plane, scalar in enumerate(scalars):
+            s_fires, s_accepts = scalar.step()
+            ctx = (graph.name, cycle, plane)
+            if b_fires is not None:
+                assert _column_bits(b_fires, plane) == s_fires, ctx
+                assert _column_bits(b_accepts, plane) == s_accepts, ctx
+            assert _column_bits(batch.shell_reg, plane) \
+                == tuple(scalar.shell_reg), ctx
+            assert _column_bits(batch.rs_main, plane) \
+                == tuple(scalar.rs_main), ctx
+            assert _column_bits(batch.rs_aux, plane) \
+                == tuple(scalar.rs_aux), ctx
+            assert _column_bits(batch.rs_stop_reg, plane) \
+                == tuple(scalar.rs_stop_reg), ctx
+            assert _column_occupancy(batch, plane) \
+                == tuple(scalar.bridge_occ), ctx
+    for plane, scalar in enumerate(scalars):
+        ctx = (graph.name, plane)
+        assert [row[plane] for row in batch.src_phase] \
+            == scalar.src_phase, ctx
+        assert batch.accept_history(plane) == scalar.accept_history, ctx
+        assert batch.ambiguous_cycles[plane] == scalar.ambiguous_cycles, ctx
+        assert batch.metrics_snapshot(plane) == scalar.metrics_snapshot(), \
+            ctx
+    return batch
+
+
+class TestCompiledPlanRuntimeData:
+    """One compiled plan serves every run of a topology: scripts,
+    spans, batch width, holds, pokes and cycle counts are read from
+    the simulator on each call, never baked into the plan."""
+
+    @staticmethod
+    def _compile_once(graph):
+        """Compile the plan through a short run; return the counts."""
+        BitplaneSkeletonSim(graph, batch=2,
+                            telemetry=Telemetry.metrics_only()).run(3)
+        return STATS.compiles, STATS.plan_hits
+
+    @pytest.mark.parametrize("graph", [
+        pipeline(3, relays_per_hop=2),
+        _all_relays(pipeline(3, relays_per_hop=2), "half"),
+    ], ids=["one-pass", "sweep-with-ambiguity-probe"])
+    def test_single_clock_runs_share_one_plan(self, graph):
+        compiles, hits = self._compile_once(graph)
+        runs = [
+            # A different cycle count; default scripts.
+            ([{}] * 2, [{}] * 2, 41),
+            # Five planes; sink spans 5, 7 and 35; a stalled sink and
+            # scripted sources make the source hold tokens.
+            ([{}, {"out": (True, False, False, True, True)},
+              {"out": (False,) * 6 + (True,)}, {"out": (True,)},
+              {"out": (True, True, False, False, True)}],
+             [{}, {"src": (True, False, True)}, {"src": (False, True)},
+              {"src": (True, True, False, True)}, {}], 97),
+            # Three planes, one long sink script.
+            ([{"out": (False,) * 119 + (True,)}, {},
+              {"out": (True, False)}], [{}] * 3, 260),
+        ]
+        held = False
+        for sink_maps, source_maps, cycles in runs:
+            batch = _planes_match_scalar(graph, sink_maps, source_maps,
+                                         cycles)
+            held |= any(any(holds) for holds in batch._src_holds)
+        assert held, "no run exercised the held-source path"
+        assert STATS.compiles == compiles
+        assert STATS.plan_hits == hits + len(runs)
+
+    def test_gals_runs_share_one_plan(self):
+        graph = parse_topology("gals-chain:rates=1+1/2+1/3,stages=2")
+        bridges = lower(graph).bridge_names
+        compiles, hits = self._compile_once(graph)
+        runs = [
+            ([{}] * 3, [{}] * 3, 58, [(1, 0, 4, +1, 9), (2, 1, 7, -1, 30)]),
+            ([{"out": (False, True, True)}, {}, {"out": (True,)}, {}],
+             [{"src": (True, False)}, {}, {"src": (False, True, True)},
+              {}], 131,
+             [(3, bridges[-1], 20, +5, 1), (3, bridges[-1], 20, -1, 1),
+              (1, bridges[0], 60, +1, 71)]),
+        ]
+        for sink_maps, source_maps, cycles, pokes in runs:
+            _planes_match_scalar(graph, sink_maps, source_maps, cycles,
+                                 pokes)
+        assert STATS.compiles == compiles
+        assert STATS.plan_hits == hits + len(runs)
+
+    def test_sink_span_beyond_the_expanded_schedule(self):
+        """An lcm span over 4,096 cycles packs the stop word per cycle."""
+        graph = pipeline(3, relays_per_hop=2)
+        sink_maps = [{"out": tuple(i % 5 == 0 for i in range(61))},
+                     {"out": tuple(i % 3 == 1 for i in range(71))},
+                     {}]
+        batch = _planes_match_scalar(graph, sink_maps, [{}] * 3, 150)
+        assert batch._sink_sched[0] is None
+
+    def test_campaigns_after_a_short_warm_up(self):
+        """A short campaign compiles the plan; a long strict one that
+        reuses it must still match the scalar backend byte for byte."""
+        from repro.inject import skeleton_campaign
+
+        graph = parse_topology("figure2:relays=3")
+        kwargs = dict(classes=("stop", "void"), exhaustive=True)
+        skeleton_campaign(graph, cycles=120, window=(10, 18), **kwargs)
+        hits = STATS.plan_hits
+        reports = [
+            skeleton_campaign(graph, cycles=600, window=(90, 120),
+                              strict=True, backend=backend, **kwargs)
+            for backend in ("auto", "scalar")]
+        assert STATS.plan_hits == hits + 1
+        assert reports[0].backend == "bitsim"
+        assert reports[0].to_json() == reports[1].to_json()
 
 
 def _codegen_lockstep(graph, variant, fixpoint, sink_map, source_map,

@@ -97,10 +97,13 @@ class TestCodegenRule:
         assert found and "repro.exec" in found[0]
 
     def test_shipped_codegen_module_is_clean(self):
-        src = os.path.join(REPO_ROOT, "src", "repro", "skeleton",
-                           "codegen.py")
-        assert check_layering.check_file(
-            src, "repro.skeleton.codegen") == []
+        package = os.path.join(REPO_ROOT, "src", "repro", "skeleton",
+                               "codegen")
+        for module, name in (("repro.skeleton.codegen", "__init__.py"),
+                             ("repro.skeleton.codegen.planes",
+                              "planes.py")):
+            assert check_layering.check_file(
+                os.path.join(package, name), module) == []
 
 
 class TestKernelRule:
