@@ -49,7 +49,7 @@ from .analysis import analyze
 from .bench.runner import EXPERIMENTS, run_all, run_figure1, run_figure2
 from .graph.specs import parse_topology
 from .lid.variant import ProtocolVariant
-from .serve.manifest import BACKENDS, DEADLOCK_BACKENDS, ENGINES, FORMATS
+from .serve.manifest import BACKENDS, ENGINES, FORMATS
 
 #: Backward-compatible alias — the spec parser moved to
 #: :mod:`repro.graph.specs` so non-CLI consumers (GraphRef
@@ -177,10 +177,6 @@ def main(argv=None) -> int:
                         help="instrument the liveness probes and write "
                              "their metrics snapshot as JSON (forces "
                              "serial probing)")
-    p_dead.add_argument("--backend", choices=DEADLOCK_BACKENDS,
-                        default="scalar",
-                        help="probe engine (codegen: per-topology "
-                             "compiled cycle functions, same verdict)")
 
     p_inject = sub.add_parser(
         "inject", parents=[seed_parent, jobs_parent, ledger_parent,
@@ -213,9 +209,7 @@ def main(argv=None) -> int:
     p_inject.add_argument("--backend", choices=BACKENDS, default="auto",
                           help="skeleton engine backend (auto/bitsim: "
                                "one bit-parallel run, one plane per "
-                               "fault; scalar: the reference engine; "
-                               "codegen: per-topology compiled cycle "
-                               "functions)")
+                               "fault; scalar: the reference engine)")
     p_inject.add_argument("--strict", action="store_true",
                           help="arm the strict stop-shape monitor "
                                "(detects stops landing on voids under "
@@ -583,7 +577,6 @@ def _deadlock(args, parser) -> int:
     outcome = _run_manifest(args, parser, {
         "kind": "deadlock", "topology": args.topology, "seed": args.seed,
         "variant": str(args.variant), "max_cycles": args.max_cycles,
-        "deadlock_backend": args.backend,
     }, use_cache=False, telemetry=telemetry)
     _emit(outcome, None)
     if args.metrics_out:

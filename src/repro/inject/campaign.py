@@ -847,11 +847,6 @@ def skeleton_campaign(
     Classification reads only per-column counters, so the report bytes
     are independent of the backend.
 
-    ``backend="codegen"`` runs each column on a per-topology compiled
-    cycle function (:mod:`repro.skeleton.codegen`); the columns stay
-    per-instance simulators, only the inner loop changes, so the report
-    bytes again match the scalar ones exactly.
-
     ``strict`` arms the skeleton analogue of the LID strict stop-shape
     monitor: under a variant that discards void stops (the paper's
     refinement), a column whose cumulative stop-on-void count exceeds

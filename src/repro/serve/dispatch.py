@@ -232,18 +232,13 @@ def _execute_deadlock(manifest: Manifest, *, jobs: int, cache,
     graph = _parse(manifest)
     variant = ProtocolVariant(manifest.variant)
     started = perf_counter()
-    try:
-        verdict = check_deadlock(graph, variant=variant,
-                                 max_cycles=manifest.max_cycles,
-                                 jobs=jobs,
-                                 graph_ref=GraphRef.from_spec(
-                                     manifest.topology, seed=manifest.seed),
-                                 cache=cache,
-                                 telemetry=telemetry,
-                                 backend=manifest.deadlock_backend)
-    except ValueError as exc:
-        # Capability refusal (e.g. codegen on a GALS graph).
-        raise DispatchError(str(exc)) from None
+    verdict = check_deadlock(graph, variant=variant,
+                             max_cycles=manifest.max_cycles,
+                             jobs=jobs,
+                             graph_ref=GraphRef.from_spec(
+                                 manifest.topology, seed=manifest.seed),
+                             cache=cache,
+                             telemetry=telemetry)
     wall = perf_counter() - started
     record = make_record(
         "deadlock-check",

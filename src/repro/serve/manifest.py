@@ -29,10 +29,9 @@ from typing import Any, Dict, Optional, Tuple
 KINDS = ("campaign", "deadlock", "series")
 
 #: Allowed values; also the CLI's ``--engine``/``--backend``/
-#: ``--format`` and ``deadlock --backend`` choices.
+#: ``--format`` choices.
 ENGINES = ("lid", "skeleton")
-BACKENDS = ("auto", "scalar", "bitsim", "codegen")
-DEADLOCK_BACKENDS = ("scalar", "codegen")
+BACKENDS = ("auto", "scalar", "bitsim")
 FORMATS = ("json", "table")
 VARIANTS = ("casu", "carloni")
 
@@ -139,7 +138,6 @@ class Manifest:
     format: str = "json"
     # deadlock
     max_cycles: int = 10_000
-    deadlock_backend: str = "scalar"
     # series
     which: Optional[str] = None
     # transport
@@ -151,8 +149,7 @@ class Manifest:
         "campaign": ("topology", "seed", "variant", "engine", "backend",
                      "faults", "cycles", "samples", "exhaustive",
                      "window", "strict", "format", "smoke"),
-        "deadlock": ("topology", "seed", "variant", "max_cycles",
-                     "deadlock_backend"),
+        "deadlock": ("topology", "seed", "variant", "max_cycles"),
         "series": ("which",),
     }
 
@@ -202,12 +199,6 @@ class Manifest:
             _require(max_cycles >= 1,
                      f"max_cycles must be >= 1, got {max_cycles}")
             fields["max_cycles"] = max_cycles
-            backend = payload.get("deadlock_backend",
-                                  cls.deadlock_backend)
-            _require(backend in DEADLOCK_BACKENDS,
-                     f"deadlock_backend must be one of "
-                     f"{', '.join(DEADLOCK_BACKENDS)}, got {backend!r}")
-            fields["deadlock_backend"] = backend
             return cls(**fields)
 
         # campaign
@@ -260,8 +251,7 @@ class Manifest:
         payload.update(topology=self.topology, seed=self.seed,
                        variant=self.variant)
         if self.kind == "deadlock":
-            payload.update(max_cycles=self.max_cycles,
-                           deadlock_backend=self.deadlock_backend)
+            payload.update(max_cycles=self.max_cycles)
             return payload
         payload.update(engine=self.engine, backend=self.backend,
                        faults=list(self.faults), cycles=self.cycles,

@@ -1,14 +1,7 @@
 """Skeleton (valid/stop-only) simulation, periodicity and deadlock tools."""
 
-from .backend import (
-    BitplaneBackend,
-    CodegenBackend,
-    ScalarBackend,
-    codegen_supported,
-    select,
-)
+from .backend import BitplaneBackend, ScalarBackend, select
 from .bitsim import BitplaneSkeletonSim
-from .codegen import CodegenSkeletonSim
 from .deadlock import DeadlockVerdict, check_deadlock, is_deadlock_free_class
 from .fast import CostComparison, compare_cost, measure_throughput, system_throughput
 from .periodicity import (
@@ -22,15 +15,12 @@ from .sim import SkeletonResult, SkeletonSim
 __all__ = [
     "BitplaneBackend",
     "BitplaneSkeletonSim",
-    "CodegenBackend",
-    "CodegenSkeletonSim",
     "CostComparison",
     "DeadlockVerdict",
     "ScalarBackend",
     "SkeletonResult",
     "SkeletonSim",
     "check_deadlock",
-    "codegen_supported",
     "compare_cost",
     "detect_period",
     "is_deadlock_free_class",

@@ -1,18 +1,14 @@
 """Unified backend selection for skeleton simulation.
 
-Three engines implement the exact same valid/stop semantics:
+Two engines implement the exact same valid/stop semantics:
 
 * :class:`~repro.skeleton.sim.SkeletonSim` — the scalar reference,
   one Python object per instance;
 * :class:`~repro.skeleton.bitsim.BitplaneSkeletonSim` — SBFI-style
-  bit planes, one instance per bit of a Python integer (the batch
-  engine: sweeps, fault campaigns and GALS graphs);
-* :class:`~repro.skeleton.codegen.CodegenSkeletonSim` — one instance
-  of per-topology compiled straight-line Python.
-
-Both non-reference steps are compiled by :mod:`repro.skeleton.codegen`
-(one ``compile()`` per topology and engine options, reused across
-every instance and run).
+  bit planes, one instance per bit of a Python integer, stepped by a
+  per-topology plan that :mod:`repro.skeleton.codegen` compiles once
+  and reuses across every instance and run (sweeps, fault campaigns
+  and GALS graphs; a single instance gets a one-plane plan).
 
 :func:`select` hides the choice: callers describe *what* to simulate
 (a topology, a protocol variant, and one script set per instance) and
@@ -24,10 +20,11 @@ before :func:`select` may return it.
 
 Selection policy: ``backend="auto"`` runs a batch wider than one
 instance on the bit-plane engine and a single instance on the scalar
-engine.  ``backend="scalar"``/``"bitsim"``/``"codegen"`` forces the
-choice; codegen is opt-in (it wins when the same topology is stepped
-for many cycles or many runs and the one-time compile amortizes) and
-is the only engine that refuses GALS (multi-clock) graphs.
+engine, which needs no compile.  ``backend="scalar"``/``"bitsim"``
+forces the choice; ``select(graph, batch=1, backend="bitsim")`` runs
+the compiled one-plane plan, which wins when the same topology is
+stepped for many cycles or many runs and the one-time compile
+amortizes.  Both engines run every graph, GALS included.
 """
 
 from __future__ import annotations
@@ -35,48 +32,15 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..graph.model import SystemGraph
-from ..ir import LoweredSystem, lower
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
+from .bitsim import check_instance
 from .sim import SkeletonResult, SkeletonSim
 
 PatternMap = Mapping[str, Sequence[bool]]
 Patterns = Union[None, PatternMap, Sequence[Optional[PatternMap]]]
 
 #: Every name :func:`select` accepts for ``backend=``.
-BACKEND_CHOICES = ("auto", "scalar", "bitsim", "codegen")
-
-
-def codegen_supported(graph: SystemGraph,
-                      variant: ProtocolVariant) -> Tuple[bool, str]:
-    """Can the compiled-codegen engine run this (graph, variant)?
-
-    Returns ``(supported, reason)``; *reason* explains a refusal by
-    naming the capability flags of the lowered IR that failed (the
-    GALS capability contract: ``single_clock`` / ``has_bridges``).
-    """
-    lowered = graph if isinstance(graph, LoweredSystem) else lower(graph)
-    if not lowered.single_clock:
-        return False, (
-            f"graph {lowered.name!r} is multi-clock "
-            f"(capability flags: single_clock={lowered.single_clock}, "
-            f"has_bridges={lowered.has_bridges}) and the codegen "
-            f"engine requires single_clock=True; use the scalar or "
-            f"bitsim engine for GALS workloads")
-    return True, ""
-
-
-def available_backends(graph: SystemGraph,
-                       variant: ProtocolVariant) -> Tuple[str, ...]:
-    """The backend names able to run this (graph, variant) right now.
-
-    The scalar and bit-plane engines support everything; codegen is
-    probed through :func:`codegen_supported`.  Used by :func:`select`
-    to make refusal messages actionable.
-    """
-    names = ("scalar", "bitsim")
-    if codegen_supported(graph, variant)[0]:
-        names += ("codegen",)
-    return names
+BACKEND_CHOICES = ("auto", "scalar", "bitsim")
 
 
 def _normalize(patterns: Patterns, batch: int) -> List[Dict]:
@@ -104,7 +68,7 @@ def _infer_batch(batch: Optional[int], *pattern_seqs: Patterns) -> int:
 class _Backend:
     """Backend-independent interface shared by all handles."""
 
-    #: "scalar", "bitsim" or "codegen"
+    #: "scalar" or "bitsim"
     name: str
 
     def run(self, max_cycles: int = 10_000) -> List[SkeletonResult]:
@@ -130,7 +94,8 @@ class _Backend:
 
         Cycle-resolved form of one column of :meth:`accept_counts`; the
         payload-fault classification of :func:`repro.inject.campaign.
-        skeleton_campaign` reads the golden column (instance 0).
+        skeleton_campaign` reads the golden column (instance 0).  An
+        *instance* outside ``[0, batch)`` raises ``IndexError``.
         """
         raise NotImplementedError
 
@@ -164,7 +129,8 @@ class _Backend:
         The CDC fault models of GALS campaigns: *delta* of ``+1`` is a
         bridge overflow (phantom write), ``-1`` an underflow (lost
         token); applied after the normal update on each cycle in
-        ``[cycle, cycle + duration)``, clamped to ``[0, depth]``.
+        ``[cycle, cycle + duration)``, clamped to ``[0, depth]``.  An
+        *instance* outside ``[0, batch)`` raises ``IndexError``.
         """
         raise NotImplementedError
 
@@ -184,23 +150,18 @@ class ScalarBackend(_Backend):
 
     name = "scalar"
 
-    def _sim_class(self):
-        """The per-instance simulator class (codegen overrides this)."""
-        return SkeletonSim
-
     def __init__(self, graph: SystemGraph, variant: ProtocolVariant,
                  source_patterns: List[Dict], sink_patterns: List[Dict],
                  fixpoint: str, detect_ambiguity: bool,
                  telemetry=None):
         self.graph = graph
         self.batch = len(sink_patterns)
-        sim_class = self._sim_class()
         self.sims = [
-            sim_class(graph, variant=variant, fixpoint=fixpoint,
-                      source_patterns=source_patterns[i],
-                      sink_patterns=sink_patterns[i],
-                      detect_ambiguity=detect_ambiguity,
-                      telemetry=telemetry)
+            SkeletonSim(graph, variant=variant, fixpoint=fixpoint,
+                        source_patterns=source_patterns[i],
+                        sink_patterns=sink_patterns[i],
+                        detect_ambiguity=detect_ambiguity,
+                        telemetry=telemetry)
             for i in range(self.batch)
         ]
         first = self.sims[0]
@@ -236,6 +197,7 @@ class ScalarBackend(_Backend):
                             len(self.sink_names))
 
     def accept_history(self, instance: int) -> List[Tuple[bool, ...]]:
+        check_instance(instance, self.batch)
         return [tuple(bool(a) for a in accepts)
                 for accepts in self.sims[instance].accept_history]
 
@@ -250,30 +212,9 @@ class ScalarBackend(_Backend):
 
     def poke_bridge(self, instance: int, bridge, cycle: int,
                     delta: int, duration: int = 1) -> None:
+        check_instance(instance, self.batch)
         self.sims[instance].poke_bridge(bridge, cycle, delta,
                                         duration=duration)
-
-
-class CodegenBackend(ScalarBackend):
-    """One compiled :class:`CodegenSkeletonSim` per instance.
-
-    Everything except simulator construction and the batched
-    ``run_cycles`` fast path is inherited from the scalar handle — the
-    codegen simulator subclasses the scalar one, so every accessor
-    reads the same state layout.  All instances of a batch share one
-    compiled plan (they share topology, variant and options).
-    """
-
-    name = "codegen"
-
-    def _sim_class(self):
-        from .codegen import CodegenSkeletonSim
-
-        return CodegenSkeletonSim
-
-    def run_cycles(self, cycles: int) -> None:
-        for sim in self.sims:
-            sim.run_cycles(cycles)
 
 
 class BitplaneBackend(_Backend):
@@ -359,9 +300,9 @@ def select(
         per instance — the sweep dimensions.
     backend:
         ``"auto"`` (bit-plane engine for batches wider than one,
-        scalar for a single instance), ``"scalar"``, ``"bitsim"`` or
-        ``"codegen"`` (opt-in compiled engine; never auto-picked —
-        the compile cost only pays off over many cycles or runs, a
+        scalar for a single instance), ``"scalar"`` or ``"bitsim"``
+        (the compiled bit-plane plan at any width; for one instance
+        the compile only pays off over many cycles or runs, a
         judgement left to the caller).
     telemetry:
         Optional :class:`repro.obs.Telemetry` bundle.  Metric
@@ -373,25 +314,15 @@ def select(
     """
     if backend not in BACKEND_CHOICES:
         raise ValueError(
-            f"unknown backend {backend!r}; available backends for "
-            f"this graph/variant: "
-            + ", ".join(available_backends(graph, variant))
-            + " (or 'auto')")
+            f"unknown backend {backend!r}; available backends: "
+            f"scalar, bitsim (or 'auto')")
     width = _infer_batch(batch, source_patterns, sink_patterns)
     if width < 1:
         raise ValueError("need at least one instance")
     sources = _normalize(source_patterns, width)
     sinks = _normalize(sink_patterns, width)
 
-    if backend == "codegen":
-        supported, reason = codegen_supported(graph, variant)
-        if not supported:
-            raise ValueError(
-                f"codegen backend unavailable: {reason}; available "
-                f"backends: "
-                + ", ".join(available_backends(graph, variant)))
-        cls = CodegenBackend
-    elif backend == "bitsim" or (backend == "auto" and width > 1):
+    if backend == "bitsim" or (backend == "auto" and width > 1):
         cls = BitplaneBackend
     else:
         cls = ScalarBackend

@@ -60,7 +60,7 @@ from .sim import SkeletonResult
 
 PatternMap = Mapping[str, Sequence[bool]]
 
-__all__ = ["BitplaneSkeletonSim", "_VerticalCounter"]
+__all__ = ["BitplaneSkeletonSim", "_VerticalCounter", "check_instance"]
 
 
 class _VerticalCounter:
@@ -71,7 +71,9 @@ class _VerticalCounter:
     with an inlined ripple carry across the slices — amortized O(1)
     integer ops per add (the classic binary-counter argument), never a
     per-plane loop.  It keeps the two low slices in locals for a whole
-    run, so a counter always has at least two.
+    run, so a counter always has at least two.  A one-plane plan
+    counts in a plain int instead and ripples the total into plane 0
+    once per call.
     """
 
     __slots__ = ("slices",)
@@ -88,6 +90,17 @@ class _VerticalCounter:
 
     def values(self, planes: int) -> List[int]:
         return [self.value(p) for p in range(planes)]
+
+
+def check_instance(instance: int, batch: int) -> None:
+    """Raise ``IndexError`` unless ``0 <= instance < batch``.
+
+    Per-instance accessors never wrap a negative index around or read
+    a plane past the batch: both would return another instance's data.
+    """
+    if not 0 <= instance < batch:
+        raise IndexError(
+            f"instance {instance} out of range for batch {batch}")
 
 
 class BitplaneSkeletonSim:
@@ -142,11 +155,12 @@ class BitplaneSkeletonSim:
         self._build_tables()
         self._build_schedules()
         self._build_scripts(source_patterns, sink_patterns)
-        # detect_ambiguity and the telemetry flags are baked into the
-        # plan here; changing them afterwards has no effect on step().
+        # detect_ambiguity, the telemetry flags and the counter form
+        # (plain ints for one plane) are baked into the plan here;
+        # changing them afterwards has no effect on step().
         self._plan = plan_for(
-            self.lowered, variant, planes=True, fixpoint=fixpoint,
-            detect_ambiguity=detect_ambiguity,
+            self.lowered, variant, one_plane=self.batch == 1,
+            fixpoint=fixpoint, detect_ambiguity=detect_ambiguity,
             metrics_on=self._metrics_on, events_on=self._events_on)
         self.reset()
 
@@ -341,10 +355,7 @@ class BitplaneSkeletonSim:
         *delta* after the normal update, clamped to ``[0, depth]``.
         Pokes apply in registration order.
         """
-        if not 0 <= instance < self.batch:
-            raise IndexError(
-                f"instance {instance} out of range for batch "
-                f"{self.batch}")
+        check_instance(instance, self.batch)
         if isinstance(bridge, str):
             try:
                 b_id = self.bridge_names.index(bridge)
@@ -433,13 +444,16 @@ class BitplaneSkeletonSim:
     # -- per-plane extraction ------------------------------------------------
 
     def fire_count(self, shell: int, plane: int) -> int:
+        check_instance(plane, self.batch)
         return self.shell_fired[shell].value(plane)
 
     def accept_count(self, sink: int, plane: int) -> int:
+        check_instance(plane, self.batch)
         return self.sink_accepted[sink].value(plane)
 
     def accept_history(self, plane: int) -> List[Tuple[bool, ...]]:
         """Per cycle, each sink's acceptance bit in *plane*."""
+        check_instance(plane, self.batch)
         return [tuple(bool((word >> plane) & 1) for word in words)
                 for words in self._accept_history]
 
@@ -453,10 +467,7 @@ class BitplaneSkeletonSim:
         """
         from ..obs import MetricsRegistry
 
-        if not 0 <= instance < self.batch:
-            raise IndexError(
-                f"instance {instance} out of range for batch "
-                f"{self.batch}")
+        check_instance(instance, self.batch)
         registry = MetricsRegistry()
         cycles = self.cycle
         registry.counter("skeleton/cycles").inc(cycles)

@@ -2,13 +2,11 @@
 
 Bit *p* of every int is instance *p*.  :func:`generate_plane_source`
 writes the step :class:`~repro.skeleton.bitsim.BitplaneSkeletonSim`
-runs; :func:`repro.skeleton.codegen.plan_for` compiles and caches it
-(``planes=True``) beside the scalar emitter's plans, under the same
-key discipline, disk layer and ``STATS``.  It lives in its own module,
-imported on first use, so a process that never runs a batch never
-loads it: without cached bytecode every process compiles the modules
-it imports, and one module holding both emitters had the largest
-compile peak in the package, which raised every workload's peak RSS.
+runs; :func:`repro.skeleton.codegen.plan_for` compiles and caches it.
+It lives in its own module, imported on first use, so a process that
+only runs the scalar reference never loads it: without cached bytecode
+every process compiles the modules it imports, and the emitter has the
+largest compile peak in the package.
 """
 
 from __future__ import annotations
@@ -24,9 +22,16 @@ from ...ir import (
     SRC,
     LoweredSystem,
 )
-from . import _tuple_expr
 
 __all__ = ["generate_plane_source"]
+
+
+def _tuple_expr(items: List[str]) -> str:
+    if not items:
+        return "()"
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return "(" + ", ".join(items) + ")"
 
 
 #: The tail of a vertical-counter add: a carry out of the two low
@@ -43,6 +48,24 @@ _CARRY = [
     "        low = slices[i]",
     "        slices[i] = low ^ word",
     "        word &= low",
+    "        i += 1",
+    "",
+]
+
+
+#: The epilogue of a one-plane plan: a counter's plain-int delta,
+#: added into plane 0 of its slice list with a ripple carry.
+_RIPPLE = [
+    "",
+    "",
+    "def _ripple(slices, delta):",
+    "    i = 0",
+    "    while delta:",
+    "        if i == len(slices):",
+    "            slices.append(0)",
+    "        delta += slices[i]",
+    "        slices[i] = delta & 1",
+    "        delta >>= 1",
     "        i += 1",
     "",
 ]
@@ -72,6 +95,7 @@ def generate_plane_source(
     low: LoweredSystem,
     *,
     is_casu: bool,
+    one_plane: bool,
     fixpoint: str,
     detect_ambiguity: bool,
     metrics_on: bool,
@@ -79,8 +103,8 @@ def generate_plane_source(
 ) -> str:
     """Emit the specialized bit-plane module source for *low*.
 
-    *low* must be the skeleton view, as for :func:`generate_source`.
-    The emitted ``run_cycles(sim, n)`` advances a
+    *low* must be the skeleton view (queued shells desugared).  The
+    emitted ``run_cycles(sim, n)`` advances a
     :class:`~repro.skeleton.bitsim.BitplaneSkeletonSim` by *n* cycles
     with the observable effects of the reference per-plane step
     (registers, thermometer-coded bridges, vertical counters,
@@ -100,8 +124,13 @@ def generate_plane_source(
     * register updates go to ``n*`` temporaries and commit together;
       bridges move in place, then the runtime pokes in registration
       order;
-    * a vertical counter keeps its two low slices in locals and
-      ripples a carry past them into its slice list.
+    * counters take one of two forms, fixed by *one_plane* and part of
+      the plan key.  Any width: a vertical counter keeps its two low
+      slices in locals and ripples a carry past them into its slice
+      list.  One plane (*one_plane*): every word is 0 or 1, so each
+      counter is a plain int delta that starts at zero, takes sums of
+      words in the loop, and is rippled into plane 0 of the slice list
+      once per call; neither entry point reads a counter's value.
 
     GALS graphs unpack the simulator's per-phase table (one word per
     clock domain, all planes or none) at ``cycle % hyperperiod``;
@@ -178,7 +207,8 @@ def generate_plane_source(
                 terms.append(f"~{stop(sv, hop_out)}")
         return " & ".join(terms)
 
-    # -- vertical counters: two low slices in locals, the rest listed --
+    # -- counters: vertical (two low slices in locals, the rest listed)
+    # or, for one plane, plain int deltas rippled in by the epilogue --
     counters: List[str] = []
     counter_ids: Dict[str, int] = {}
 
@@ -194,6 +224,9 @@ def generate_plane_source(
     def emit_add(ind: str, ref: str, word: str) -> None:
         """Inline add of *word* to a counter (*word* is read twice)."""
         c = counter(ref)
+        if one_plane:
+            emit(f"{ind}c{c} += {word}")
+            return
         lo, hi = f"c{c}a", f"c{c}b"
         for line in (
                 f"_c = {lo} & {word}",
@@ -206,6 +239,9 @@ def generate_plane_source(
             emit(ind + line)
 
     def emit_guarded_add(ind: str, ref: str, word: str) -> None:
+        if one_plane:
+            emit_add(ind, ref, word)
+            return
         emit(f"{ind}if {word}:")
         emit_add(ind + "    ", ref, word)
 
@@ -303,9 +339,12 @@ def generate_plane_source(
         emit_settle("t", alt)
         emit("_df = " + " | ".join(f"(t{h} ^ s{h})" for h in settled))
         emit("if _df:")
-        emit("    for _p in range(_B):")
-        emit("        if (_df >> _p) & 1:")
-        emit("            _amb[_p].append(cycle_no)")
+        if one_plane:
+            emit("    _amb[0].append(cycle_no)")
+        else:
+            emit("    for _p in range(_B):")
+            emit("        if (_df >> _p) & 1:")
+            emit("            _amb[_p].append(cycle_no)")
         if events_on:
             emit("    _ev.emit('fixpoint', 'ambiguous', cycle_no, "
                  "instances=[_p for _p in range(_B) if (_df >> _p) & 1])")
@@ -322,22 +361,40 @@ def generate_plane_source(
         ([h for h in range(n_hops)
           if not never_void[h] and hop_internal[h]], True, True),
     )
-    for members, voids, internal in groups:
-        if not members:
-            continue
-        if voids:
-            pairs = [f"({stop('s', h)}, {valid(h)})" for h in members]
-            emit(f"for _w, _v in {_tuple_expr(pairs)}:")
-        else:
-            emit(f"for _w in {_tuple_expr([stop('s', h) for h in members])}:")
-        emit("    if _w:")
-        emit_add("        ", "sim.stop_assertions", "_w")
-        if voids:
-            emit("        _vd = _w & ~_v")
-            emit("        if _vd:")
-            emit_add("            ", "sim.stops_on_voids", "_vd")
-            if internal:
-                emit_add("            ", "sim.internal_stops_on_voids", "_vd")
+    if one_plane:
+        # Every word is 0 or 1, so a sum of words is their count.
+        def on_void(h: int) -> str:
+            return f"({stop('s', h)} & ~{valid(h)})"
+
+        if n_hops:
+            emit_add("", "sim.stop_assertions",
+                     " + ".join(stop("s", h) for h in range(n_hops)))
+        external = [on_void(h) for h in groups[1][0]]
+        if groups[2][0]:
+            emit("_vd = " + " + ".join(on_void(h) for h in groups[2][0]))
+            emit_add("", "sim.internal_stops_on_voids", "_vd")
+            external.append("_vd")
+        if external:
+            emit_add("", "sim.stops_on_voids", " + ".join(external))
+    else:
+        for members, voids, internal in groups:
+            if not members:
+                continue
+            if voids:
+                pairs = [f"({stop('s', h)}, {valid(h)})" for h in members]
+                emit(f"for _w, _v in {_tuple_expr(pairs)}:")
+            else:
+                emit("for _w in "
+                     f"{_tuple_expr([stop('s', h) for h in members])}:")
+            emit("    if _w:")
+            emit_add("        ", "sim.stop_assertions", "_w")
+            if voids:
+                emit("        _vd = _w & ~_v")
+                emit("        if _vd:")
+                emit_add("            ", "sim.stops_on_voids", "_vd")
+                if internal:
+                    emit_add("            ",
+                             "sim.internal_stops_on_voids", "_vd")
     if metrics_on:
         for h in range(n_hops):
             emit_guarded_add("", f"sim.hop_stall_cycles[{h}]", stop("s", h))
@@ -477,7 +534,7 @@ def generate_plane_source(
     n_regs = len(low.shell_regs)
     n_rs = len(rs_kinds)
     pro: List[str] = ["cycle_no = sim.cycle", "_M = sim._mask"]
-    if ambiguity or events_on:
+    if (ambiguity and not one_plane) or events_on:
         pro.append("_B = sim.batch")
     if n_regs:
         pro.append(_unpack_line([f"r{g}" for g in range(n_regs)],
@@ -505,9 +562,14 @@ def generate_plane_source(
         pro.append(f"_ks{k} = sim._sink_sched[{k}]")
         pro.append(f"_kn{k} = len(_ks{k}) if _ks{k} is not None else 0")
         pro.append(f"_kg{k} = sim._sink_groups[{k}]")
-    for c, ref in enumerate(counters):
-        pro.append(f"_S{c} = {ref}.slices")
-        pro.append(f"c{c}a, c{c}b = _S{c}[0], _S{c}[1]")
+    if one_plane:
+        if counters:
+            pro.append(" = ".join(f"c{c}" for c in range(len(counters)))
+                       + " = 0")
+    else:
+        for c, ref in enumerate(counters):
+            pro.append(f"_S{c} = {ref}.slices")
+            pro.append(f"c{c}a, c{c}b = _S{c}[0], _S{c}[1]")
     if ambiguity:
         pro.append("_amb = sim.ambiguous_cycles")
     if events_on:
@@ -528,9 +590,13 @@ def generate_plane_source(
             for b in low.bridges) + "]")
     for j in range(len(low.source_names)):
         epi.append(f"sim._src_ticks[{j}] = tk{j}")
-    for c in range(len(counters)):
-        epi.append(f"_S{c}[0] = c{c}a")
-        epi.append(f"_S{c}[1] = c{c}b")
+    for c, ref in enumerate(counters):
+        if one_plane:
+            epi.append(f"if c{c}:")
+            epi.append(f"    _ripple({ref}.slices, c{c})")
+        else:
+            epi.append(f"_S{c}[0] = c{c}a")
+            epi.append(f"_S{c}[1] = c{c}b")
     epi.append("sim.cycle = cycle_no")
     epi.append("return _fires, _accepts")
 
@@ -541,7 +607,8 @@ def generate_plane_source(
         f"topology: {low.name}  fingerprint: {low.fingerprint}",
         f"variant: {'casu' if is_casu else 'carloni'}  "
         f"fixpoint: {fixpoint}  ambiguity: {ambiguity}  "
-        f"metrics: {metrics_on}  events: {events_on}",
+        f"metrics: {metrics_on}  events: {events_on}  "
+        f"counters: {'plain' if one_plane else 'vertical'}",
         '"""',
         "",
         "",
@@ -553,7 +620,7 @@ def generate_plane_source(
     out += ["    " + line for line in epi]
     out += ["", "", "def cycle(sim):", "    return run_cycles(sim, 1)", ""]
     if counters:
-        out += _CARRY
+        out += _RIPPLE if one_plane else _CARRY
     if sink_fixed:
         out += _PACK
     return "\n".join(out)

@@ -64,24 +64,6 @@ class DeadlockVerdict:
                 and not self.inconclusive)
 
 
-def _sim_class(backend: str):
-    """Map a deadlock ``backend`` name to its simulator class.
-
-    Only the per-instance engines make sense here (the probes are
-    single simulators run to periodicity); the compiled engine is
-    opt-in like everywhere else.
-    """
-    if backend == "codegen":
-        from .codegen import CodegenSkeletonSim
-
-        return CodegenSkeletonSim
-    if backend != "scalar":
-        raise ValueError(
-            f"unknown deadlock backend {backend!r} "
-            "(expected 'scalar' or 'codegen')")
-    return SkeletonSim
-
-
 def _probe(args) -> tuple:
     """Run one fixpoint probe inside a worker process.
 
@@ -90,11 +72,10 @@ def _probe(args) -> tuple:
     different things for the two probes, so the *caller* owns that
     interpretation, not the worker.
     """
-    graph_ref, variant, fixpoint, max_cycles, sources, sinks, backend \
-        = args
+    graph_ref, variant, fixpoint, max_cycles, sources, sinks = args
     from ..errors import PeriodicityTimeout
 
-    sim = _sim_class(backend)(
+    sim = SkeletonSim(
         graph_ref.materialize(),
         variant=variant,
         fixpoint=fixpoint,
@@ -140,7 +121,6 @@ def check_deadlock(
     graph_ref=None,
     cache=None,
     telemetry=None,
-    backend: str = "scalar",
 ) -> DeadlockVerdict:
     """Simulate the skeleton until periodicity and classify liveness.
 
@@ -163,25 +143,13 @@ def check_deadlock(
     silently falls back to serial probing, which returns the same
     verdict.  *cache* (a :class:`repro.exec.ResultCache`) memoises the
     whole verdict keyed on graph fingerprint, variant, cycle budget and
-    script patterns — *backend* is deliberately absent from the key:
-    the engines are bit-exact, so a verdict computed by one serves all.
+    script patterns.
 
-    *backend* picks the probe engine: ``"scalar"`` (default) or
-    ``"codegen"`` (compiled per-topology cycle functions — same
-    verdict, less wall clock on long transients).
+    Each probe is one scalar :class:`SkeletonSim` run to periodicity:
+    a one-shot check has nothing to amortize a compiled plan over.
     """
     from ..errors import ExecutionError, PeriodicityTimeout
     from ..exec import GraphRef, graph_fingerprint, map_deterministic
-
-    sim_class = _sim_class(backend)
-    if backend == "codegen":
-        # Fail fast, before any probe (possibly a worker process) trips
-        # over the compiled engine's single-clock constructor guard.
-        from .backend import codegen_supported
-
-        supported, reason = codegen_supported(graph, variant)
-        if not supported:
-            raise ValueError(reason)
 
     key = None
     if cache is not None:
@@ -197,7 +165,7 @@ def check_deadlock(
             cache.put(key, verdict)
         return verdict
 
-    optimistic_sim = sim_class(
+    optimistic_sim = SkeletonSim(
         graph,
         variant=variant,
         fixpoint="least",
@@ -226,7 +194,7 @@ def check_deadlock(
     if parallel_ok and ref is not None:
         probes = [
             (ref, variant, mode, max_cycles,
-             source_patterns, sink_patterns, backend)
+             source_patterns, sink_patterns)
             for mode in ("least", "greatest")
         ]
         (opt_status, optimistic), (pess_status, pessimistic) = (
@@ -272,7 +240,7 @@ def check_deadlock(
         )
     if needs_pessimistic and not optimistic.deadlocked:
         if pess_status is None:
-            pessimistic_sim = sim_class(
+            pessimistic_sim = SkeletonSim(
                 graph,
                 variant=variant,
                 fixpoint="greatest",

@@ -113,11 +113,13 @@ class TestRoutes:
         assert "fault" in json.loads(body)["error"]
 
     def test_removed_backend_400_names_the_choices(self, server):
-        status, _h, body = post(server, {"kind": "campaign",
-                                         "backend": "vectorized"})
-        assert status == 400
-        assert "auto, scalar, bitsim, codegen" \
-            in json.loads(body)["error"]
+        for removed in ("vectorized", "codegen"):
+            status, _h, body = post(server, {"kind": "campaign",
+                                             "backend": removed})
+            assert status == 400
+            assert json.loads(body)["error"].endswith(
+                f"backend must be one of auto, scalar, bitsim, "
+                f"got {removed!r}")
 
     def test_kind_route_aliases(self, server):
         status, headers, body = post(server, {"topology": "feedback"},
@@ -127,12 +129,13 @@ class TestRoutes:
         assert body.startswith(b"live:")
 
     def test_codegen_refusing_gals_deadlock_400(self, server):
-        """codegen refuses multi-clock graphs: a client error, not 500."""
+        """The probe-engine field is gone: a client error, not 500."""
         status, _h, body = post(server, {
             "kind": "deadlock", "topology": "gals-ring:rates=1+1/2,shells=2",
             "deadlock_backend": "codegen"})
         assert status == 400
-        assert "single_clock" in json.loads(body)["error"]
+        assert "unknown manifest field(s) for kind 'deadlock': " \
+            "deadlock_backend" in json.loads(body)["error"]
 
 
 class TestCoalescingAndParity:

@@ -51,7 +51,11 @@ class TestValidation:
         ({"kind": "series"}, "which"),
         ({"kind": "series", "which": "nope"}, "which"),
         ({"kind": "campaign", "backend": "vectorized"},
-         "backend must be one of auto, scalar, bitsim, codegen"),
+         "backend must be one of auto, scalar, bitsim, got 'vectorized'"),
+        ({"kind": "campaign", "backend": "codegen"},
+         "backend must be one of auto, scalar, bitsim, got 'codegen'"),
+        ({"kind": "deadlock", "deadlock_backend": "scalar"},
+         "unknown manifest field"),
     ])
     def test_rejects(self, payload, fragment):
         with pytest.raises(ManifestError, match=fragment):

@@ -32,11 +32,8 @@ from repro.obs import Telemetry
 from repro.skeleton import (
     BitplaneBackend,
     BitplaneSkeletonSim,
-    CodegenBackend,
-    CodegenSkeletonSim,
     ScalarBackend,
     SkeletonSim,
-    codegen_supported,
     select,
 )
 from repro.skeleton.codegen import STATS
@@ -47,7 +44,7 @@ VARIANTS = [ProtocolVariant.CASU, ProtocolVariant.CARLONI]
 
 #: Every name ``select()`` accepts; the single registration point for
 #: the differential harness.
-BACKENDS = ["scalar", "bitsim", "codegen"]
+BACKENDS = ["scalar", "bitsim"]
 
 #: The batch engines, lockstep-compared against the scalar reference.
 BATCH_ENGINES = {
@@ -321,6 +318,45 @@ def _gals_lockstep(spec, variant, fixpoint, cycles=120):
         assert got == ref, (spec, col)
 
 
+def _gals_one_plane(spec, variant, fixpoint, cycles=120):
+    """The poked columns of :func:`_gals_columns`, each as its own
+    one-plane batch, stepped in lockstep with its scalar run."""
+    graph = parse_topology(spec)
+    sink_maps, source_maps, pokes = _gals_columns(graph, cycles)
+    for col in sorted({poke[0] for poke in pokes}):
+        scalar = SkeletonSim(graph, variant=variant, fixpoint=fixpoint,
+                             sink_patterns=sink_maps[col],
+                             source_patterns=source_maps[col],
+                             telemetry=Telemetry.metrics_only())
+        one = BitplaneSkeletonSim(
+            graph, [sink_maps[col]], source_patterns=[source_maps[col]],
+            variant=variant, fixpoint=fixpoint,
+            telemetry=Telemetry.metrics_only())
+        for poke_col, bridge, at, delta, duration in pokes:
+            if poke_col == col:
+                scalar.poke_bridge(bridge, at, delta, duration)
+                one.poke_bridge(0, bridge, at, delta, duration)
+        for cycle in range(cycles):
+            s_fires, s_accepts = scalar.step()
+            o_fires, o_accepts = one.step()
+            ctx = (spec, variant.name, fixpoint, col, cycle)
+            assert _column_bits(o_fires, 0) == s_fires, ctx
+            assert _column_bits(o_accepts, 0) == s_accepts, ctx
+            assert _column_bits(one.shell_reg, 0) \
+                == tuple(scalar.shell_reg), ctx
+            assert _column_bits(one.rs_main, 0) \
+                == tuple(scalar.rs_main), ctx
+            assert _column_occupancy(one, 0) \
+                == tuple(scalar.bridge_occ), ctx
+            assert _column_counters(one, 0) == (
+                scalar.stop_assertions_total,
+                scalar.stops_on_voids_total,
+                scalar.internal_stops_on_voids_total), ctx
+        assert one.ambiguous_cycles[0] == scalar.ambiguous_cycles
+        assert one.metrics_snapshot(0) == scalar.metrics_snapshot(), \
+            (spec, col)
+
+
 class TestGalsLockstep:
     """Clock domains, bridges and CDC pokes, plane by plane."""
 
@@ -330,6 +366,15 @@ class TestGalsLockstep:
     @pytest.mark.parametrize("fixpoint", ["least", "greatest"])
     def test_gals_matches_scalar(self, spec, variant, fixpoint):
         _gals_lockstep(spec, variant, fixpoint)
+
+    @pytest.mark.parametrize("spec", GALS_SPECS)
+    @pytest.mark.parametrize("variant", VARIANTS,
+                             ids=lambda v: v.name.lower())
+    @pytest.mark.parametrize("fixpoint", ["least", "greatest"])
+    def test_one_plane_with_pokes_matches_scalar(self, spec, variant,
+                                                 fixpoint):
+        """Width 1 (the plain-counter plan), bridge pokes included."""
+        _gals_one_plane(spec, variant, fixpoint)
 
 
 def _planes_match_scalar(graph, sink_maps, source_maps, cycles,
@@ -466,42 +511,51 @@ class TestCompiledPlanRuntimeData:
         assert reports[0].to_json() == reports[1].to_json()
 
 
-def _codegen_lockstep(graph, variant, fixpoint, sink_map, source_map,
-                      cycles=60):
-    """Compiled vs scalar: full state, every cycle, then batched."""
+def _split_run(graph, variant, fixpoint, sink_map, source_map,
+               cycles=60):
+    """A one-plane plan run as ``run(a); run(b)`` lands exactly where
+    ``a + b`` scalar steps do: registers, histories, ambiguity cycles
+    and the metrics snapshot (counters included)."""
     scalar = SkeletonSim(graph, sink_patterns=sink_map,
                          source_patterns=source_map, variant=variant,
                          fixpoint=fixpoint,
                          telemetry=Telemetry.metrics_only())
-    compiled = CodegenSkeletonSim(
-        graph, sink_patterns=sink_map, source_patterns=source_map,
-        variant=variant, fixpoint=fixpoint,
-        telemetry=Telemetry.metrics_only())
-    ctx = (graph.name, variant.name, fixpoint)
-    for cycle in range(cycles):
-        assert compiled.step() == scalar.step(), ("fires", ctx, cycle)
-        assert compiled.state() == scalar.state(), ("state", ctx, cycle)
-    assert compiled.ambiguous_cycles == scalar.ambiguous_cycles, ctx
-    assert compiled.metrics_snapshot() == scalar.metrics_snapshot(), ctx
-    # The batched entry point (run_cycles keeps state in locals) must
-    # land on the same state as per-cycle stepping, across a split.
-    batched = CodegenSkeletonSim(
-        graph, sink_patterns=sink_map, source_patterns=source_map,
-        variant=variant, fixpoint=fixpoint,
-        telemetry=Telemetry.metrics_only())
-    batched.run_cycles(cycles // 2)
-    batched.run_cycles(cycles - cycles // 2)
-    assert batched.state() == scalar.state(), ("batched state", ctx)
-    assert batched.fire_history == scalar.fire_history, ctx
-    assert batched.accept_history == scalar.accept_history, ctx
-    assert batched.ambiguous_cycles == scalar.ambiguous_cycles, ctx
-    assert batched.metrics_snapshot() == scalar.metrics_snapshot(), ctx
+    for _ in range(cycles):
+        scalar.step()
+    for split in (0, 1, cycles // 2, cycles):
+        compiled = BitplaneSkeletonSim(
+            graph, [sink_map], source_patterns=[source_map],
+            variant=variant, fixpoint=fixpoint,
+            telemetry=Telemetry.metrics_only())
+        compiled.run(split)
+        compiled.run(cycles - split)
+        ctx = (graph.name, variant.name, fixpoint, split)
+        for name in ("shell_reg", "rs_main", "rs_aux", "rs_stop_reg"):
+            assert _column_bits(getattr(compiled, name), 0) \
+                == tuple(getattr(scalar, name)), (name, ctx)
+        assert _column_occupancy(compiled, 0) \
+            == tuple(scalar.bridge_occ), ctx
+        assert [row[0] for row in compiled.src_phase] \
+            == scalar.src_phase, ctx
+        assert [_column_bits(words, 0)
+                for words in compiled._fire_history] \
+            == scalar.fire_history, ctx
+        assert compiled.accept_history(0) == scalar.accept_history, ctx
+        assert compiled.ambiguous_cycles[0] == scalar.ambiguous_cycles, ctx
+        assert _column_counters(compiled, 0) == (
+            scalar.stop_assertions_total,
+            scalar.stops_on_voids_total,
+            scalar.internal_stops_on_voids_total), ctx
+        assert compiled.metrics_snapshot(0) == scalar.metrics_snapshot(), \
+            ctx
 
 
 class TestCodegenLockstep:
-    """The compiled engine is a per-instance engine: compare its whole
-    inherited state against the scalar reference, cycle by cycle, on
-    both entry points (``step`` and the batched ``run_cycles``)."""
+    """The compiled one-plane plan (``repro.skeleton.codegen`` at batch
+    width 1, plain-int counters) against the scalar reference, over a
+    run split anywhere.  ``TestLockstepMatrix`` already steps the same
+    plan cycle by cycle; this checks what one ``run_cycles`` call keeps
+    in locals and writes back."""
 
     @pytest.mark.parametrize("graph", _graph_matrix(),
                              ids=lambda g: g.name)
@@ -509,8 +563,7 @@ class TestCodegenLockstep:
                              ids=lambda v: v.name.lower())
     def test_least_fixpoint(self, graph, variant):
         for sink_map, source_map in _scripts_for(graph):
-            _codegen_lockstep(graph, variant, "least", sink_map,
-                              source_map)
+            _split_run(graph, variant, "least", sink_map, source_map)
 
     @pytest.mark.parametrize("variant", VARIANTS,
                              ids=lambda v: v.name.lower())
@@ -518,8 +571,8 @@ class TestCodegenLockstep:
         for graph in (_all_relays(pipeline(3), "half"),
                       ring(2, relays_per_arc=[["half"], ["half"]])):
             for sink_map, source_map in _scripts_for(graph):
-                _codegen_lockstep(graph, variant, "greatest", sink_map,
-                                  source_map)
+                _split_run(graph, variant, "greatest", sink_map,
+                           source_map)
 
     @pytest.mark.parametrize("graph", _graph_matrix(),
                              ids=lambda g: g.name)
@@ -527,13 +580,11 @@ class TestCodegenLockstep:
         for sink_map, source_map in _scripts_for(graph):
             ref = SkeletonSim(graph, sink_patterns=sink_map,
                               source_patterns=source_map).run()
-            got = CodegenSkeletonSim(graph, sink_patterns=sink_map,
-                                     source_patterns=source_map).run()
-            for field in ("transient", "period", "shell_fires",
-                          "sink_accepts", "deadlocked",
-                          "potential_deadlock_cycle"):
-                assert getattr(got, field) == getattr(ref, field), \
-                    (graph.name, field)
+            got, = BitplaneSkeletonSim(
+                graph, [sink_map],
+                source_patterns=[source_map]).run_to_period()
+            assert dataclasses.asdict(got) == dataclasses.asdict(ref), \
+                graph.name
 
 
 class TestBackendApi:
@@ -547,14 +598,12 @@ class TestBackendApi:
         assert isinstance(select(graph, batch=200), BitplaneBackend)
         assert isinstance(select(graph, batch=4, backend="scalar"),
                           ScalarBackend)
-        assert isinstance(select(graph, batch=1, backend="bitsim"),
-                          BitplaneBackend)
-        # The compiled engine is opt-in only — explicit request, any batch.
-        for batch in (1, 4):
-            handle = select(graph, batch=batch, backend="codegen")
-            assert isinstance(handle, CodegenBackend)
-            assert handle.name == "codegen"
-        assert not isinstance(select(graph, batch=1), CodegenBackend)
+        # One instance on bit planes runs the compiled one-plane plan
+        # (plain counters); wider batches run vertical counters.
+        handle = select(graph, batch=1, backend="bitsim")
+        assert isinstance(handle, BitplaneBackend)
+        assert handle.sim._plan.key[0] == "plain"
+        assert select(graph, batch=4).sim._plan.key[0] == "vertical"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_unknown_script_target_rejected_by_all(self, backend):
@@ -566,10 +615,36 @@ class TestBackendApi:
             select(pipeline(2), source_patterns=[{"nope": (True,)}],
                    backend=backend)
 
-    def test_supported_reports_capability(self):
-        for variant in VARIANTS:
-            ok, reason = codegen_supported(pipeline(2), variant)
-            assert ok, reason
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_per_instance_accessors_check_the_batch_bound(self, backend):
+        """An instance outside ``[0, batch)`` raises the same
+        ``IndexError`` on every engine: never another instance's data,
+        never a wrapped negative index."""
+        graph = parse_topology("gals-chain:rates=1+1/2")
+        handle = select(graph, batch=2, backend=backend)
+        handle.run_cycles(6)
+        for instance in (2, 5, -1):
+            with pytest.raises(IndexError,
+                               match=f"instance {instance} out of range "
+                                     f"for batch 2"):
+                handle.accept_history(instance)
+            with pytest.raises(IndexError, match="out of range"):
+                handle.poke_bridge(instance, 0, 1, +1)
+        assert len(handle.accept_history(1)) == 6
+        handle.poke_bridge(1, 0, 1, +1)
+
+    @pytest.mark.parametrize("bad", [2, 5, -1])
+    def test_bitplane_accessors_check_the_batch_bound(self, bad):
+        sim = BitplaneSkeletonSim(figure2(), batch=2)
+        sim.run(5)
+        for read in (lambda: sim.fire_count(0, bad),
+                     lambda: sim.accept_count(0, bad),
+                     lambda: sim.accept_history(bad),
+                     lambda: sim.metrics_snapshot(bad)):
+            with pytest.raises(IndexError,
+                               match=f"instance {bad} out of range "
+                                     f"for batch 2"):
+                read()
 
     @pytest.mark.parametrize("backend", ["auto", "scalar", "bitsim"])
     def test_periodicity_timeout_is_typed(self, backend):
@@ -740,7 +815,6 @@ class TestInjectCampaignParity:
                    for backend in BACKENDS}
         assert reports["scalar"].backend == "scalar"
         assert reports["bitsim"].backend == "bitsim"
-        assert reports["codegen"].backend == "codegen"
         baseline = reports["scalar"]
         for backend in BACKENDS[1:]:
             report = reports[backend]

@@ -1,32 +1,25 @@
-"""Compiled plans: cache, key, disk layer, state isolation.
+"""Compiled plans: cache, key, counter forms, state isolation.
 
 Bit-exactness against the scalar reference lives in
 ``test_backend_conformance.py`` (the differential harness); this file
 covers what is specific to *compiled* plans — that they are compiled
 once and shared, that the key separates everything the source bakes
-in (declaration order included), that the in-process cache is a
-bounded LRU, that sharing a plan never shares simulator state, and
-that the optional disk layer round-trips source text across processes
-(simulated by clearing the in-process cache).
+in (declaration order and the counter form included), that the
+in-process cache is a bounded LRU, and that sharing a plan never
+shares simulator state.
 """
 
 import pytest
 
-from repro.exec import ResultCache
 from repro.graph import figure2, pipeline, ring
 from repro.graph.model import SystemGraph
 from repro.ir import lower
 from repro.lid.variant import ProtocolVariant
-from repro.skeleton import BitplaneSkeletonSim, CodegenSkeletonSim, SkeletonSim
+from repro.obs import Telemetry
+from repro.skeleton import BitplaneSkeletonSim, SkeletonSim
 from repro.skeleton import codegen
-from repro.skeleton.codegen import (
-    CODEGEN_SCHEMA,
-    PLAN_CACHE_SIZE,
-    STATS,
-    clear_plan_cache,
-    generate_source,
-    plan_for,
-)
+from repro.skeleton.codegen import PLAN_CACHE_SIZE, STATS, clear_plan_cache
+from repro.skeleton.codegen.planes import generate_plane_source
 
 
 @pytest.fixture(autouse=True)
@@ -39,29 +32,50 @@ def _fresh_plan_cache():
     STATS.reset()
 
 
+def _one_plane(graph, **kwargs):
+    """A width-1 bit-plane simulator: the compiled one-plane plan."""
+    return BitplaneSkeletonSim(graph, batch=1, **kwargs)
+
+
+def _scalar_state(sim, plane=0):
+    """A bit-plane sim's registers in one plane, in scalar layout."""
+    def bits(words):
+        return [bool((w >> plane) & 1) for w in words]
+
+    return (bits(sim.shell_reg), bits(sim.rs_main), bits(sim.rs_aux),
+            bits(sim.rs_stop_reg),
+            [row[plane] for row in sim.src_phase])
+
+
+def _reference_state(sim):
+    return (list(sim.shell_reg), list(sim.rs_main), list(sim.rs_aux),
+            list(sim.rs_stop_reg), list(sim.src_phase))
+
+
 class TestPlanCache:
     def test_same_topology_compiles_once(self):
-        a = CodegenSkeletonSim(figure2())
-        b = CodegenSkeletonSim(figure2())
+        a = _one_plane(figure2())
+        b = _one_plane(figure2())
         assert STATS.compiles == 1
         assert STATS.plan_hits == 1
         assert a._plan is b._plan
 
     def test_key_covers_variant_fixpoint_and_flags(self):
         graph = figure2()
-        CodegenSkeletonSim(graph)
-        CodegenSkeletonSim(graph, variant=ProtocolVariant.CARLONI)
-        CodegenSkeletonSim(graph, fixpoint="greatest")
-        CodegenSkeletonSim(graph, detect_ambiguity=False)
-        assert STATS.compiles == 4
+        _one_plane(graph)
+        _one_plane(graph, variant=ProtocolVariant.CARLONI)
+        _one_plane(graph, fixpoint="greatest")
+        _one_plane(graph, detect_ambiguity=False)
+        _one_plane(graph, telemetry=Telemetry.metrics_only())
+        assert STATS.compiles == 5
         assert STATS.plan_hits == 0
 
     def test_structurally_equal_graphs_share_a_plan(self):
         # The key is the content-addressed IR fingerprint, not object
         # identity: two independently built identical topologies reuse
         # the same compiled plan.
-        CodegenSkeletonSim(pipeline(4))
-        CodegenSkeletonSim(pipeline(4))
+        _one_plane(pipeline(4))
+        _one_plane(pipeline(4))
         assert STATS.compiles == 1 and STATS.plan_hits == 1
 
     def test_shared_plan_does_not_share_state(self):
@@ -69,25 +83,26 @@ class TestPlanCache:
         # compiled functions close over nothing mutable — all state
         # loads from / stores to the sim instance passed in.
         graph = figure2()
-        stalled = CodegenSkeletonSim(
-            graph, sink_patterns={"out": (True,)})
-        free = CodegenSkeletonSim(graph)
+        stalled = BitplaneSkeletonSim(graph, [{"out": (True,)}])
+        free = _one_plane(graph)
         assert stalled._plan is free._plan
         for _ in range(20):
             stalled.step()
             free.step()
-        assert stalled.state() != free.state()
+        assert _scalar_state(stalled) != _scalar_state(free)
         ref_stalled = SkeletonSim(graph, sink_patterns={"out": (True,)})
         ref_free = SkeletonSim(graph)
         for _ in range(20):
             ref_stalled.step()
             ref_free.step()
-        assert stalled.state() == ref_stalled.state()
-        assert free.state() == ref_free.state()
+        assert _scalar_state(stalled) == _reference_state(ref_stalled)
+        assert _scalar_state(free) == _reference_state(ref_free)
+        assert stalled.metrics_snapshot(0) == ref_stalled.metrics_snapshot()
+        assert free.metrics_snapshot(0) == ref_free.metrics_snapshot()
 
     def test_plan_source_is_real_python(self):
-        sim = CodegenSkeletonSim(ring(2))
-        source = sim.plan_source
+        sim = _one_plane(ring(2))
+        source = sim._plan.source
         assert "def cycle(sim):" in source
         assert "def run_cycles(sim, n):" in source
         compile(source, "<plan>", "exec")  # must be valid syntax
@@ -116,6 +131,11 @@ def _declared_chain(reverse):
     return graph
 
 
+def _fire_counts(sim, planes):
+    return [[sim.fire_count(i, p) for i in range(len(sim.shell_names))]
+            for p in range(planes)]
+
+
 class TestPlanKey:
     #: The sink script ``c % 3 == 0`` as a skeleton stop pattern.
     SCRIPT = {"out": (True, False, False)}
@@ -126,35 +146,57 @@ class TestPlanKey:
         assert lower(forward).hop_names != lower(backward).hop_names
         for first, second in ((forward, backward), (backward, forward)):
             clear_plan_cache()
-            CodegenSkeletonSim(first, sink_patterns=self.SCRIPT) \
-                .run_cycles(5)
-            BitplaneSkeletonSim(first, [self.SCRIPT] * 2).run(5)
-            compiled = CodegenSkeletonSim(second,
-                                          sink_patterns=self.SCRIPT)
-            planes = BitplaneSkeletonSim(second, [self.SCRIPT] * 2)
+            for width in (1, 2):
+                BitplaneSkeletonSim(first, [self.SCRIPT] * width).run(5)
             ref = SkeletonSim(second, sink_patterns=self.SCRIPT)
-            compiled.run_cycles(200)
-            planes.run(200)
             for _ in range(200):
                 ref.step()
-            assert compiled.fire_history == ref.fire_history
-            assert [planes.accept_history(p) for p in (0, 1)] \
-                == [ref.accept_history] * 2
-            assert [[planes.fire_count(i, p) for i in range(2)]
-                    for p in (0, 1)] \
-                == [[sum(f[i] for f in ref.fire_history)
-                     for i in range(2)]] * 2
+            ref_fires = [sum(f[i] for f in ref.fire_history)
+                         for i in range(2)]
+            for width in (1, 2):
+                planes = BitplaneSkeletonSim(second, [self.SCRIPT] * width)
+                planes.run(200)
+                assert [planes.accept_history(p) for p in range(width)] \
+                    == [ref.accept_history] * width
+                assert _fire_counts(planes, width) == [ref_fires] * width
             assert STATS.plan_hits == 0
 
-    def test_emitters_never_share_a_plan(self):
-        low = lower(figure2())
-        kwargs = dict(fixpoint="least", detect_ambiguity=False,
-                      metrics_on=False, events_on=False)
-        scalar = plan_for(low, ProtocolVariant.CASU, **kwargs)
-        planes = plan_for(low, ProtocolVariant.CASU, planes=True,
-                          **kwargs)
-        assert scalar is not planes and scalar.key != planes.key
+    def test_counter_forms_never_share_a_plan(self):
+        """A width-1 and a width-2 batch of one topology run two plans
+        (plain and vertical counters), and both match the scalar
+        reference."""
+        graph = ring(2, relays_per_arc=[["half"], ["full"]])
+        scripts = [{"out": (False, True, True)}, {}]
+        one = BitplaneSkeletonSim(graph, scripts[:1],
+                                  telemetry=Telemetry.metrics_only())
+        two = BitplaneSkeletonSim(graph, scripts,
+                                  telemetry=Telemetry.metrics_only())
+        assert one._plan is not two._plan
+        assert one._plan.key != two._plan.key
+        assert one._plan.key[1:] == two._plan.key[1:]
         assert STATS.compiles == 2
+        # Another batch reuses the plan of its counter form: the width
+        # of a multi-plane batch is runtime data.
+        again = [BitplaneSkeletonSim(graph, batch=width,
+                                     telemetry=Telemetry.metrics_only())
+                 for width in (1, 3)]
+        assert again[0]._plan is one._plan
+        assert again[1]._plan is two._plan
+        assert STATS.compiles == 2 and STATS.plan_hits == 2
+        one.run(37)
+        one.run(40)
+        two.run(77)
+        for plane, script in enumerate(scripts):
+            ref = SkeletonSim(graph, sink_patterns=script,
+                              telemetry=Telemetry.metrics_only())
+            for _ in range(77):
+                ref.step()
+            batches = (one, two) if plane == 0 else (two,)
+            for sim in batches:
+                assert _scalar_state(sim, plane) == _reference_state(ref)
+                assert sim.accept_history(plane) == ref.accept_history
+                assert sim.ambiguous_cycles[plane] == ref.ambiguous_cycles
+                assert sim.metrics_snapshot(plane) == ref.metrics_snapshot()
 
 
 class TestPlanCacheBound:
@@ -162,7 +204,7 @@ class TestPlanCacheBound:
         extra = 3
         graphs = [pipeline(n) for n in range(1, PLAN_CACHE_SIZE + extra + 1)]
         for graph in graphs:
-            CodegenSkeletonSim(graph)
+            _one_plane(graph)
         assert len(codegen._PLAN_CACHE) == PLAN_CACHE_SIZE
         assert STATS.compiles == PLAN_CACHE_SIZE + extra
         assert STATS.evictions == extra
@@ -170,13 +212,13 @@ class TestPlanCacheBound:
     def test_a_hit_refreshes_recency(self):
         graphs = [pipeline(n) for n in range(1, PLAN_CACHE_SIZE + 1)]
         for graph in graphs:
-            CodegenSkeletonSim(graph)
-        CodegenSkeletonSim(graphs[0])  # now the most recently used
-        CodegenSkeletonSim(pipeline(PLAN_CACHE_SIZE + 1))
+            _one_plane(graph)
+        _one_plane(graphs[0])  # now the most recently used
+        _one_plane(pipeline(PLAN_CACHE_SIZE + 1))
         assert STATS.evictions == 1
-        CodegenSkeletonSim(graphs[0])
+        _one_plane(graphs[0])
         assert STATS.plan_hits == 2  # still cached
-        CodegenSkeletonSim(graphs[1])
+        _one_plane(graphs[1])
         assert STATS.compiles == PLAN_CACHE_SIZE + 2  # evicted
 
     def test_evicted_topology_recompiles_identically(self):
@@ -200,78 +242,55 @@ class TestPlanCacheBound:
             == [first.metrics_snapshot(p) for p in (0, 1)]
 
 
-class TestDiskCache:
-    def test_second_process_recompiles_from_disk_source(self, tmp_path):
-        cache = ResultCache.disk(str(tmp_path / "cc"))
-        CodegenSkeletonSim(figure2(), compile_cache=cache)
-        assert STATS.compiles == 1 and STATS.disk_hits == 0
-
-        # Simulate a fresh process: in-process plans gone, disk kept.
-        clear_plan_cache()
-        STATS.reset()
-        cache2 = ResultCache.disk(str(tmp_path / "cc"))
-        sim = CodegenSkeletonSim(figure2(), compile_cache=cache2)
-        assert STATS.disk_hits == 1
-        assert STATS.compiles == 0
-        # The reloaded plan must still be the real thing.
-        ref = SkeletonSim(figure2())
-        for _ in range(30):
-            assert sim.step() == ref.step()
-
-    def test_disk_layer_stores_source_text(self, tmp_path):
-        cache = ResultCache.disk(str(tmp_path / "cc"))
-        low = lower(figure2())
-        plan = plan_for(low, ProtocolVariant.CASU, fixpoint="least",
-                        detect_ambiguity=True, metrics_on=False,
-                        events_on=False, disk_cache=cache)
-        stored = cache.get(cache.key(CODEGEN_SCHEMA, *plan.key))
-        assert stored == plan.source
-
-    def test_schema_tag_is_versioned(self):
-        assert CODEGEN_SCHEMA.startswith("repro-codegen/v")
-
-
 class TestConsumers:
     def test_throughput_sweep_routes_through_codegen(self):
         from repro.analysis.throughput import throughput_sweep
 
-        patterns = [{}, {"out": (False, True)}]
-        scalar = throughput_sweep(figure2(), sink_patterns=patterns,
-                                  backend="scalar")
-        compiled = throughput_sweep(figure2(), sink_patterns=patterns,
-                                    backend="codegen")
-        assert compiled == scalar  # exact Fractions, per instance
+        for patterns in ([{"out": (False, True)}],
+                         [{}, {"out": (False, True)}]):
+            clear_plan_cache()
+            STATS.reset()
+            scalar = throughput_sweep(figure2(), sink_patterns=patterns,
+                                      backend="scalar")
+            assert STATS.compiles == 0
+            compiled = throughput_sweep(figure2(), sink_patterns=patterns,
+                                        backend="bitsim")
+            assert STATS.compiles == 1
+            assert compiled == scalar  # exact Fractions, per instance
 
-    def test_check_deadlock_backend_verdicts_match(self):
-        from repro.skeleton import check_deadlock
 
-        graph = ring(2, relays_per_arc=[["half"], ["half"]])
-        scalar = check_deadlock(graph)
-        compiled = check_deadlock(graph, backend="codegen")
-        for field in ("deadlocked", "potential", "transient", "period",
-                      "detail", "inconclusive"):
-            assert getattr(compiled, field) == getattr(scalar, field), \
-                field
+def _source(low, **overrides):
+    kwargs = dict(is_casu=True, one_plane=True, fixpoint="least",
+                  detect_ambiguity=True, metrics_on=False,
+                  events_on=False)
+    kwargs.update(overrides)
+    return generate_plane_source(low, **kwargs)
 
 
 class TestGeneratedSource:
     def test_casu_and_carloni_differ_only_where_semantics_do(self):
         low = lower(figure2())
-        casu = generate_source(low, is_casu=True, fixpoint="least",
-                               detect_ambiguity=True, metrics_on=False,
-                               events_on=False)
-        carloni = generate_source(low, is_casu=False, fixpoint="least",
-                                  detect_ambiguity=True,
-                                  metrics_on=False, events_on=False)
-        assert casu != carloni
+        for one_plane in (True, False):
+            casu = _source(low, one_plane=one_plane)
+            carloni = _source(low, one_plane=one_plane, is_casu=False)
+            assert casu != carloni
+            assert casu.splitlines()[5:] != carloni.splitlines()[5:]
 
     def test_flags_gate_instrumentation_code(self):
         low = lower(figure2())
-        plain = generate_source(low, is_casu=True, fixpoint="least",
-                                detect_ambiguity=True, metrics_on=False,
-                                events_on=False)
-        metered = generate_source(low, is_casu=True, fixpoint="least",
-                                  detect_ambiguity=True, metrics_on=True,
-                                  events_on=False)
-        assert "_hs" not in plain and "_occ" not in plain
-        assert "_hs" in metered and "_occ" in metered
+        for one_plane in (True, False):
+            plain = _source(low, one_plane=one_plane)
+            metered = _source(low, one_plane=one_plane, metrics_on=True)
+            for ref in ("sim.hop_stall_cycles", "sim.rs_occupancy_counts"):
+                assert ref not in plain and ref in metered
+
+    def test_counter_form_shapes_the_source(self):
+        """One plane: plain int deltas, rippled in once per call and
+        never read back; any width: vertical slices held in locals."""
+        low = lower(figure2())
+        plain = _source(low, one_plane=True)
+        vertical = _source(low, one_plane=False)
+        assert "def _ripple(" in plain and "def _carry(" not in plain
+        assert "def _carry(" in vertical and "def _ripple(" not in vertical
+        assert ".slices[" not in plain and "c0a" not in plain
+        assert "_S0 = sim.stop_assertions.slices" in vertical

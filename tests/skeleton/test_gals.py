@@ -3,30 +3,26 @@
 The differential-conformance extension for mixed-rate systems: the
 scalar engine and the batch engine (bit planes, i.e. vectorized across
 instances) must agree bit-exactly on every GALS topology (firing
-decisions, bridge occupancy, registers, steady-state structure), the
-codegen engine — single-clock only — must refuse GALS lowerings
-through the capability flags, and ``select()`` must turn that refusal
-into an actionable message.  The full per-plane lockstep with CDC
-pokes lives in ``test_backend_conformance.py``.
+decisions, bridge occupancy, registers, steady-state structure), both
+engines run every lowering the capability flags describe, and
+``select()`` turns an unknown backend name into an actionable message.
+The full per-plane lockstep with CDC pokes lives in
+``test_backend_conformance.py``.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from repro.errors import StructuralError
 from repro.graph import gals_chain, gals_ring, parse_topology
 from repro.ir import lower
 from repro.lid.variant import ProtocolVariant
 from repro.skeleton import (
     BitplaneSkeletonSim,
-    CodegenSkeletonSim,
     SkeletonSim,
     check_deadlock,
-    codegen_supported,
     select,
 )
-from repro.skeleton.backend import available_backends
 
 VARIANTS = [ProtocolVariant.CASU, ProtocolVariant.CARLONI]
 
@@ -167,29 +163,14 @@ class TestCapabilityGating:
         assert single.single_clock
         assert not single.has_bridges
 
-    @pytest.mark.parametrize("probe", [codegen_supported])
-    def test_supported_probes_refuse_gals(self, probe):
-        graph = parse_topology("gals-chain:rates=1+1/2")
-        ok, reason = probe(graph, ProtocolVariant.CASU)
-        assert not ok
-        assert "single_clock=False" in reason
-        assert "has_bridges=True" in reason
-
-    def test_available_backends(self):
-        gals = parse_topology("gals-ring:rates=1+1/2,shells=2")
-        assert available_backends(gals, ProtocolVariant.CASU) \
-            == ("scalar", "bitsim")
-        single = parse_topology("figure2:relays=1")
-        assert available_backends(single, ProtocolVariant.CASU) \
-            == ("scalar", "bitsim", "codegen")
-
     @pytest.mark.parametrize("backend", ["codegen"])
     def test_select_refusal_is_actionable(self, backend):
+        """A removed engine name is refused with the names that work."""
         graph = parse_topology("gals-chain:rates=1+1/2")
         with pytest.raises(ValueError) as err:
             select(graph, backend=backend)
         message = str(err.value)
-        assert "single_clock" in message
+        assert f"unknown backend {backend!r}" in message
         assert "available backends: scalar, bitsim" in message
 
     def test_select_unknown_backend_enumerates(self):
@@ -201,17 +182,19 @@ class TestCapabilityGating:
     def test_select_auto_falls_back_cleanly(self):
         graph = parse_topology("gals-chain:rates=1+1/2")
         # Single instance: the scalar reference wins; wide batches run
-        # on bit planes — never codegen, which lacks GALS support.
+        # on bit planes.
         assert select(graph).name == "scalar"
         assert select(graph, batch=4).name == "bitsim"
         assert select(parse_topology("gals-ring:rates=1+1/2,shells=2"),
                       batch=4).name == "bitsim"
 
-    def test_codegen_constructor_refuses_gals(self):
-        graph = parse_topology("gals-chain:rates=1+1/2")
-        with pytest.raises(StructuralError) as err:
-            CodegenSkeletonSim(graph)
-        assert "single_clock" in str(err.value)
+    def test_one_plane_plan_runs_gals(self):
+        """The compiled plan at width 1 gates every element on its
+        domain's clock, exactly as the scalar reference does."""
+        graph = parse_topology("gals-ring:rates=1+1/2,shells=2")
+        got = select(graph, batch=1, backend="bitsim").run()
+        ref = select(graph, batch=1, backend="scalar").run()
+        assert got == ref
 
 
 class TestGalsDeadlock:
@@ -219,12 +202,6 @@ class TestGalsDeadlock:
         graph = parse_topology("gals-ring:rates=1+1/2,shells=2")
         verdict = check_deadlock(graph, max_cycles=5_000)
         assert verdict.live
-
-    def test_codegen_backend_fails_fast(self):
-        graph = parse_topology("gals-ring:rates=1+1/2,shells=2")
-        with pytest.raises(ValueError) as err:
-            check_deadlock(graph, backend="codegen")
-        assert "single_clock" in str(err.value)
 
     def test_verdict_deterministic(self):
         graph = parse_topology("gals-ring:rates=1+2/3,shells=2")

@@ -66,8 +66,8 @@ class TestDetection:
 
 
 class TestCodegenRule:
-    """codegen may consume repro.ir and repro.exec.cache — nothing else
-    from the layers around it; the lint must catch a deliberate slip."""
+    """codegen may consume repro.ir — nothing else from the layers
+    around it; the lint must catch a deliberate slip."""
 
     def _violations(self, tmp_path, source):
         path = tmp_path / "codegen.py"
@@ -79,7 +79,6 @@ class TestCodegenRule:
         assert self._violations(tmp_path, """\
             from ..ir import LoweredSystem
             from .sim import SkeletonSim
-            from repro.exec.cache import ResultCache
             """) == []
 
     def test_lid_import_is_flagged(self, tmp_path):
@@ -89,6 +88,12 @@ class TestCodegenRule:
             """)
         assert len(found) >= 1
         assert "repro.lid" in found[0]
+
+    def test_exec_cache_is_flagged(self, tmp_path):
+        found = self._violations(tmp_path,
+                                 "from repro.exec.cache import "
+                                 "ResultCache\n")
+        assert found and "repro.exec" in found[0]
 
     def test_exec_outside_cache_is_flagged(self, tmp_path):
         found = self._violations(tmp_path,

@@ -20,10 +20,9 @@ the *forbidden prefixes*):
   replicates CLI semantics through the same engine entry points, never
   by calling back into the argparse frontend;
 * ``repro.skeleton.codegen`` consumes only ``repro.ir`` (its input is
-  a :class:`~repro.ir.LoweredSystem`) and ``repro.exec.cache`` (the
-  optional compile-cache disk layer, duck-typed) besides its own
-  package — not ``repro.lid`` (the variant is duck-typed), not the
-  rest of ``repro.exec``, and nothing above;
+  a :class:`~repro.ir.LoweredSystem`) besides its own package — not
+  ``repro.lid`` (the variant is duck-typed), not ``repro.exec``, and
+  nothing above;
 * ``repro.kernel`` knows components and signals only — no protocol
   layer (``repro.lid`` hands it a settle order, never a notion of
   stop) and nothing above; ``repro.errors`` and ``repro.obs`` stay
@@ -63,8 +62,7 @@ RULES: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
     ("repro.serve", ("repro.cli",), ()),
     ("repro.skeleton.codegen",
      ("repro.lid", "repro.exec", "repro.inject", "repro.obs",
-      "repro.analysis", "repro.bench", "repro.cli"),
-     ("repro.exec.cache",)),
+      "repro.analysis", "repro.bench", "repro.cli"), ()),
     ("repro.kernel",
      ("repro.lid", "repro.inject", "repro.graph", "repro.ir",
       "repro.skeleton", "repro.rtl", "repro.verify", "repro.analysis",
