@@ -36,16 +36,20 @@ MIN_SPEEDUP = 5.0
 BACKENDS = ("scalar", "bitsim")
 
 
-def _best_wall(graph, backend):
+def _best_walls(graph, backends=BACKENDS):
     """Best-of-rounds wall seconds for CYCLES cycles of one instance
-    via select() (``bitsim`` runs the compiled one-plane plan)."""
-    select(graph, batch=1, backend=backend).run_cycles(64)  # warm
-    best = float("inf")
+    via select(), per backend (``bitsim`` runs the compiled one-plane
+    plan).  Each round times every backend once, so a burst of noise
+    on a shared host lands on both sides of the ratio alike."""
+    for backend in backends:
+        select(graph, batch=1, backend=backend).run_cycles(64)  # warm
+    best = dict.fromkeys(backends, float("inf"))
     for _ in range(ROUNDS):
-        handle = select(graph, batch=1, backend=backend)  # fresh state
-        started = perf_counter()
-        handle.run_cycles(CYCLES)
-        best = min(best, perf_counter() - started)
+        for backend in backends:
+            handle = select(graph, batch=1, backend=backend)  # fresh
+            started = perf_counter()
+            handle.run_cycles(CYCLES)
+            best[backend] = min(best[backend], perf_counter() - started)
     return best
 
 
@@ -54,8 +58,8 @@ def test_bench_codegen_speedup(benchmark, emit):
     rows, counters = [], {}
     total_wall = 0.0
     for name, graph in cases:
-        scalar_wall = _best_wall(graph, "scalar")
-        compiled_wall = _best_wall(graph, "bitsim")
+        walls = _best_walls(graph)
+        scalar_wall, compiled_wall = walls["scalar"], walls["bitsim"]
         total_wall += scalar_wall + compiled_wall
         speedup = (scalar_wall / compiled_wall if compiled_wall
                    else float("inf"))
@@ -69,7 +73,7 @@ def test_bench_codegen_speedup(benchmark, emit):
         counters[f"{name}_scalar_cps"] = round(CYCLES / scalar_wall)
         counters[f"{name}_codegen_cps"] = round(CYCLES / compiled_wall)
         counters[f"{name}_speedup_x"] = round(speedup, 2)
-    benchmark.pedantic(_best_wall, args=(figure2(), "bitsim"),
+    benchmark.pedantic(_best_walls, args=(figure2(), ("bitsim",)),
                        rounds=1, iterations=1)
 
     # One compile serves many simulators over the same topology.

@@ -6,13 +6,26 @@ For small concrete topologies this bench does what the paper could not:
 explores every environment behaviour (nondeterministic source offers,
 nondeterministic sink stops, hold contract enforced) and proves
 deadlock-freedom, or exhibits a reachable stuck state.
+
+The slow-domain GALS rows (domains ticking once every 7 to 16 base
+cycles) need the clock phase in the explored state and the exact stuck
+test; each LIVE row is cross-checked against ``check_deadlock``.
 """
 
 import pytest
 
 from repro.bench.tables import format_table
-from repro.graph import figure1, figure2, pipeline, ring, self_loop, tree
+from repro.graph import (
+    figure1,
+    figure2,
+    parse_topology,
+    pipeline,
+    ring,
+    self_loop,
+    tree,
+)
 from repro.lid.variant import ProtocolVariant
+from repro.skeleton import check_deadlock
 from repro.verify import verify_system_liveness
 
 CASES = [
@@ -26,14 +39,28 @@ CASES = [
     ("ring_all_half", ring(2, relays_per_arc=[["half"], ["half"]])),
 ]
 
+#: Slow clock domains, depth-2 bridges (spec strings are the names).
+GALS_CASES = [
+    (spec, parse_topology(spec))
+    for spec in (f"{family}:rates={rates}"
+                 for family in ("gals-chain", "gals-ring")
+                 for rates in ("1/8+1/8", "1/16+1", "1/9+1/7",
+                               "1/16+1/16"))
+]
+
 
 def test_bench_exhaustive_liveness_table(benchmark, emit):
     def run():
         rows = []
-        for name, graph in CASES:
+        for name, graph in CASES + GALS_CASES:
             for variant in (ProtocolVariant.CASU,
                             ProtocolVariant.CARLONI):
                 result = verify_system_liveness(graph, variant=variant)
+                if result.live:
+                    # A proof over all environments covers the default
+                    # script that check_deadlock simulates.
+                    assert not check_deadlock(
+                        graph, variant=variant).deadlocked, name
                 rows.append((
                     name, str(variant),
                     "LIVE (proved)" if result.live else "STUCK STATE",
@@ -51,7 +78,7 @@ def test_bench_exhaustive_liveness_table(benchmark, emit):
     ))
     verdicts = {(r[0], r[1]): r[2] for r in rows}
     # Every legal system is proved live under both variants...
-    for name, _graph in CASES:
+    for name, _graph in CASES + GALS_CASES:
         if "half" not in name:
             assert verdicts[(name, "casu")].startswith("LIVE")
             assert verdicts[(name, "carloni")].startswith("LIVE")

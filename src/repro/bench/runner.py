@@ -43,14 +43,13 @@ def run_figure1(cycles: int = 40) -> Tuple[str, Rows]:
     out_idx = sim.sink_names.index("out")
     shell_idx = {name: i for i, name in enumerate(sim.shell_names)}
     for cycle in range(cycles):
-        valid = sim._forward_valids()
-        out_hop = sim.sink_in_hop[out_idx]
-        out_symbol = "N" if not valid[out_hop] else "d"
-        fires, _accepts = sim.step()
+        # The unscripted sink never stops: it accepts exactly the
+        # cycles on which its input is valid.
+        fires, accepts = sim.step()
         rows.append((
             cycle,
             *(int(fires[shell_idx[n]]) for n in ("A", "B0", "C")),
-            out_symbol,
+            "d" if accepts[out_idx] else "N",
         ))
     result_sim = SkeletonSim(graph)
     result = result_sim.run()

@@ -486,6 +486,7 @@ def main(argv=None) -> int:
             print(f"STUCK STATE reachable after exploring "
                   f"{result.reachable_states} states: "
                   f"{result.stuck_state}")
+            print(result.render_witness())
         return 0 if result.live else 1
     elif args.command == "series":
         outcome = _run_manifest(args, p_series,

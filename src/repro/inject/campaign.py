@@ -913,7 +913,7 @@ def skeleton_campaign(
     memoized :func:`repro.ir.lower` tables.
     """
     from ..ir import lower
-    from ..skeleton.backend import select
+    from ..skeleton.backend import backend_class, select
     from .faults import BRIDGE_KINDS
 
     low = lower(graph)  # prime the shared plan for the whole batch
@@ -992,7 +992,10 @@ def skeleton_campaign(
         for spec in noop
     ]
 
-    backend_name = "scalar"
+    # The golden column plus one column per expressible fault; when
+    # every fault is skipped nothing runs, and the header still names
+    # the engine the request resolves to.
+    backend_name = backend_class(backend, len(expressible) + 1).name
     strict_detect = strict and variant.discards_void_stops
     if expressible or payload_specs:
         if progress is not None:
@@ -1008,7 +1011,6 @@ def skeleton_campaign(
             sink_patterns=sink_patterns,
             detect_ambiguity=False, backend=backend,
             telemetry=telemetry)
-        backend_name = handle.name
         for column, (spec, _src, _snk) in enumerate(expressible, start=1):
             poke = bridge_pokes.get(id(spec))
             if poke is not None:

@@ -321,10 +321,17 @@ def select(
         raise ValueError("need at least one instance")
     sources = _normalize(source_patterns, width)
     sinks = _normalize(sink_patterns, width)
-
-    if backend == "bitsim" or (backend == "auto" and width > 1):
-        cls = BitplaneBackend
-    else:
-        cls = ScalarBackend
+    cls = backend_class(backend, width)
     return cls(graph, variant, sources, sinks, fixpoint, detect_ambiguity,
                telemetry=telemetry)
+
+
+def backend_class(backend: str, width: int) -> type:
+    """The engine :func:`select` runs *width* instances of *backend* on.
+
+    ``"bitsim"``, and ``"auto"`` for a batch wider than one, get the
+    bit-plane engine; everything else the scalar reference.
+    """
+    if backend == "bitsim" or (backend == "auto" and width > 1):
+        return BitplaneBackend
+    return ScalarBackend

@@ -268,16 +268,9 @@ class SkeletonSim:
 
     def reset(self) -> None:
         self.cycle = 0
-        self._src_override: Optional[Sequence[bool]] = None
-        self._sink_override: Optional[Sequence[bool]] = None
-        # Shell out registers start VALID (paper footnote 1).
-        self.shell_reg = [True] * len(self.shell_reg_owner)
-        # Relay stations start VOID.
-        self.rs_main = [False] * len(self.rs_kinds)
-        self.rs_aux = [False] * len(self.rs_kinds)
-        self.rs_stop_reg = [False] * len(self.rs_kinds)
-        # Bisynchronous-FIFO bridges start empty.
-        self.bridge_occ = [0] * len(self.bridge_depths)
+        registers, _phase = self.initial_state
+        (self.shell_reg, self.rs_main, self.rs_aux, self.rs_stop_reg,
+         self.bridge_occ) = (list(r) for r in registers)
         # Scheduled occupancy perturbations (see poke_bridge).
         self._bridge_pokes: List[Tuple[int, int, int, int]] = []
         self.src_phase = [0] * len(self.source_names)
@@ -320,28 +313,18 @@ class SkeletonSim:
             self.cycle % self._phase_mod,
         )
 
-    def register_state(self) -> Tuple:
-        """Snapshot of the protocol registers only (no script phases).
+    @property
+    def initial_state(self) -> Tuple:
+        """The :meth:`step_from` state of a freshly reset simulator.
 
-        Used by the exhaustive system-liveness explorer, which supplies
-        the environment externally per transition.
+        Shell out registers start VALID (paper footnote 1), relay
+        stations start VOID and bisynchronous-FIFO bridges empty; the
+        clock phase is 0.
         """
-        return (
-            tuple(self.shell_reg),
-            tuple(self.rs_main),
-            tuple(self.rs_aux),
-            tuple(self.rs_stop_reg),
-            tuple(self.bridge_occ),
-        )
-
-    def set_register_state(self, state: Tuple) -> None:
-        """Restore a snapshot produced by :meth:`register_state`."""
-        shell_reg, rs_main, rs_aux, rs_stop, bridge_occ = state
-        self.shell_reg = list(shell_reg)
-        self.rs_main = list(rs_main)
-        self.rs_aux = list(rs_aux)
-        self.rs_stop_reg = list(rs_stop)
-        self.bridge_occ = list(bridge_occ)
+        n_rs = len(self.rs_kinds)
+        return (((True,) * len(self.shell_reg_owner), (False,) * n_rs,
+                 (False,) * n_rs, (False,) * n_rs,
+                 (0,) * len(self.bridge_depths)), 0)
 
     def poke_bridge(self, bridge, cycle: int, delta: int,
                     duration: int = 1) -> None:
@@ -369,11 +352,17 @@ class SkeletonSim:
 
     # -- per-cycle evaluation ----------------------------------------------
 
-    def _forward_valids(self) -> List[bool]:
+    # The environment is an argument: ``offers``/``stops`` of ``None``
+    # read the source and sink scripts (step), a sequence supplies one
+    # bit per port (step_from).  ``phase`` is ``cycle % hyperperiod``.
+
+    def _forward_valids(self, phase: int,
+                        offers: Optional[Sequence[bool]] = None
+                        ) -> List[bool]:
         valid = [False] * len(self.hops)
-        if self._src_override is not None:
+        if offers is not None:
             for hop_id, src_id in self._src_hops:
-                valid[hop_id] = self._src_override[src_id]
+                valid[hop_id] = offers[src_id]
         else:
             for hop_id, src_id in self._src_hops:
                 pattern = self.src_pattern[src_id]
@@ -382,7 +371,6 @@ class SkeletonSim:
         if self._gals:
             # A source in a domain that does not tick this base cycle
             # presents void (its phase is frozen in step()).
-            phase = self.cycle % self.hyperperiod
             for hop_id, src_id in self._src_hops:
                 if not self._src_sched[src_id][phase]:
                     valid[hop_id] = False
@@ -398,7 +386,9 @@ class SkeletonSim:
             valid[hop_id] = bridge_occ[b_id] > 0
         return valid
 
-    def _settle_stops(self, valid: List[bool], mode: str) -> List[bool]:
+    def _settle_stops(self, valid: List[bool], mode: str, phase: int,
+                      stops: Optional[Sequence[bool]] = None
+                      ) -> List[bool]:
         """Fixpoint of the monotone stop equations (least or greatest)."""
         pessimistic = mode == "greatest"
         n_hops = len(self.hops)
@@ -413,10 +403,9 @@ class SkeletonSim:
         for rs_id, hop_in in self._halfreg_fixed_hops:
             stop[hop_in] = rs_main[rs_id]
             fixed[hop_in] = True
-        sink_override = self._sink_override
-        if sink_override is not None:
+        if stops is not None:
             for sink_id, hop_in in self._sink_fixed_hops:
-                stop[hop_in] = sink_override[sink_id]
+                stop[hop_in] = stops[sink_id]
                 fixed[hop_in] = True
         else:
             cycle = self.cycle
@@ -430,7 +419,6 @@ class SkeletonSim:
             # accept: it asserts stop unconditionally.  The bridge
             # write port asserts stop while the FIFO is full —
             # registered (state-derived), hence fixed during settle.
-            phase = self.cycle % self.hyperperiod
             for sink_id, hop_in in self._sink_fixed_hops:
                 if not self._sink_sched[sink_id][phase]:
                     stop[hop_in] = True
@@ -462,7 +450,7 @@ class SkeletonSim:
                     changed = True
             # Shells: stall propagates from outputs to all inputs.
             for shell_id in range(n_shells):
-                stalled = not shell_fire(shell_id, valid, stop)
+                stalled = not shell_fire(shell_id, valid, stop, phase)
                 for hop_in in shell_in_hops[shell_id]:
                     value = stalled and (valid[hop_in] or not is_casu)
                     if stop[hop_in] != value and not fixed[hop_in]:
@@ -470,9 +458,8 @@ class SkeletonSim:
                         changed = True
         return stop
 
-    def _shell_fire(self, shell_id: int, valid, stop) -> bool:
-        if self._gals and not self._shell_sched[shell_id][
-                self.cycle % self.hyperperiod]:
+    def _shell_fire(self, shell_id: int, valid, stop, phase: int) -> bool:
+        if self._gals and not self._shell_sched[shell_id][phase]:
             return False
         for hop_in in self.shell_in_hops[shell_id]:
             if not valid[hop_in]:
@@ -485,7 +472,7 @@ class SkeletonSim:
         return True
 
     def _apply_edge(self, valid: List[bool], stop: List[bool],
-                    fires: Tuple[bool, ...]) -> None:
+                    fires: Tuple[bool, ...], phase: int) -> None:
         """Register updates (mirror repro.lid semantics exactly).
 
         In GALS mode an element whose clock domain does not tick this
@@ -494,7 +481,6 @@ class SkeletonSim:
         domain), each gated on its own port's schedule.
         """
         gals = self._gals
-        phase = self.cycle % self.hyperperiod if gals else 0
         shell_reg = self.shell_reg
         new_shell_reg = list(shell_reg)
         shell_out_pairs = self._shell_out_pairs
@@ -555,21 +541,15 @@ class SkeletonSim:
                         and occ > 0
                         and not stop[self.bridge_out_hop[b_id]])
                 bridge_occ[b_id] = occ + wrote - read
-            if self._bridge_pokes:
-                cycle = self.cycle
-                for b_id, lo, hi, delta in self._bridge_pokes:
-                    if lo <= cycle < hi:
-                        nudged = bridge_occ[b_id] + delta
-                        depth = bridge_depths[b_id]
-                        bridge_occ[b_id] = min(max(nudged, 0), depth)
 
     def step(self) -> Tuple[Tuple[bool, ...], Tuple[bool, ...]]:
         """Advance one cycle; returns (shell fires, sink accepts)."""
-        valid = self._forward_valids()
-        stop = self._settle_stops(valid, self.fixpoint)
+        phase = self.cycle % self.hyperperiod
+        valid = self._forward_valids(phase)
+        stop = self._settle_stops(valid, self.fixpoint, phase)
         if self.detect_ambiguity and self._may_be_ambiguous:
             other = "greatest" if self.fixpoint == "least" else "least"
-            alt = self._settle_stops(valid, other)
+            alt = self._settle_stops(valid, other, phase)
             if alt != stop:
                 self.ambiguous_cycles.append(self.cycle)
                 if self._events_on:
@@ -594,7 +574,7 @@ class SkeletonSim:
         self.internal_stops_on_voids_total += internal
 
         fires = tuple(
-            self._shell_fire(i, valid, stop)
+            self._shell_fire(i, valid, stop, phase)
             for i in range(len(self.shell_names))
         )
         accepts = tuple(
@@ -602,7 +582,15 @@ class SkeletonSim:
             for hop, _pattern in zip(self.sink_in_hop, self.sink_pattern)
         )
 
-        self._apply_edge(valid, stop, fires)
+        self._apply_edge(valid, stop, fires, phase)
+        if self._bridge_pokes:
+            cycle = self.cycle
+            bridge_occ = self.bridge_occ
+            for b_id, lo, hi, delta in self._bridge_pokes:
+                if lo <= cycle < hi:
+                    nudged = bridge_occ[b_id] + delta
+                    depth = self.bridge_depths[b_id]
+                    bridge_occ[b_id] = min(max(nudged, 0), depth)
 
         if collect:
             occupancy = self.rs_occupancy_counts
@@ -631,7 +619,6 @@ class SkeletonSim:
                                 valid=valid[hop_id])
 
         gals = self._gals
-        phase = (self.cycle % self.hyperperiod) if gals else 0
         for src_id in range(len(self.source_names)):
             if gals and not self._src_sched[src_id][phase]:
                 continue  # domain does not tick: pattern phase frozen
@@ -652,49 +639,63 @@ class SkeletonSim:
         self.cycle += 1
         return fires, accepts
 
-    def external_step(
+    def step_from(
         self,
-        src_valid: Sequence[bool],
-        sink_stop: Sequence[bool],
-    ) -> Tuple[Tuple[bool, ...], Tuple[bool, ...], Tuple[bool, ...]]:
-        """One cycle with the environment supplied explicitly.
+        state: Tuple,
+        offers: Sequence[bool],
+        stops: Sequence[bool],
+    ) -> Tuple[Tuple, Tuple[bool, ...], Tuple[bool, ...], bool]:
+        """One cycle from *state* with the environment given explicitly.
 
-        *src_valid* gives the validity presented by each source this
-        cycle; *sink_stop* the stop each sink asserts.  Script patterns
-        and phases are bypassed (and phases left untouched), so the
-        caller fully owns the environment — this is the hook the
-        exhaustive liveness explorer drives.  Returns
-        ``(shell fires, sink accepts, source stops)`` where the last
-        tuple tells the caller which presented tokens were held (the
-        environment contract: a held token must be re-presented).
+        *state* is ``(registers, phase)``: the protocol registers and
+        ``cycle % hyperperiod`` (see :attr:`initial_state`).  *offers*
+        gives the validity each source presents, *stops* the stop each
+        sink asserts.  A port whose clock domain does not tick at
+        *phase* has no choice: its source presents void and its sink
+        stops, whatever the arguments say.  The simulator's own
+        registers, cycle, scripts and pokes are neither read nor
+        changed, so the result depends on the arguments alone; this is
+        the transition function the exhaustive liveness explorer walks.
+
+        Returns ``(next state, shell fires, source stops, ambiguous)``.
+        A source stop tells the caller its presented token was held
+        (the environment contract: re-present it).  *ambiguous* is true
+        when ``detect_ambiguity`` is on and the stop network had more
+        than one fixpoint this cycle.
         """
-        if len(src_valid) != len(self.source_names):
+        if len(offers) != len(self.source_names):
             raise ValueError("need one validity bit per source")
-        if len(sink_stop) != len(self.sink_names):
+        if len(stops) != len(self.sink_names):
             raise ValueError("need one stop bit per sink")
-        self._src_override = list(src_valid)
-        self._sink_override = list(sink_stop)
+        registers, phase = state
+        saved = (self.shell_reg, self.rs_main, self.rs_aux,
+                 self.rs_stop_reg, self.bridge_occ)
+        (self.shell_reg, self.rs_main, self.rs_aux, self.rs_stop_reg,
+         bridge_occ) = registers
+        self.bridge_occ = list(bridge_occ)
         try:
-            valid = self._forward_valids()
-            stop = self._settle_stops(valid, self.fixpoint)
+            valid = self._forward_valids(phase, offers)
+            stop = self._settle_stops(valid, self.fixpoint, phase, stops)
+            ambiguous = False
+            if self.detect_ambiguity and self._may_be_ambiguous:
+                other = "greatest" if self.fixpoint == "least" else "least"
+                ambiguous = self._settle_stops(
+                    valid, other, phase, stops) != stop
             fires = tuple(
-                self._shell_fire(i, valid, stop)
+                self._shell_fire(i, valid, stop, phase)
                 for i in range(len(self.shell_names))
             )
-            accepts = tuple(
-                hop is not None and valid[hop] and not stop[hop]
-                for hop in self.sink_in_hop
-            )
             src_stops = tuple(
-                any(stop[h] for h in self.src_out_hops[src_id])
-                for src_id in range(len(self.source_names))
-            )
-            self._apply_edge(valid, stop, fires)
+                any(stop[h] for h in hops) for hops in self.src_out_hops)
+            self._apply_edge(valid, stop, fires, phase)
+            following = ((tuple(self.shell_reg), tuple(self.rs_main),
+                          tuple(self.rs_aux), tuple(self.rs_stop_reg),
+                          tuple(self.bridge_occ)),
+                         (phase + 1) % self.hyperperiod)
         finally:
-            self._src_override = None
-            self._sink_override = None
-        self.cycle += 1
-        return fires, accepts, src_stops
+            (self.shell_reg, self.rs_main, self.rs_aux, self.rs_stop_reg,
+             self.bridge_occ) = saved
+        return following, fires, src_stops, ambiguous
 
     # -- telemetry ------------------------------------------------------------
 

@@ -35,35 +35,6 @@ class _ChainState:
     monitors: Tuple
 
 
-def _station_outputs(kind: str, state, stop_in: bool,
-                     variant: ProtocolVariant):
-    """(token presented, stop to upstream) for one station."""
-    if kind == "full":
-        return fsm.full_rs_outputs(state)
-    registered = kind == "half-registered"
-    return state.main, fsm.half_rs_stop_out(state, stop_in, variant,
-                                            registered)
-
-
-def _station_step(kind: str, state, in_tok, stop_in: bool,
-                  variant: ProtocolVariant):
-    if kind == "full":
-        return fsm.full_rs_step(state, in_tok, stop_in, variant)
-    registered = kind == "half-registered"
-    return fsm.half_rs_step(state, in_tok, stop_in, variant, registered)
-
-
-_STATION_KINDS = ("full", "half", "half-registered")
-
-
-def _initial_station(kind: str):
-    if kind not in _STATION_KINDS:
-        raise ValueError(
-            f"unknown station kind {kind!r}; choose from {_STATION_KINDS}"
-        )
-    return fsm.FullRsState() if kind == "full" else fsm.HalfRsState()
-
-
 def verify_chain(
     kinds: Sequence[str],
     variant: ProtocolVariant = DEFAULT_VARIANT,
@@ -83,7 +54,7 @@ def verify_chain(
         raise ValueError("chain needs at least one station")
 
     initial = _ChainState(
-        stations=tuple(_initial_station(k) for k in kinds),
+        stations=tuple(fsm.initial_station(k) for k in kinds),
         upstream=UpstreamState(),
         monitors=(OrderMonitor(), HoldMonitor()),
     )
@@ -97,15 +68,15 @@ def verify_chain(
                 stop = tail_stop
                 for index in range(len(kinds) - 1, -1, -1):
                     stops_in[index] = stop
-                    _tok, stop = _station_outputs(
+                    _tok, stop = fsm.station_outputs(
                         kinds[index], state.stations[index], stop,
                         variant)
                 head_stop_out = stop
 
                 # Forward tokens presented this cycle.
                 tokens = [
-                    _station_outputs(kinds[i], state.stations[i],
-                                     stops_in[i], variant)[0]
+                    fsm.station_outputs(kinds[i], state.stations[i],
+                                        stops_in[i], variant)[0]
                     for i in range(len(kinds))
                 ]
                 tail_tok = tokens[-1]
@@ -117,7 +88,7 @@ def verify_chain(
                 new_stations = []
                 feed = present
                 for index, kind in enumerate(kinds):
-                    new_stations.append(_station_step(
+                    new_stations.append(fsm.station_step(
                         kind, state.stations[index], feed,
                         stops_in[index], variant))
                     feed = tokens[index]
@@ -140,10 +111,9 @@ def verify_all_chains(
     """Check every chain of station flavours up to *max_length*."""
     import itertools
 
-    flavours = ("full", "half", "half-registered")
     results = []
     for length in range(1, max_length + 1):
-        for combo in itertools.product(flavours, repeat=length):
+        for combo in itertools.product(fsm.STATION_KINDS, repeat=length):
             results.append((combo, verify_chain(combo, variant)))
     return results
 
@@ -174,7 +144,7 @@ def verify_shell_chain(
     kinds = list(kinds)
     initial = _ShellChainState(
         shell_out=PAYLOAD_MODULUS - 1,  # shells reset valid
-        stations=tuple(_initial_station(k) for k in kinds),
+        stations=tuple(fsm.initial_station(k) for k in kinds),
         upstream=UpstreamState(),
         monitors=(OrderMonitor(expected=PAYLOAD_MODULUS - 1),
                   HoldMonitor()),
@@ -188,7 +158,7 @@ def verify_shell_chain(
                 stop = tail_stop
                 for index in range(len(kinds) - 1, -1, -1):
                     stops_in[index] = stop
-                    _tok, stop = _station_outputs(
+                    _tok, stop = fsm.station_outputs(
                         kinds[index], state.stations[index], stop,
                         variant)
                 shell_stop_in = stop  # first station's stop output
@@ -200,8 +170,8 @@ def verify_shell_chain(
                     not fire, present is not None)
 
                 tokens = [
-                    _station_outputs(kinds[i], state.stations[i],
-                                     stops_in[i], variant)[0]
+                    fsm.station_outputs(kinds[i], state.stations[i],
+                                        stops_in[i], variant)[0]
                     for i in range(len(kinds))
                 ]
                 tail_tok = tokens[-1] if kinds else state.shell_out
@@ -221,7 +191,7 @@ def verify_shell_chain(
                 new_stations = []
                 feed = state.shell_out
                 for index, kind in enumerate(kinds):
-                    new_stations.append(_station_step(
+                    new_stations.append(fsm.station_step(
                         kind, state.stations[index], feed,
                         stops_in[index], variant))
                     feed = tokens[index]

@@ -103,6 +103,41 @@ def half_rs_step(
     return state
 
 
+# -- any relay-station flavour ---------------------------------------------
+
+#: Relay-station flavours: full, half, and the half station with a
+#: registered (conservative) stop.
+STATION_KINDS = ("full", "half", "half-registered")
+
+
+def initial_station(kind: str):
+    """Reset state of a relay station of flavour *kind*."""
+    if kind not in STATION_KINDS:
+        raise ValueError(
+            f"unknown station kind {kind!r}; choose from {STATION_KINDS}"
+        )
+    return FullRsState() if kind == "full" else HalfRsState()
+
+
+def station_outputs(kind: str, state, stop_in: bool,
+                    variant: ProtocolVariant = DEFAULT_VARIANT
+                    ) -> Tuple[Payload, bool]:
+    """(token presented, stop to upstream) of one station this cycle."""
+    if kind == "full":
+        return full_rs_outputs(state)
+    return state.main, half_rs_stop_out(state, stop_in, variant,
+                                        kind == "half-registered")
+
+
+def station_step(kind: str, state, in_tok: Payload, stop_in: bool,
+                 variant: ProtocolVariant = DEFAULT_VARIANT):
+    """One clock edge of a station of flavour *kind*."""
+    if kind == "full":
+        return full_rs_step(state, in_tok, stop_in, variant)
+    return half_rs_step(state, in_tok, stop_in, variant,
+                        kind == "half-registered")
+
+
 @dataclasses.dataclass(frozen=True)
 class QueuedShellState:
     """Spec state of a queued shell (single input, data independent).

@@ -6,9 +6,9 @@ relevant obligation is *progress*: with a willing producer and a
 never-stopping consumer, a block must keep emitting tokens — no
 reachable state may be a local livelock.
 
-:func:`check_progress` explores the product of a block with the eager /
-cooperative environments and verifies every reachable state emits a
-token within a bounded number of cycles.
+:func:`check_progress` explores the product of a block with the
+arbitrary environment and tests every reachable state exactly under the
+eager / cooperative one.
 """
 
 from __future__ import annotations
@@ -19,96 +19,61 @@ from typing import Hashable, Optional
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
 from . import fsm
 from .env import EagerUpstream
-from .reach import reachable_states
+from .monitors import Violation
+from .reach import explore, progresses
 
 
 @dataclasses.dataclass
 class ProgressResult:
-    """Verdict of a bounded-progress check."""
+    """Verdict of a progress check."""
 
     block: str
     holds: bool
     states_explored: int
-    bound: int
     stuck_state: Optional[Hashable] = None
-
-
-def _rs_cooperative_step(kind: str, variant: ProtocolVariant):
-    registered = kind == "half-registered"
-    is_full = kind == "full"
-
-    def step(state):
-        rs, up = state
-        present = up.choices()[0]
-        stop_in = False
-        if is_full:
-            out_tok, stop_out = fsm.full_rs_outputs(rs)
-            next_rs = fsm.full_rs_step(rs, present, stop_in, variant)
-        else:
-            out_tok = rs.main
-            stop_out = fsm.half_rs_stop_out(rs, stop_in, variant, registered)
-            next_rs = fsm.half_rs_step(rs, present, stop_in, variant,
-                                       registered)
-        emitted = out_tok is not None
-        return (next_rs, up.after(present, stop_out)), emitted
-
-    return step
 
 
 def check_progress(
     kind: str = "full",
     variant: ProtocolVariant = DEFAULT_VARIANT,
-    bound: int = 8,
 ) -> ProgressResult:
-    """Every reachable relay-station state emits within *bound* cycles.
+    """Every reachable relay-station state eventually emits.
 
     Reachability is explored under the *arbitrary* environment (any
     offer pattern, any stop pattern); progress from each state is then
     required under the *cooperative* one — i.e. once the downstream
-    relents, the block must move.  This is the standard weak-fairness
-    phrasing of "no token gets stuck inside the station".
+    relents, the block must move.  That environment is deterministic, so
+    the test follows the orbit from the state until the station emits
+    or a state repeats (:func:`~repro.verify.reach.progresses`): exact,
+    with no cycle bound.  This is the standard weak-fairness phrasing
+    of "no token gets stuck inside the station".
     """
-    registered = kind == "half-registered"
-    is_full = kind == "full"
+
+    def cooperative(state):
+        rs, up = state
+        present = up.choices()[0]
+        out_tok, stop_out = fsm.station_outputs(kind, rs, False, variant)
+        next_rs = fsm.station_step(kind, rs, present, False, variant)
+        return (next_rs, up.after(present, stop_out)), out_tok is not None
 
     def successors(state):
+        if not progresses(state, cooperative):
+            raise Violation("no emission under the cooperative environment")
         rs, up = state
         for present in up.choices():
             for stop_in in (False, True):
-                if is_full:
-                    _out, stop_out = fsm.full_rs_outputs(rs)
-                    next_rs = fsm.full_rs_step(rs, present, stop_in, variant)
-                else:
-                    stop_out = fsm.half_rs_stop_out(
-                        rs, stop_in, variant, registered)
-                    next_rs = fsm.half_rs_step(
-                        rs, present, stop_in, variant, registered)
+                _out, stop_out = fsm.station_outputs(kind, rs, stop_in,
+                                                     variant)
+                next_rs = fsm.station_step(kind, rs, present, stop_in,
+                                           variant)
                 yield "", (next_rs, up.after(present, stop_out))
 
-    if is_full:
-        initial = (fsm.FullRsState(), EagerUpstream())
-    else:
-        initial = (fsm.HalfRsState(), EagerUpstream())
-    states = reachable_states([initial], successors)
-
-    cooperative = _rs_cooperative_step(kind, variant)
-    for state in states:
-        cursor = state
-        for _ in range(bound):
-            cursor, emitted = cooperative(cursor)
-            if emitted:
-                break
-        else:
-            return ProgressResult(
-                block=f"{kind} relay station ({variant})",
-                holds=False,
-                states_explored=len(states),
-                bound=bound,
-                stuck_state=state,
-            )
+    initial = (fsm.initial_station(kind), EagerUpstream())
+    result = explore([initial], successors)
     return ProgressResult(
         block=f"{kind} relay station ({variant})",
-        holds=True,
-        states_explored=len(states),
-        bound=bound,
+        holds=result.holds,
+        states_explored=result.states_explored,
+        stuck_state=(None if result.holds
+                     else result.counterexample.steps[-1][1]),
     )

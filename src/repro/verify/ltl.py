@@ -11,6 +11,9 @@ finite-state LTL model checking:
 * liveness formulas (``G F p``) are checked over every reachable cycle
   (a cycle in which ``p`` never holds is a counterexample lasso).
 
+Every checker walks the state graph with
+:func:`~repro.verify.reach.explore`, the one explorer of this package.
+
 Formulas are built from atoms (named predicates over states) with
 ``Not / And / Or / Implies / X / G / F / GF``.  The checker supports
 the fragment that covers the paper's properties: invariants, one-step
@@ -23,7 +26,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
+from ..graph.digraph import simple_cycles
+from .monitors import Violation
+from .reach import explore
+
 Atom = Callable[[Hashable], bool]
+#: ``find(state, successors)`` returns a witness list, or ``None``.
+Finder = Callable[[Hashable, List[Hashable]], Optional[List[Hashable]]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,81 +86,74 @@ class TransitionSystem:
         self.initial_states = list(initial_states)
         self.successors = successors
 
-    def _explore(self, max_states: int) -> Dict[Hashable, List[Hashable]]:
-        graph: Dict[Hashable, List[Hashable]] = {}
-        stack = list(self.initial_states)
-        while stack:
-            state = stack.pop()
-            if state in graph:
-                continue
-            if len(graph) >= max_states:
-                raise MemoryError(f"more than {max_states} states")
+    def first_violation(self, formula: str, find: Finder,
+                        max_states: int = 200_000) -> LtlResult:
+        """Explore until *find* returns a witness at some state.
+
+        *find* sees each reachable state with its successors, in
+        breadth-first order; the result holds when it never returns a
+        witness.
+        """
+        witness: List[Hashable] = []
+
+        def successors(state):
             nxt = list(self.successors(state))
-            graph[state] = nxt
-            stack.extend(nxt)
-        return graph
+            found = find(state, nxt)
+            if found:
+                witness.extend(found)
+                raise Violation(formula)
+            return [("", s) for s in nxt]
+
+        result = explore(self.initial_states, successors,
+                         max_states=max_states)
+        return LtlResult(result.holds, formula, result.states_explored,
+                         witness=witness or None)
 
     # -- checkers ---------------------------------------------------------
 
     def check_G(self, p: Prop, max_states: int = 200_000) -> LtlResult:
         """G p — *p* holds in every reachable state."""
-        graph = self._explore(max_states)
-        for state in graph:
-            if not p(state):
-                return LtlResult(False, f"G {p!r}", len(graph),
-                                 witness=[state])
-        return LtlResult(True, f"G {p!r}", len(graph))
+        return self.first_violation(
+            f"G {p!r}", lambda state, _succs: None if p(state) else [state],
+            max_states)
 
     def check_G_implies_X(self, p: Prop, q: Prop,
                           max_states: int = 200_000) -> LtlResult:
         """G (p -> X q) — after any *p*-state, every successor satisfies
         *q*.  This is the shape of the paper's hold-on-stop property."""
-        graph = self._explore(max_states)
-        formula = f"G ({p!r} -> X {q!r})"
-        for state, succs in graph.items():
+
+        def find(state, succs):
             if p(state):
                 for nxt in succs:
                     if not q(nxt):
-                        return LtlResult(False, formula, len(graph),
-                                         witness=[state, nxt])
-        return LtlResult(True, formula, len(graph))
+                        return [state, nxt]
+            return None
+
+        return self.first_violation(f"G ({p!r} -> X {q!r})", find,
+                                    max_states)
 
     def check_GF(self, p: Prop, max_states: int = 200_000) -> LtlResult:
         """G F p — *p* holds infinitely often on every infinite path.
 
-        Violated iff some reachable cycle contains no *p*-state: we
-        remove all *p*-states and look for a cycle in the remainder.
+        Violated iff some reachable cycle contains no *p*-state: the
+        walk records the reachable graph, and a cycle among its
+        non-*p* states is the counterexample lasso.
         """
-        graph = self._explore(max_states)
         formula = f"G F {p!r}"
-        allowed = {s for s in graph if not p(s)}
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: Dict[Hashable, int] = {}
+        graph: Dict[Hashable, List[Hashable]] = {}
 
-        def find_cycle(node, path):
-            color[node] = GREY
-            path.append(node)
-            for nxt in graph[node]:
-                if nxt not in allowed:
-                    continue
-                state = color.get(nxt, WHITE)
-                if state == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if state == WHITE:
-                    found = find_cycle(nxt, path)
-                    if found is not None:
-                        return found
-            path.pop()
-            color[node] = BLACK
+        def record(state, succs):
+            graph[state] = succs
             return None
 
-        for node in allowed:
-            if color.get(node, WHITE) == WHITE:
-                lasso = find_cycle(node, [])
-                if lasso is not None:
-                    return LtlResult(False, formula, len(graph),
-                                     witness=lasso)
-        return LtlResult(True, formula, len(graph))
+        explored = self.first_violation(formula, record, max_states)
+        avoiding = {s: [t for t in succs if not p(t)]
+                    for s, succs in graph.items() if not p(s)}
+        lasso = next(simple_cycles(avoiding), None)
+        if lasso is not None:
+            return LtlResult(False, formula, explored.states_explored,
+                             witness=lasso + lasso[:1])
+        return explored
 
 
 def block_transition_system(kind: str, variant=None) -> TransitionSystem:
@@ -167,28 +169,16 @@ def block_transition_system(kind: str, variant=None) -> TransitionSystem:
     from .env import DownstreamState, UpstreamState
 
     variant = variant or DEFAULT_VARIANT
-    registered = kind == "half-registered"
-    is_full = kind == "full"
-
-    if is_full:
-        initial = (fsm.FullRsState(), UpstreamState(), None)
-    else:
-        initial = (fsm.HalfRsState(), UpstreamState(), None)
+    initial = (fsm.initial_station(kind), UpstreamState(), None)
 
     def successors(state):
         rs, up, _last = state
         for present in up.choices():
             for stop_in in DownstreamState.choices():
-                if is_full:
-                    out_tok, stop_out = fsm.full_rs_outputs(rs)
-                    next_rs = fsm.full_rs_step(rs, present, stop_in,
-                                               variant)
-                else:
-                    out_tok = rs.main
-                    stop_out = fsm.half_rs_stop_out(rs, stop_in, variant,
-                                                    registered)
-                    next_rs = fsm.half_rs_step(rs, present, stop_in,
-                                               variant, registered)
+                out_tok, stop_out = fsm.station_outputs(kind, rs, stop_in,
+                                                        variant)
+                next_rs = fsm.station_step(kind, rs, present, stop_in,
+                                           variant)
                 next_up = up.after(present, stop_out)
                 yield (next_rs, next_up, (out_tok, stop_in, stop_out))
 
@@ -216,19 +206,18 @@ def held_token_reappears(kind: str, variant=None) -> LtlResult:
     """
     ts = block_transition_system(kind, variant)
 
-    graph = ts._explore(200_000)
-    formula = "G (valid_out & stop_in -> X out_unchanged)"
-    for state, succs in graph.items():
+    def find(state, succs):
         io = _io(state)
         if io is None or io[0] is None or not io[1]:
-            continue
-        held_payload = io[0]
+            return None
         for nxt in succs:
             nxt_io = _io(nxt)
-            if nxt_io is None or nxt_io[0] != held_payload:
-                return LtlResult(False, formula, len(graph),
-                                 witness=[state, nxt])
-    return LtlResult(True, formula, len(graph))
+            if nxt_io is None or nxt_io[0] != io[0]:
+                return [state, nxt]
+        return None
+
+    return ts.first_violation(
+        "G (valid_out & stop_in -> X out_unchanged)", find)
 
 
 def eventually_emits(kind: str, variant=None) -> LtlResult:
@@ -244,27 +233,14 @@ def eventually_emits(kind: str, variant=None) -> LtlResult:
     from .env import EagerUpstream
 
     variant = variant or DEFAULT_VARIANT
-    registered = kind == "half-registered"
-    is_full = kind == "full"
-
-    if is_full:
-        initial = (fsm.FullRsState(), EagerUpstream(), None)
-    else:
-        initial = (fsm.HalfRsState(), EagerUpstream(), None)
+    initial = (fsm.initial_station(kind), EagerUpstream(), None)
 
     def successors(state):
         rs, up, _last = state
         present = up.choices()[0]
         stop_in = False
-        if is_full:
-            out_tok, stop_out = fsm.full_rs_outputs(rs)
-            next_rs = fsm.full_rs_step(rs, present, stop_in, variant)
-        else:
-            out_tok = rs.main
-            stop_out = fsm.half_rs_stop_out(rs, stop_in, variant,
-                                            registered)
-            next_rs = fsm.half_rs_step(rs, present, stop_in, variant,
-                                       registered)
+        out_tok, stop_out = fsm.station_outputs(kind, rs, stop_in, variant)
+        next_rs = fsm.station_step(kind, rs, present, stop_in, variant)
         yield (next_rs, up.after(present, stop_out),
                (out_tok, stop_in, stop_out))
 

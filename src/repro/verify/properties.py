@@ -62,9 +62,6 @@ def _rs_product(
     max_states: int = 200_000,
 ) -> ReachResult:
     """Explore one relay station against its environment."""
-    registered = kind == "half-registered"
-    is_full = kind == "full"
-
     monitors0: Tuple = tuple(
         {"order": OrderMonitor(),
          "hold": HoldMonitor(),
@@ -72,26 +69,17 @@ def _rs_product(
          }[name]
         for name in monitor_names
     )
-    if is_full:
-        initial = (fsm.FullRsState(), UpstreamState(), monitors0)
-    else:
-        initial = (fsm.HalfRsState(), UpstreamState(), monitors0)
+    initial = (fsm.initial_station(kind), UpstreamState(), monitors0)
 
     def successors(state):
         rs, up, monitors = state
         for present in up.choices():
             for stop_in in DownstreamState.choices():
-                if is_full:
-                    out_tok, stop_out = fsm.full_rs_outputs(rs)
-                    accepted = present is not None and not rs.stop_reg
-                    next_rs = fsm.full_rs_step(rs, present, stop_in, variant)
-                else:
-                    out_tok = rs.main
-                    stop_out = fsm.half_rs_stop_out(
-                        rs, stop_in, variant, registered)
-                    accepted = present is not None and not stop_out
-                    next_rs = fsm.half_rs_step(
-                        rs, present, stop_in, variant, registered)
+                out_tok, stop_out = fsm.station_outputs(
+                    kind, rs, stop_in, variant)
+                accepted = present is not None and not stop_out
+                next_rs = fsm.station_step(kind, rs, present, stop_in,
+                                           variant)
                 emitted = out_tok is not None and not stop_in
                 next_monitors = []
                 for mon in monitors:

@@ -1,10 +1,14 @@
-"""Explicit-state reachability: the BFS engine behind every check.
+"""Explicit-state reachability: the one state-graph walk of ``verify``.
 
 A *checked system* is anything exposing ``initial_states()`` and
 ``successors(state)``; successors raise
 :class:`~repro.verify.monitors.Violation` when a safety monitor trips.
 The engine explores breadth-first (so counterexamples are minimal),
 keeps a predecessor map, and reconstructs the full trace on violation.
+Every check in :mod:`repro.verify` walks its state graph through
+:func:`explore`; :func:`progresses` is the exact progress test the
+liveness checks apply to a state under their deterministic cooperative
+environment.
 
 This replaces the paper's use of Cadence SMV: the block state spaces
 are tiny (hundreds to a few thousand product states with the abstract
@@ -74,8 +78,8 @@ def explore(
         explored += 1
         if explored > max_states:
             raise MemoryError(
-                f"state space exceeded {max_states} states; "
-                f"raise max_states or shrink the payload alphabet"
+                f"state space exceeded {max_states} states; raise "
+                f"max_states or shrink the system"
             )
         try:
             for label, nxt in successors(state):
@@ -119,19 +123,34 @@ def reachable_states(
     successors: Callable[[Hashable], Iterable[Tuple[str, Hashable]]],
     max_states: int = 200_000,
 ) -> List[Hashable]:
-    """All reachable states (no monitors expected to fire)."""
-    seen: Dict[Hashable, None] = {}
-    queue: deque = deque()
-    for state in initial_states:
-        if state not in seen:
-            seen[state] = None
-            queue.append(state)
-    while queue:
-        state = queue.popleft()
-        if len(seen) > max_states:
-            raise MemoryError(f"more than {max_states} reachable states")
-        for _label, nxt in successors(state):
-            if nxt not in seen:
-                seen[nxt] = None
-                queue.append(nxt)
-    return list(seen)
+    """All reachable states in breadth-first order (no monitors expected
+    to fire)."""
+    states: List[Hashable] = []
+
+    def visit(state: Hashable) -> Iterable[Tuple[str, Hashable]]:
+        states.append(state)
+        return successors(state)
+
+    explore(initial_states, visit, max_states=max_states)
+    return states
+
+
+def progresses(
+    state: Hashable,
+    step: Callable[[Hashable], Tuple[Hashable, bool]],
+) -> bool:
+    """Exact progress test on a deterministic finite system.
+
+    *step* maps a state to ``(next state, progressed)``.  The orbit
+    from *state* either makes progress or revisits a state; a revisit
+    without progress means the orbit repeats forever and progress never
+    comes, so no step bound is needed.
+    """
+    seen = {state}
+    while True:
+        state, progressed = step(state)
+        if progressed:
+            return True
+        if state in seen:
+            return False
+        seen.add(state)

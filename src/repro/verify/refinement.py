@@ -141,18 +141,12 @@ def cosimulate_relay_spec(
     sim.add_component(ScriptedDownstream("down", chan_out, stops))
     sim.reset()
 
-    registered = kind == "half-registered"
-    is_full = kind == "full"
-    spec_state: Any = fsm.FullRsState() if is_full else fsm.HalfRsState()
+    spec_state: Any = fsm.initial_station(kind)
 
     for cycle in range(cycles):
         sim.settle()
-        if is_full:
-            out_tok, stop_out = fsm.full_rs_outputs(spec_state)
-        else:
-            out_tok = spec_state.main
-            stop_out = fsm.half_rs_stop_out(
-                spec_state, chan_out.stop_asserted(), variant, registered)
+        out_tok, stop_out = fsm.station_outputs(
+            kind, spec_state, chan_out.stop_asserted(), variant)
         observed = {
             "out_valid": bool(chan_out.valid.value),
             "out_data": chan_out.data.value,
@@ -178,12 +172,8 @@ def cosimulate_relay_spec(
         in_tok = chan_in.read()
         stop_in = chan_out.stop_asserted()
         payload = in_tok.value if in_tok.valid else None
-        if is_full:
-            spec_state = fsm.full_rs_step(spec_state, payload, stop_in,
-                                          variant)
-        else:
-            spec_state = fsm.half_rs_step(spec_state, payload, stop_in,
-                                          variant, registered)
+        spec_state = fsm.station_step(kind, spec_state, payload, stop_in,
+                                      variant)
         for comp in sim.components:
             comp.tick()
         sim.cycle += 1
@@ -215,7 +205,7 @@ def cosimulate_relay_netlist(
     netlist = (full_relay_station_netlist(width) if is_full
                else half_relay_station_netlist(width, variant))
     netsim = NetlistSimulator(netlist)
-    spec_state: Any = fsm.FullRsState() if is_full else fsm.HalfRsState()
+    spec_state: Any = fsm.initial_station(kind)
     rng = random.Random(seed)
     k = 1
     for cycle in range(cycles):
@@ -226,11 +216,8 @@ def cosimulate_relay_netlist(
             "in_valid": int(offer),
             "stop_in": int(stop_in),
         })
-        if is_full:
-            out_tok, stop_out = fsm.full_rs_outputs(spec_state)
-        else:
-            out_tok = spec_state.main
-            stop_out = fsm.half_rs_stop_out(spec_state, stop_in, variant)
+        out_tok, stop_out = fsm.station_outputs(kind, spec_state, stop_in,
+                                                variant)
         ok = (outs["out_valid"] == int(out_tok is not None)
               and (out_tok is None or outs["out_data"] == out_tok)
               and outs["stop_out"] == int(stop_out))
@@ -245,13 +232,8 @@ def cosimulate_relay_netlist(
             )
         accepted = offer and not stop_out
         payload = k if offer else None
-        if is_full:
-            accepted = offer and not spec_state.stop_reg
-            spec_state = fsm.full_rs_step(spec_state, payload, stop_in,
-                                          variant)
-        else:
-            spec_state = fsm.half_rs_step(spec_state, payload, stop_in,
-                                          variant)
+        spec_state = fsm.station_step(kind, spec_state, payload, stop_in,
+                                      variant)
         netsim.tick()
         if accepted:
             k = (k % 200) + 1

@@ -15,26 +15,42 @@ environment from then on (all sources offering, no sink stopping),
 no shell ever fires again.  A hostile environment can always *pause* a
 finite-buffer system, so demanding progress under hostility would be
 vacuous; demanding recovery once the hostility ends is exactly
-deadlock-freedom.
+deadlock-freedom.  The cooperative environment is deterministic, so the
+test is exact: follow the orbit until a shell fires or a state repeats
+(:func:`~repro.verify.reach.progresses`).
 
-``verify_system_liveness(graph)`` returns a verdict with the reachable
-state count and, on failure, a stuck state reachable by some
-environment — upgrading the paper's per-script simulation into a proof
-over all environments for that topology.
+The explored state is ``((registers, phase), committed)``: the
+skeleton's :meth:`~repro.skeleton.sim.SkeletonSim.step_from` state,
+whose phase is ``cycle % hyperperiod`` (always 0 for single-clock
+systems), and one hold-contract flag per source.  A port whose clock
+domain does not tick at the phase has no environment choice: its
+source presents void and keeps its commitment, its sink stops — the
+GALS model both skeleton engines run.
+
+``verify_system_liveness(graph)`` is one
+:func:`~repro.verify.reach.explore` call.  It returns a verdict with the
+reachable state count and, on failure, the first stuck state found and
+the shortest environment trace from reset that reaches it — upgrading
+the paper's per-script simulation into a proof over all environments
+for that topology, with an SMV-style witness when it fails.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..graph.model import SystemGraph
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
 from ..skeleton.sim import SkeletonSim
+from .monitors import Violation
+from .reach import explore, progresses
 
-#: Explorer state: (register snapshot, per-source committed flags).
+#: Explorer state: (step_from state, per-source committed flags).
 _State = Tuple[Tuple, Tuple[bool, ...]]
+#: One witness cycle: (sources that offered, sinks that stopped).
+_EnvCycle = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
 
 @dataclasses.dataclass
@@ -45,6 +61,9 @@ class SystemLivenessResult:
     environment choice makes the combinational stop network admit more
     than one fixpoint — the paper's *potential* deadlock, here checked
     over every reachable state instead of along one simulated script.
+    ``witness`` lists, for a STUCK verdict, the environment of each
+    cycle from reset to ``stuck_state``: which sources offered and
+    which sinks stopped (empty when the reset state is stuck).
     """
 
     live: bool
@@ -52,6 +71,7 @@ class SystemLivenessResult:
     transitions: int
     stuck_state: Optional[_State] = None
     ambiguous_states: int = 0
+    witness: Optional[List[_EnvCycle]] = None
 
     @property
     def potential_deadlock_free(self) -> bool:
@@ -60,104 +80,106 @@ class SystemLivenessResult:
     def __bool__(self) -> bool:
         return self.live
 
+    def render_witness(self) -> str:
+        """The witness, one line per cycle from reset."""
+        if self.witness is None:
+            return ""
+        if not self.witness:
+            return "witness: the reset state is stuck"
+        lines = ["witness: environment per cycle from reset"]
+        for cycle, (offered, stopped) in enumerate(self.witness):
+            lines.append(f"  cycle {cycle}: offered "
+                         f"{' '.join(offered) or '-'}; stopped "
+                         f"{' '.join(stopped) or '-'}")
+        return "\n".join(lines)
+
 
 def verify_system_liveness(
     graph: SystemGraph,
     variant: ProtocolVariant = DEFAULT_VARIANT,
     max_states: int = 100_000,
-    recovery_bound: Optional[int] = None,
 ) -> SystemLivenessResult:
-    """Prove (or refute) deadlock-freedom over all environments.
-
-    *recovery_bound* limits how many cooperative cycles a state gets to
-    produce a firing before being declared stuck; the default is twice
-    the system's storage count plus two, which covers any drain.
-    """
-    sim = SkeletonSim(graph, variant=variant, detect_ambiguity=False)
-    n_src = len(sim.source_names)
-    n_sink = len(sim.sink_names)
+    """Prove (or refute) deadlock-freedom over all environments."""
+    sim = SkeletonSim(graph, variant=variant)
+    step_from = sim.step_from
     has_shells = bool(sim.shell_names)
-    if recovery_bound is None:
-        storage = (len(sim.shell_reg) + 2 * len(sim.rs_kinds)
-                   + len(sim.rs_kinds))
-        recovery_bound = 2 * storage + 2
+    low = sim.lowered
 
-    all_offers = list(itertools.product((False, True), repeat=n_src))
-    all_stops = list(itertools.product((False, True), repeat=n_sink))
-    may_be_ambiguous = sim._may_be_ambiguous
-    ambiguous: Set[_State] = set()
+    def ticks(node_ids, phase):
+        return tuple(low.domains[low.node_domain[i]].schedule[phase]
+                     for i in node_ids)
+
+    # Per phase: which sources tick, every stop choice of the sinks
+    # (an idle sink stops), and the cooperative environment.
+    src_ticks, stop_choices, cooperative_env = [], [], []
+    for phase in range(low.hyperperiod):
+        src_ticks.append(ticks(low.source_ids, phase))
+        sink_ticks = ticks(low.sink_ids, phase)
+        stop_choices.append(list(itertools.product(
+            *[(False, True) if tick else (True,) for tick in sink_ticks])))
+        cooperative_env.append(
+            (src_ticks[phase], tuple(not tick for tick in sink_ticks)))
+
+    def cooperative(machine):
+        nxt, fires, _src_stops, _ambiguous = step_from(
+            machine, *cooperative_env[machine[1]])
+        return nxt, any(fires)
+
+    transitions = ambiguous_states = 0
 
     def successors(state: _State):
-        regs, committed = state
-        for offers in all_offers:
-            # The environment contract: a source stopped while offering
-            # must keep offering the same token.
-            if any(c and not o for c, o in zip(committed, offers)):
-                continue
-            for stops in all_stops:
-                if may_be_ambiguous and state not in ambiguous:
-                    # Probe both stop fixpoints before stepping.
-                    sim.set_register_state(regs)
-                    sim._src_override = list(offers)
-                    sim._sink_override = list(stops)
-                    valid = sim._forward_valids()
-                    least = sim._settle_stops(valid, "least")
-                    greatest = sim._settle_stops(valid, "greatest")
-                    sim._src_override = None
-                    sim._sink_override = None
-                    if least != greatest:
-                        ambiguous.add(state)
-                sim.set_register_state(regs)
-                _fires, _accepts, src_stops = sim.external_step(
-                    offers, stops)
+        nonlocal transitions, ambiguous_states
+        machine, committed = state
+        phase = machine[1]
+        # The cooperative step is one of this state's transitions; only
+        # when it does not fire is the orbit beyond it followed.
+        coop_env = cooperative_env[phase]
+        coop_step = step_from(machine, *coop_env)
+        if has_shells and not any(coop_step[1]) and not progresses(
+                coop_step[0], cooperative):
+            raise Violation("no shell fires again under the cooperative "
+                            "environment")
+        # A ticking source may withhold unless the contract binds it to
+        # re-present a held token; an idle source presents void.
+        offer_choices = itertools.product(*[
+            ((True,) if held else (False, True)) if tick else (False,)
+            for tick, held in zip(src_ticks[phase], committed)])
+        ambiguous = False
+        for offers in offer_choices:
+            for stops in stop_choices[phase]:
+                env = (offers, stops)
+                nxt, _fires, src_stops, amb = (
+                    coop_step if env == coop_env
+                    else step_from(machine, offers, stops))
+                ambiguous = ambiguous or amb
                 next_committed = tuple(
-                    o and s for o, s in zip(offers, src_stops))
-                yield (sim.register_state(), next_committed)
+                    (o and s) if tick else held
+                    for o, s, tick, held in zip(
+                        offers, src_stops, src_ticks[phase], committed))
+                transitions += 1
+                yield env, (nxt, next_committed)
+        ambiguous_states += ambiguous
 
-    def recovers(state: _State) -> bool:
-        """Cooperative closure: does any shell fire within the bound?"""
-        if not has_shells:
-            return True
-        regs, _committed = state
-        sim.set_register_state(regs)
-        offers = (True,) * n_src
-        stops = (False,) * n_sink
-        for _ in range(recovery_bound):
-            fires, _accepts, _src_stops = sim.external_step(offers, stops)
-            if any(fires):
-                return True
-        return False
-
-    initial_regs = SkeletonSim(graph, variant=variant,
-                               detect_ambiguity=False).register_state()
-    initial: _State = (initial_regs, (False,) * n_src)
-
-    seen: Set[_State] = {initial}
-    frontier: List[_State] = [initial]
-    transitions = 0
-    while frontier:
-        state = frontier.pop()
-        if not recovers(state):
-            return SystemLivenessResult(
-                live=False,
-                reachable_states=len(seen),
-                transitions=transitions,
-                stuck_state=state,
-                ambiguous_states=len(ambiguous),
-            )
-        for nxt in successors(state):
-            transitions += 1
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    raise MemoryError(
-                        f"{graph.name}: more than {max_states} reachable "
-                        f"states; shrink the topology or raise the budget"
-                    )
-                seen.add(nxt)
-                frontier.append(nxt)
+    initial: _State = (sim.initial_state, (False,) * len(sim.source_names))
+    result = explore([initial], successors, max_states=max_states)
+    if result.holds:
+        return SystemLivenessResult(
+            live=True,
+            reachable_states=result.states_explored,
+            transitions=transitions,
+            ambiguous_states=ambiguous_states,
+        )
+    steps = result.counterexample.steps
+    witness = [
+        (tuple(n for n, o in zip(sim.source_names, offers) if o),
+         tuple(n for n, s in zip(sim.sink_names, stops) if s))
+        for (offers, stops), _state in steps[1:-1]
+    ]
     return SystemLivenessResult(
-        live=True,
-        reachable_states=len(seen),
+        live=False,
+        reachable_states=result.states_explored,
         transitions=transitions,
-        ambiguous_states=len(ambiguous),
+        stuck_state=steps[-1][1],
+        ambiguous_states=ambiguous_states,
+        witness=witness,
     )

@@ -124,3 +124,20 @@ class TestByteIdentity:
         assert "backend" not in payload
         audited = report.to_payload(execution=True)
         assert audited["execution"]["backend"] == "bitsim"
+
+
+class TestSkippedCampaignBackend:
+    """A campaign whose every fault is skipped runs no engine; its
+    header still names the engine ``select`` resolves the request to."""
+
+    @pytest.mark.parametrize("requested,resolved", [
+        ("bitsim", "bitsim"), ("scalar", "scalar"), ("auto", "scalar")])
+    def test_header_names_the_requested_engine(self, requested, resolved):
+        report = skeleton_campaign(
+            figure2(2), classes=("drop",), cycles=64, samples=8,
+            backend=requested)
+        assert report.skipped and not report.results
+        assert report.backend == resolved
+        assert f"engine=skeleton/{resolved}" in report.format_table()
+        audited = report.to_payload(execution=True)
+        assert audited["execution"]["backend"] == resolved

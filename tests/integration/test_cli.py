@@ -78,6 +78,21 @@ class TestCommands:
                      "--max-states", "100000"])
         assert code == 0
 
+    def test_liveness_slow_gals_domains_are_live(self, capsys):
+        # Both domains tick once every eight base cycles; the phase is
+        # part of the explored state, so reset is not a trap.
+        assert main(["liveness", "gals-chain:rates=1/8+1/8"]) == 0
+        assert "LIVE for all environments" in capsys.readouterr().out
+
+    def test_liveness_stuck_prints_the_witness(self, capsys):
+        assert main(["liveness", "gals-ring:rates=1+1/2,depth=1",
+                     "--variant", "carloni"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("STUCK STATE reachable after exploring")
+        assert out[1] == "witness: environment per cycle from reset"
+        assert out[2:] == [f"  cycle {c}: offered -; stopped -"
+                           for c in range(3)]
+
     @pytest.mark.parametrize("seed", [0, 2])
     def test_liveness_honours_seed(self, seed, capsys):
         """Seeded families are checked on the graph ``--seed`` draws."""

@@ -14,24 +14,17 @@ class TestProgress:
         assert result.holds, result.stuck_state
 
     def test_result_metadata(self):
-        result = check_progress("full", bound=6)
+        result = check_progress("full")
         assert isinstance(result, ProgressResult)
-        assert result.bound == 6
         assert result.states_explored > 0
+        assert result.stuck_state is None
         assert "full relay station" in result.block
 
-    def test_tight_bound_still_passes(self):
-        # A full station drains within 3 cooperative cycles from any
-        # reachable state (2 buffered tokens + 1 margin).
-        result = check_progress("full", bound=3)
-        assert result.holds
-
-    def test_half_registered_needs_more_cycles(self):
-        # The conservative registered stop inserts bubbles, so a
-        # depth-1 bound is not enough to witness an emission from the
-        # just-drained state.
-        generous = check_progress("half-registered", bound=4)
-        assert generous.holds
+    def test_no_bound_parameter(self):
+        # Progress is decided exactly by following the cooperative
+        # orbit, so there is no cycle bound to tune.
+        with pytest.raises(TypeError):
+            check_progress("full", bound=3)
 
     def test_mutated_block_gets_stuck(self, monkeypatch):
         from repro.verify import fsm

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.verify.monitors import Violation
-from repro.verify.reach import explore, reachable_states
+from repro.verify.reach import explore, progresses, reachable_states
 
 
 def counter_system(limit, violate_at=None):
@@ -76,3 +76,22 @@ class TestReachableStates:
 
         with pytest.raises(MemoryError):
             reachable_states([0], successors, max_states=50)
+
+
+class TestProgresses:
+    def test_late_progress_needs_no_bound(self):
+        # Progress first comes on the 500th step: an exact test finds
+        # it, where any fixed bound below 500 would call it stuck.
+        assert progresses(0, lambda s: ((s + 1) % 1000, s == 499))
+
+    def test_cycle_without_progress_is_stuck(self):
+        assert not progresses(0, lambda s: ((s + 1) % 7, False))
+
+    def test_lasso_into_a_dead_cycle_is_stuck(self):
+        def step(s):
+            return (s + 1 if s < 5 else 3), False
+
+        assert not progresses(0, step)
+
+    def test_progress_on_the_first_step(self):
+        assert progresses("x", lambda s: (s, True))
