@@ -145,20 +145,27 @@ def _has_cycle_below(
     """Negative-cycle check for weights tokens - ratio*delay (< 0).
 
     Returns the node list of one offending cycle, or ``None``.
-    Bellman–Ford from a virtual super-source with exact arithmetic.
+    Bellman–Ford from a virtual super-source with exact arithmetic:
+    for ``ratio = p/q`` every weight is scaled by ``q > 0`` to the
+    integer ``tokens*q - p*delay``.  Every distance scales by the same
+    ``q``, so each comparison, and with it ``pred`` and the walked-out
+    cycle, is the one the rational weights give.
     """
-    dist = [Fraction(0)] * n_nodes
+    p, q = ratio.numerator, ratio.denominator
+    weighted = [(arc.src, arc.dst, arc.tokens * q - p * arc.delay)
+                for arc in arcs]
+    dist = [0] * n_nodes
     pred: List[Optional[int]] = [None] * n_nodes
     last_relaxed = -1
     for _round in range(n_nodes):
         changed = False
-        for arc in arcs:
-            weight = Fraction(arc.tokens) - ratio * arc.delay
-            if dist[arc.src] + weight < dist[arc.dst]:
-                dist[arc.dst] = dist[arc.src] + weight
-                pred[arc.dst] = arc.src
+        for src, dst, weight in weighted:
+            candidate = dist[src] + weight
+            if candidate < dist[dst]:
+                dist[dst] = candidate
+                pred[dst] = src
                 changed = True
-                last_relaxed = arc.dst
+                last_relaxed = dst
         if not changed:
             return None
     # A relaxation in round n implies a negative cycle; walk it out.

@@ -26,6 +26,13 @@ Subcommands:
 ``--progress`` for a live stderr status line (stdout bytes are
 untouched either way).
 
+``main`` builds the subparser of the one command it runs: building all
+of them cost more than a short ``analyze``.  Top-level help,
+``--version``, a missing or unknown command and top-level errors go to
+the full parser, built from the same per-command builders
+(``_COMMANDS``), so every help text, usage line and error is the same
+either way (``tests/integration/test_cli_parser.py``).
+
 ``inject``, ``deadlock`` and ``series`` validate their flags into a
 :class:`repro.serve.Manifest` and run it with
 :func:`repro.serve.execute_manifest`, the path ``serve`` runs too, so
@@ -84,8 +91,414 @@ def _version_string() -> str:
     return f"{__version__}{suffix}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+def _add_seed(parser) -> None:
+    # Accept --seed after the subcommand too; SUPPRESS keeps a value
+    # given before the subcommand from being clobbered by a default.
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
+
+
+def _add_jobs(parser) -> None:
+    parser.add_argument(
+        "--jobs", "-j", type=_positive_int, default=1, metavar="N",
+        help="worker processes for independent simulation units "
+             "(default 1 = serial; output is byte-identical for any "
+             "value, see docs/parallelism.md)")
+
+
+def _add_ledger(parser) -> None:
+    parser.add_argument(
+        "--ledger", nargs="?", const="", default=None, metavar="FILE",
+        help="append a content-addressed run record to this JSONL "
+             "ledger (bare --ledger uses $REPRO_LID_LEDGER or "
+             "~/.cache/repro-lid/ledger.jsonl)")
+
+
+def _add_progress(parser) -> None:
+    parser.add_argument(
+        "--progress", action="store_true",
+        help="live progress line on stderr (done/total, cache hits, "
+             "ETA); stdout bytes are unchanged")
+
+
+def _add_variant(parser) -> None:
+    parser.add_argument("--variant", type=_variant,
+                        default=ProtocolVariant.CASU,
+                        choices=list(ProtocolVariant))
+
+
+def _build_analyze(sub):
+    p = sub.add_parser("analyze", help="analyze a topology")
+    _add_seed(p)
+    _add_jobs(p)
+    p.add_argument("topology")
+    _add_variant(p)
+    p.add_argument("--metrics-out", default=None, metavar="FILE",
+                   help="also run an instrumented simulation and "
+                        "write its metrics snapshot as JSON")
+    p.add_argument("--cycles", type=int, default=200,
+                   help="cycles for the --metrics-out run")
+    p.add_argument("--max-cycles", type=int, default=50_000,
+                   help="skeleton cycle budget for the dynamic "
+                        "analyses; exceeding it exits 2 with a "
+                        "diagnostic instead of a traceback")
+
+
+def _build_verify(sub):
+    _add_seed(sub.add_parser("verify",
+                             help="run the safety-property campaign"))
+
+
+def _build_reproduce(sub):
+    p = sub.add_parser("reproduce", help="regenerate all paper artifacts")
+    _add_seed(p)
+    _add_jobs(p)
+    _add_ledger(p)
+    _add_progress(p)
+    p.add_argument("--experiment", choices=sorted(EXPERIMENTS),
+                   help="run a single experiment id")
+    p.add_argument("--output", "-o", default=None,
+                   help="write one table file per experiment "
+                        "into this directory")
+    p.add_argument("--metrics-out", default=None, metavar="FILE",
+                   help="write per-experiment wall time and row "
+                        "counts as a JSON metrics snapshot")
+
+
+def _build_figure1(sub):
+    _add_seed(sub.add_parser("figure1",
+                             help="print the Figure 1 evolution"))
+
+
+def _build_figure2(sub):
+    _add_seed(sub.add_parser("figure2", help="print the Figure 2 sweep"))
+
+
+def _build_deadlock(sub):
+    p = sub.add_parser("deadlock", help="skeleton liveness check")
+    _add_seed(p)
+    _add_jobs(p)
+    _add_ledger(p)
+    p.add_argument("topology")
+    _add_variant(p)
+    p.add_argument("--max-cycles", type=int, default=10_000,
+                   help="cycle budget for reaching the periodic "
+                        "regime; an inconclusive verdict exits 2")
+    p.add_argument("--metrics-out", default=None, metavar="FILE",
+                   help="instrument the liveness probes and write "
+                        "their metrics snapshot as JSON (forces "
+                        "serial probing)")
+
+
+def _build_inject(sub):
+    p = sub.add_parser(
+        "inject", help="fault-injection campaign with verdict "
+                       "classification")
+    _add_seed(p)
+    _add_jobs(p)
+    _add_ledger(p)
+    _add_progress(p)
+    p.add_argument("--topology", default="feedback",
+                   help="topology spec (default: feedback, the "
+                        "paper's Figure 2 loop)")
+    _add_variant(p)
+    p.add_argument("--faults", default="stop,void",
+                   help="comma-separated fault classes or kinds "
+                        "(see repro.inject.FAULT_CLASSES)")
+    p.add_argument("--cycles", type=int, default=200,
+                   help="run length of every experiment")
+    p.add_argument("--samples", type=int, default=64,
+                   help="seeded-random sample size from the "
+                        "fault universe")
+    p.add_argument("--exhaustive", action="store_true",
+                   help="run every kind x target x cycle of the "
+                        "window instead of sampling")
+    p.add_argument("--window", default=None, metavar="LO:HI",
+                   help="restrict injection cycles to [LO, HI)")
+    p.add_argument("--engine", choices=ENGINES, default="lid",
+                   help="lid: token-level scalar engine with "
+                        "monitors; skeleton: batched "
+                        "valid/stop-only engine (boundary "
+                        "control faults)")
+    p.add_argument("--backend", choices=BACKENDS, default="auto",
+                   help="skeleton engine backend (auto/bitsim: "
+                        "one bit-parallel run, one plane per "
+                        "fault; scalar: the reference engine)")
+    p.add_argument("--strict", action="store_true",
+                   help="arm the strict stop-shape monitor "
+                        "(detects stops landing on voids under "
+                        "the refined protocol)")
+    p.add_argument("--smoke", action="store_true",
+                   help="small fast campaign for CI (64 cycles, "
+                        "12 samples)")
+    p.add_argument("--format", choices=FORMATS, default="table")
+    p.add_argument("--output", "-o", default=None,
+                   help="write the report here (default: stdout)")
+    p.add_argument("--metrics-out", default=None, metavar="FILE",
+                   help="write campaign verdict metrics as a "
+                        "JSON metrics snapshot")
+    p.add_argument("--trace-out", default=None, metavar="FILE",
+                   help="write one merged Chrome trace: parent "
+                        "events plus a (pid, tid) lane per "
+                        "worker chunk under --jobs")
+    p.add_argument("--no-cache", action="store_true",
+                   help="disable the on-disk golden-run cache")
+    p.add_argument("--cache-dir", default=None, metavar="DIR",
+                   help="golden-run cache directory (default: "
+                        "$REPRO_LID_CACHE_DIR or "
+                        "~/.cache/repro-lid; keys include the "
+                        "git revision, so stale entries are "
+                        "never reused across commits)")
+
+
+def _build_liveness(sub):
+    p = sub.add_parser(
+        "liveness", help="exhaustive liveness proof over all environments")
+    _add_seed(p)
+    p.add_argument("topology")
+    _add_variant(p)
+    p.add_argument("--max-states", type=int, default=100_000)
+
+
+def _build_trace(sub):
+    p = sub.add_parser(
+        "trace", help="run with event tracing and export the stream")
+    _add_seed(p)
+    p.add_argument("topology")
+    p.add_argument("--cycles", type=int, default=200)
+    _add_variant(p)
+    p.add_argument("--format", choices=["jsonl", "chrome"],
+                   default="jsonl",
+                   help="jsonl: one event per line; chrome: "
+                        "Chrome Trace Event JSON (Perfetto)")
+    p.add_argument("--engine", choices=["lid", "skeleton"],
+                   default="lid",
+                   help="lid: full token-level simulation; "
+                        "skeleton: valid/stop skeleton only")
+    p.add_argument("--output", "-o", default=None,
+                   help="output file (default: stdout)")
+
+
+def _build_profile(sub):
+    p = sub.add_parser(
+        "profile", help="run with the phase profiler and report timings")
+    _add_seed(p)
+    p.add_argument("topology")
+    p.add_argument("--cycles", type=int, default=2000)
+    _add_variant(p)
+    p.add_argument("--json", action="store_true",
+                   help="print the report as JSON instead of a "
+                        "table")
+    p.add_argument("--trace-out", default=None, metavar="FILE",
+                   help="also write a Chrome trace (events + "
+                        "profiler phase slices)")
+    p.add_argument("--output", "-o", default=None,
+                   help="write the report here (default: stdout)")
+
+
+def _build_stats(sub):
+    p = sub.add_parser(
+        "stats", help="simulate a topology and print run statistics")
+    _add_seed(p)
+    p.add_argument("topology")
+    p.add_argument("--cycles", type=int, default=200)
+    _add_variant(p)
+
+
+def _build_series(sub):
+    from .analysis.sweep import SERIES_GENERATORS
+
+    p = sub.add_parser("series",
+                       help="emit a figure-style data series as CSV")
+    _add_seed(p)
+    _add_ledger(p)
+    p.add_argument("which", choices=sorted(SERIES_GENERATORS))
+    p.add_argument("--output", "-o", default=None)
+
+
+def _build_serve(sub):
+    p = sub.add_parser(
+        "serve",
+        help="run the campaign service: an asyncio HTTP/JSON front end "
+             "with a shared result cache, request coalescing and a "
+             "persistent worker pool (see docs/serving.md)")
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=8377,
+                   help="listen port (0 = ephemeral; the bound "
+                        "port is announced on stderr)")
+    p.add_argument("--jobs", "-j", type=_positive_int, default=1,
+                   metavar="N",
+                   help="persistent worker pool size for cold "
+                        "manifests")
+    p.add_argument("--mode", choices=["process", "thread"],
+                   default="process",
+                   help="worker pool flavor (thread: in-process, "
+                        "for tests and low-latency smoke runs)")
+    p.add_argument("--queue-depth", type=_positive_int, default=8,
+                   metavar="N",
+                   help="max outstanding uncoalesced runs before "
+                        "503 backpressure (default 8)")
+    p.add_argument("--rate", type=float, default=0.0, metavar="R",
+                   help="per-client token-bucket refill rate in "
+                        "requests/second (default 0 = unlimited)")
+    p.add_argument("--burst", type=float, default=None, metavar="B",
+                   help="token-bucket capacity (default: "
+                        "max(2*RATE, 1))")
+    p.add_argument("--ledger", nargs="?", const="", default=None,
+                   metavar="FILE",
+                   help="append a run record for every executed "
+                        "manifest (bare --ledger uses the "
+                        "default ledger path)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="disable the shared response/golden-run "
+                        "cache (every request executes)")
+    p.add_argument("--cache-dir", default=None, metavar="DIR",
+                   help="cache directory (default: "
+                        "$REPRO_LID_CACHE_DIR or "
+                        "~/.cache/repro-lid)")
+
+
+def _build_client(sub):
+    p = sub.add_parser(
+        "client",
+        help="talk to a running campaign service: POST a manifest "
+             "(optionally N concurrent copies), or query "
+             "health/stats")
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=8377)
+    p.add_argument("--manifest", default=None, metavar="FILE",
+                   help="manifest JSON file ('-' = stdin)")
+    p.add_argument("--concurrency", type=_positive_int, default=1,
+                   metavar="N",
+                   help="POST the same manifest N times "
+                        "concurrently; all responses must be "
+                        "byte-identical (coalescing check)")
+    p.add_argument("--stream", action="store_true",
+                   help="request NDJSON progress streaming; "
+                        "progress lines go to stderr, the "
+                        "report body to stdout/--output")
+    p.add_argument("--health", action="store_true",
+                   help="GET /healthz and exit")
+    p.add_argument("--stats", action="store_true",
+                   help="GET /v1/stats and exit")
+    p.add_argument("--timeout", type=float, default=600.0,
+                   help="socket timeout in seconds")
+    p.add_argument("--output", "-o", default=None,
+                   help="write the response body here "
+                        "(default: stdout)")
+
+
+def _build_obs(sub):
+    p = sub.add_parser(
+        "obs", help="cross-run observability: run ledger & regression "
+                    "tracking")
+    p.add_argument("--ledger", default=None, metavar="FILE",
+                   help="ledger file (default: $REPRO_LID_LEDGER "
+                        "or ~/.cache/repro-lid/ledger.jsonl)")
+    obs_sub = p.add_subparsers(dest="obs_command", required=True)
+    obs_sub.add_parser("ls", help="summary table of the run ledger")
+    p_show = obs_sub.add_parser(
+        "show", help="print one ledger record (@index or run-id prefix)")
+    p_show.add_argument("ref")
+    p_show.add_argument("--canonical", action="store_true",
+                        help="print only the canonical payload "
+                             "line (the byte-deterministic part; "
+                             "what CI cmp-compares)")
+    p_diff = obs_sub.add_parser(
+        "diff", help="verdict/timing/attribution delta of two records")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    p_regress = obs_sub.add_parser(
+        "regress", help="flag wall-time / rate regressions across "
+                        "bench records and ledger trajectory; exits 1 "
+                        "on regression")
+    p_regress.add_argument("--bench", action="append", default=[],
+                           metavar="DIR",
+                           help="BENCH_*.json directory; pass "
+                                "repeatedly, oldest first (each "
+                                "directory is one trajectory "
+                                "position)")
+    p_regress.add_argument("--threshold", type=float, default=1.5,
+                           help="tolerated slowdown ratio "
+                                "(default 1.5)")
+    p_regress.add_argument("--baseline", choices=["first", "best"],
+                           default="first",
+                           help="compare the newest point against "
+                                "the first or the best prior point")
+    p_regress.add_argument("--no-ledger", action="store_true",
+                           help="ignore the ledger; scan only "
+                                "--bench directories")
+
+
+def _build_export(sub):
+    p = sub.add_parser("export", help="export artifacts")
+    _add_seed(p)
+    p.add_argument(
+        "what",
+        choices=["dot", "json", "relay-vhdl", "half-relay-vhdl",
+                 "shell-vhdl"],
+    )
+    p.add_argument("--topology", help="for dot/json: topology to export")
+    p.add_argument("--width", type=int, default=8,
+                   help="for vhdl: data width")
+    p.add_argument("--output", "-o", default=None,
+                   help="output file (default: stdout)")
+
+
+#: Subcommand -> builder that adds its subparser, in the order the full
+#: parser lists them.
+_COMMANDS = {
+    "analyze": _build_analyze,
+    "verify": _build_verify,
+    "reproduce": _build_reproduce,
+    "figure1": _build_figure1,
+    "figure2": _build_figure2,
+    "deadlock": _build_deadlock,
+    "inject": _build_inject,
+    "liveness": _build_liveness,
+    "trace": _build_trace,
+    "profile": _build_profile,
+    "stats": _build_stats,
+    "series": _build_series,
+    "serve": _build_serve,
+    "client": _build_client,
+    "obs": _build_obs,
+    "export": _build_export,
+}
+
+
+def _requested_command(argv):
+    """The subcommand *argv* runs, read without building a parser.
+
+    Skips top-level ``--seed N`` / ``--seed=N``; anything else before a
+    known command (``-h``, ``--version``, an unknown command, none)
+    returns ``None``, and the full parser answers it.
+    """
+    index = 0
+    while index < len(argv):
+        token = argv[index]
+        if token == "--seed":
+            index += 2
+        elif token.startswith("--seed="):
+            index += 1
+        else:
+            return token if token in _COMMANDS else None
+    return None
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A top-level parser holding one subcommand.  Its own errors (a bad
+    ``--seed``, arguments the subcommand left unrecognized) are printed
+    by the full parser, whose usage line lists every command."""
+
+    def error(self, message):
+        _build_parser()[0].error(message)
+
+
+def _build_parser(command=None):
+    """``(parser, subparsers action)`` with every subcommand, or with
+    *command* only; both give the same help, usage and errors."""
+    parser = (_OneCommandParser if command else argparse.ArgumentParser)(
         prog="repro-lid",
         description="Latency-insensitive protocol toolkit "
                     "(Casu & Macchiarulo, DATE 2004 reproduction)",
@@ -99,333 +512,34 @@ def main(argv=None) -> int:
         help="global seed for every randomized consumer (dag:/loopy: "
              "topology generation, inject fault sampling); fixed "
              "default keeps all output reproducible")
-    # Accept --seed after the subcommand too; SUPPRESS keeps a value
-    # given before the subcommand from being clobbered by a default.
-    seed_parent = argparse.ArgumentParser(add_help=False)
-    seed_parent.add_argument("--seed", type=int,
-                             default=argparse.SUPPRESS,
-                             help=argparse.SUPPRESS)
-    jobs_parent = argparse.ArgumentParser(add_help=False)
-    jobs_parent.add_argument(
-        "--jobs", "-j", type=_positive_int, default=1, metavar="N",
-        help="worker processes for independent simulation units "
-             "(default 1 = serial; output is byte-identical for any "
-             "value, see docs/parallelism.md)")
-    ledger_parent = argparse.ArgumentParser(add_help=False)
-    ledger_parent.add_argument(
-        "--ledger", nargs="?", const="", default=None, metavar="FILE",
-        help="append a content-addressed run record to this JSONL "
-             "ledger (bare --ledger uses $REPRO_LID_LEDGER or "
-             "~/.cache/repro-lid/ledger.jsonl)")
-    progress_parent = argparse.ArgumentParser(add_help=False)
-    progress_parent.add_argument(
-        "--progress", action="store_true",
-        help="live progress line on stderr (done/total, cache hits, "
-             "ETA); stdout bytes are unchanged")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    for build in ([_COMMANDS[command]] if command
+                  else _COMMANDS.values()):
+        build(sub)
+    return parser, sub
 
-    p_analyze = sub.add_parser("analyze",
-                           parents=[seed_parent, jobs_parent],
-                           help="analyze a topology")
-    p_analyze.add_argument("topology")
-    p_analyze.add_argument("--variant", type=_variant,
-                           default=ProtocolVariant.CASU,
-                           choices=list(ProtocolVariant))
-    p_analyze.add_argument("--metrics-out", default=None, metavar="FILE",
-                           help="also run an instrumented simulation and "
-                                "write its metrics snapshot as JSON")
-    p_analyze.add_argument("--cycles", type=int, default=200,
-                           help="cycles for the --metrics-out run")
-    p_analyze.add_argument("--max-cycles", type=int, default=50_000,
-                           help="skeleton cycle budget for the dynamic "
-                                "analyses; exceeding it exits 2 with a "
-                                "diagnostic instead of a traceback")
 
-    sub.add_parser("verify", parents=[seed_parent],
-                   help="run the safety-property campaign")
+def _topology(args):
+    """Parse ``args.topology``; a bad parameter exits 1 with one line,
+    as ``inject`` and ``deadlock`` report it."""
+    try:
+        return parse_topology(args.topology, seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"repro-lid {args.command}: bad topology "
+                         f"{args.topology!r}: {exc}")
 
-    p_repro = sub.add_parser("reproduce",
-                             parents=[seed_parent, jobs_parent,
-                                      ledger_parent, progress_parent],
-                             help="regenerate all paper artifacts")
-    p_repro.add_argument("--experiment", choices=sorted(EXPERIMENTS),
-                         help="run a single experiment id")
-    p_repro.add_argument("--output", "-o", default=None,
-                         help="write one table file per experiment "
-                              "into this directory")
-    p_repro.add_argument("--metrics-out", default=None, metavar="FILE",
-                         help="write per-experiment wall time and row "
-                              "counts as a JSON metrics snapshot")
 
-    sub.add_parser("figure1", parents=[seed_parent],
-                   help="print the Figure 1 evolution")
-    sub.add_parser("figure2", parents=[seed_parent],
-                   help="print the Figure 2 sweep")
-
-    p_dead = sub.add_parser("deadlock",
-                          parents=[seed_parent, jobs_parent,
-                                   ledger_parent],
-                          help="skeleton liveness check")
-    p_dead.add_argument("topology")
-    p_dead.add_argument("--variant", type=_variant,
-                        default=ProtocolVariant.CASU,
-                        choices=list(ProtocolVariant))
-    p_dead.add_argument("--max-cycles", type=int, default=10_000,
-                        help="cycle budget for reaching the periodic "
-                             "regime; an inconclusive verdict exits 2")
-    p_dead.add_argument("--metrics-out", default=None, metavar="FILE",
-                        help="instrument the liveness probes and write "
-                             "their metrics snapshot as JSON (forces "
-                             "serial probing)")
-
-    p_inject = sub.add_parser(
-        "inject", parents=[seed_parent, jobs_parent, ledger_parent,
-                           progress_parent],
-        help="fault-injection campaign with verdict classification")
-    p_inject.add_argument("--topology", default="feedback",
-                          help="topology spec (default: feedback, the "
-                               "paper's Figure 2 loop)")
-    p_inject.add_argument("--variant", type=_variant,
-                          default=ProtocolVariant.CASU,
-                          choices=list(ProtocolVariant))
-    p_inject.add_argument("--faults", default="stop,void",
-                          help="comma-separated fault classes or kinds "
-                               "(see repro.inject.FAULT_CLASSES)")
-    p_inject.add_argument("--cycles", type=int, default=200,
-                          help="run length of every experiment")
-    p_inject.add_argument("--samples", type=int, default=64,
-                          help="seeded-random sample size from the "
-                               "fault universe")
-    p_inject.add_argument("--exhaustive", action="store_true",
-                          help="run every kind x target x cycle of the "
-                               "window instead of sampling")
-    p_inject.add_argument("--window", default=None, metavar="LO:HI",
-                          help="restrict injection cycles to [LO, HI)")
-    p_inject.add_argument("--engine", choices=ENGINES, default="lid",
-                          help="lid: token-level scalar engine with "
-                               "monitors; skeleton: batched "
-                               "valid/stop-only engine (boundary "
-                               "control faults)")
-    p_inject.add_argument("--backend", choices=BACKENDS, default="auto",
-                          help="skeleton engine backend (auto/bitsim: "
-                               "one bit-parallel run, one plane per "
-                               "fault; scalar: the reference engine)")
-    p_inject.add_argument("--strict", action="store_true",
-                          help="arm the strict stop-shape monitor "
-                               "(detects stops landing on voids under "
-                               "the refined protocol)")
-    p_inject.add_argument("--smoke", action="store_true",
-                          help="small fast campaign for CI (64 cycles, "
-                               "12 samples)")
-    p_inject.add_argument("--format", choices=FORMATS, default="table")
-    p_inject.add_argument("--output", "-o", default=None,
-                          help="write the report here (default: stdout)")
-    p_inject.add_argument("--metrics-out", default=None, metavar="FILE",
-                          help="write campaign verdict metrics as a "
-                               "JSON metrics snapshot")
-    p_inject.add_argument("--trace-out", default=None, metavar="FILE",
-                          help="write one merged Chrome trace: parent "
-                               "events plus a (pid, tid) lane per "
-                               "worker chunk under --jobs")
-    p_inject.add_argument("--no-cache", action="store_true",
-                          help="disable the on-disk golden-run cache")
-    p_inject.add_argument("--cache-dir", default=None, metavar="DIR",
-                          help="golden-run cache directory (default: "
-                               "$REPRO_LID_CACHE_DIR or "
-                               "~/.cache/repro-lid; keys include the "
-                               "git revision, so stale entries are "
-                               "never reused across commits)")
-
-    p_live = sub.add_parser(
-        "liveness", parents=[seed_parent],
-        help="exhaustive liveness proof over all environments")
-    p_live.add_argument("topology")
-    p_live.add_argument("--variant", type=_variant,
-                        default=ProtocolVariant.CASU,
-                        choices=list(ProtocolVariant))
-    p_live.add_argument("--max-states", type=int, default=100_000)
-
-    p_trace = sub.add_parser(
-        "trace", parents=[seed_parent], help="run with event tracing and export the stream")
-    p_trace.add_argument("topology")
-    p_trace.add_argument("--cycles", type=int, default=200)
-    p_trace.add_argument("--variant", type=_variant,
-                         default=ProtocolVariant.CASU,
-                         choices=list(ProtocolVariant))
-    p_trace.add_argument("--format", choices=["jsonl", "chrome"],
-                         default="jsonl",
-                         help="jsonl: one event per line; chrome: "
-                              "Chrome Trace Event JSON (Perfetto)")
-    p_trace.add_argument("--engine", choices=["lid", "skeleton"],
-                         default="lid",
-                         help="lid: full token-level simulation; "
-                              "skeleton: valid/stop skeleton only")
-    p_trace.add_argument("--output", "-o", default=None,
-                         help="output file (default: stdout)")
-
-    p_profile = sub.add_parser(
-        "profile", parents=[seed_parent], help="run with the phase profiler and report timings")
-    p_profile.add_argument("topology")
-    p_profile.add_argument("--cycles", type=int, default=2000)
-    p_profile.add_argument("--variant", type=_variant,
-                           default=ProtocolVariant.CASU,
-                           choices=list(ProtocolVariant))
-    p_profile.add_argument("--json", action="store_true",
-                           help="print the report as JSON instead of a "
-                                "table")
-    p_profile.add_argument("--trace-out", default=None, metavar="FILE",
-                           help="also write a Chrome trace (events + "
-                                "profiler phase slices)")
-    p_profile.add_argument("--output", "-o", default=None,
-                           help="write the report here (default: stdout)")
-
-    p_stats = sub.add_parser(
-        "stats", parents=[seed_parent], help="simulate a topology and print run statistics")
-    p_stats.add_argument("topology")
-    p_stats.add_argument("--cycles", type=int, default=200)
-    p_stats.add_argument("--variant", type=_variant,
-                         default=ProtocolVariant.CASU,
-                         choices=list(ProtocolVariant))
-
-    p_series = sub.add_parser(
-        "series", parents=[seed_parent, ledger_parent],
-        help="emit a figure-style data series as CSV")
-    from .analysis.sweep import SERIES_GENERATORS
-
-    p_series.add_argument("which", choices=sorted(SERIES_GENERATORS))
-    p_series.add_argument("--output", "-o", default=None)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the campaign service: an asyncio HTTP/JSON front end "
-             "with a shared result cache, request coalescing and a "
-             "persistent worker pool (see docs/serving.md)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8377,
-                         help="listen port (0 = ephemeral; the bound "
-                              "port is announced on stderr)")
-    p_serve.add_argument("--jobs", "-j", type=_positive_int, default=1,
-                         metavar="N",
-                         help="persistent worker pool size for cold "
-                              "manifests")
-    p_serve.add_argument("--mode", choices=["process", "thread"],
-                         default="process",
-                         help="worker pool flavor (thread: in-process, "
-                              "for tests and low-latency smoke runs)")
-    p_serve.add_argument("--queue-depth", type=_positive_int, default=8,
-                         metavar="N",
-                         help="max outstanding uncoalesced runs before "
-                              "503 backpressure (default 8)")
-    p_serve.add_argument("--rate", type=float, default=0.0,
-                         metavar="R",
-                         help="per-client token-bucket refill rate in "
-                              "requests/second (default 0 = unlimited)")
-    p_serve.add_argument("--burst", type=float, default=None,
-                         metavar="B",
-                         help="token-bucket capacity (default: "
-                              "max(2*RATE, 1))")
-    p_serve.add_argument("--ledger", nargs="?", const="", default=None,
-                         metavar="FILE",
-                         help="append a run record for every executed "
-                              "manifest (bare --ledger uses the "
-                              "default ledger path)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable the shared response/golden-run "
-                              "cache (every request executes)")
-    p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="cache directory (default: "
-                              "$REPRO_LID_CACHE_DIR or "
-                              "~/.cache/repro-lid)")
-
-    p_client = sub.add_parser(
-        "client",
-        help="talk to a running campaign service: POST a manifest "
-             "(optionally N concurrent copies), or query "
-             "health/stats")
-    p_client.add_argument("--host", default="127.0.0.1")
-    p_client.add_argument("--port", type=int, default=8377)
-    p_client.add_argument("--manifest", default=None, metavar="FILE",
-                          help="manifest JSON file ('-' = stdin)")
-    p_client.add_argument("--concurrency", type=_positive_int, default=1,
-                          metavar="N",
-                          help="POST the same manifest N times "
-                               "concurrently; all responses must be "
-                               "byte-identical (coalescing check)")
-    p_client.add_argument("--stream", action="store_true",
-                          help="request NDJSON progress streaming; "
-                               "progress lines go to stderr, the "
-                               "report body to stdout/--output")
-    p_client.add_argument("--health", action="store_true",
-                          help="GET /healthz and exit")
-    p_client.add_argument("--stats", action="store_true",
-                          help="GET /v1/stats and exit")
-    p_client.add_argument("--timeout", type=float, default=600.0,
-                          help="socket timeout in seconds")
-    p_client.add_argument("--output", "-o", default=None,
-                          help="write the response body here "
-                               "(default: stdout)")
-
-    p_obs = sub.add_parser(
-        "obs", help="cross-run observability: run ledger & regression "
-                    "tracking")
-    p_obs.add_argument("--ledger", default=None, metavar="FILE",
-                       help="ledger file (default: $REPRO_LID_LEDGER "
-                            "or ~/.cache/repro-lid/ledger.jsonl)")
-    obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
-    obs_sub.add_parser("ls", help="summary table of the run ledger")
-    p_obs_show = obs_sub.add_parser(
-        "show", help="print one ledger record (@index or run-id prefix)")
-    p_obs_show.add_argument("ref")
-    p_obs_show.add_argument("--canonical", action="store_true",
-                            help="print only the canonical payload "
-                                 "line (the byte-deterministic part; "
-                                 "what CI cmp-compares)")
-    p_obs_diff = obs_sub.add_parser(
-        "diff", help="verdict/timing/attribution delta of two records")
-    p_obs_diff.add_argument("a")
-    p_obs_diff.add_argument("b")
-    p_obs_regress = obs_sub.add_parser(
-        "regress", help="flag wall-time / rate regressions across "
-                        "bench records and ledger trajectory; exits 1 "
-                        "on regression")
-    p_obs_regress.add_argument("--bench", action="append", default=[],
-                               metavar="DIR",
-                               help="BENCH_*.json directory; pass "
-                                    "repeatedly, oldest first (each "
-                                    "directory is one trajectory "
-                                    "position)")
-    p_obs_regress.add_argument("--threshold", type=float, default=1.5,
-                               help="tolerated slowdown ratio "
-                                    "(default 1.5)")
-    p_obs_regress.add_argument("--baseline",
-                               choices=["first", "best"],
-                               default="first",
-                               help="compare the newest point against "
-                                    "the first or the best prior point")
-    p_obs_regress.add_argument("--no-ledger", action="store_true",
-                               help="ignore the ledger; scan only "
-                                    "--bench directories")
-
-    p_export = sub.add_parser("export", parents=[seed_parent],
-                            help="export artifacts")
-    p_export.add_argument(
-        "what",
-        choices=["dot", "json", "relay-vhdl", "half-relay-vhdl",
-                 "shell-vhdl"],
-    )
-    p_export.add_argument("--topology",
-                          help="for dot/json: topology to export")
-    p_export.add_argument("--width", type=int, default=8,
-                          help="for vhdl: data width")
-    p_export.add_argument("--output", "-o", default=None,
-                          help="output file (default: stdout)")
-
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, sub = _build_parser(_requested_command(argv))
     args = parser.parse_args(argv)
+    command_parser = sub.choices[args.command]
 
     if args.command == "analyze":
         from .errors import PeriodicityTimeout
 
-        graph = _parse_topology(args.topology, seed=args.seed)
+        graph = _topology(args)
         if args.topology.startswith(("dag", "loopy")):
             print(f"seed: {args.seed}")
         from .exec import GraphRef
@@ -459,23 +573,30 @@ def main(argv=None) -> int:
         table, _rows = run_figure2()
         print(table)
     elif args.command == "deadlock":
-        return _deadlock(args, p_dead)
+        return _deadlock(args, command_parser)
     elif args.command == "inject":
-        return _inject(args, p_inject)
+        return _inject(args, command_parser)
     elif args.command == "stats":
         import json as _json
 
-        graph = _parse_topology(args.topology, seed=args.seed)
+        graph = _topology(args)
         system = graph.elaborate(variant=args.variant)
         system.run(args.cycles)
         stats = dict(system.stats(), seed=args.seed)
         print(_json.dumps(stats, indent=2, sort_keys=True))
     elif args.command == "liveness":
+        from .errors import StateSpaceExceeded
         from .verify import verify_system_liveness
 
-        graph = _parse_topology(args.topology, seed=args.seed)
-        result = verify_system_liveness(graph, variant=args.variant,
-                                        max_states=args.max_states)
+        graph = _topology(args)
+        try:
+            result = verify_system_liveness(graph, variant=args.variant,
+                                            max_states=args.max_states)
+        except StateSpaceExceeded:
+            print(f"inconclusive: {args.topology}: state space exceeded "
+                  f"{args.max_states} states — raise --max-states",
+                  file=sys.stderr)
+            return 2
         if result.live:
             print(f"LIVE for all environments: "
                   f"{result.reachable_states} reachable states, "
@@ -489,7 +610,7 @@ def main(argv=None) -> int:
             print(result.render_witness())
         return 0 if result.live else 1
     elif args.command == "series":
-        outcome = _run_manifest(args, p_series,
+        outcome = _run_manifest(args, command_parser,
                                 {"kind": "series", "which": args.which})
         _emit(outcome, args.output)
         if args.ledger is not None:
@@ -973,7 +1094,7 @@ def _trace(args) -> int:
     from .obs import Telemetry
     from .obs.exporters import export_stream
 
-    graph = _parse_topology(args.topology, seed=args.seed)
+    graph = _topology(args)
     telemetry = Telemetry.full()
     if args.engine == "skeleton":
         from .skeleton import SkeletonSim
@@ -1006,7 +1127,7 @@ def _profile(args) -> int:
     from .obs import Telemetry
     from .obs.exporters import write_chrome_trace
 
-    graph = _parse_topology(args.topology, seed=args.seed)
+    graph = _topology(args)
     telemetry = Telemetry.full()
     _run_instrumented(graph, args.variant, args.cycles, telemetry)
     profiler = telemetry.profiler
@@ -1033,7 +1154,7 @@ def _export(args) -> str:
     if args.what in ("dot", "json"):
         if not args.topology:
             raise SystemExit("--topology required for dot/json export")
-        graph = _parse_topology(args.topology, seed=args.seed)
+        graph = _topology(args)
         if args.what == "dot":
             from .graph import to_dot
 

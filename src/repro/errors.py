@@ -98,6 +98,15 @@ class PeriodicityTimeout(ReproError, TimeoutError):
         self.max_cycles = max_cycles
 
 
+class StateSpaceExceeded(ReproError, MemoryError):
+    """An exhaustive exploration reached more states than its budget.
+
+    Subclasses :class:`MemoryError`, which callers caught before; the
+    CLI reports it as an ``inconclusive`` verdict naming the budget
+    flag, not as a traceback.
+    """
+
+
 class ExecutionError(ReproError):
     """The parallel execution layer could not run a workload.
 

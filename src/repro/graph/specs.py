@@ -13,7 +13,7 @@ Examples: ``ring:shells=3,relays=2``, ``reconvergent:long=2+1,short=1``,
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Tuple
 
 from .model import SystemGraph
 from .topologies import figure1, figure2, pipeline, reconvergent, ring, tree
@@ -31,15 +31,46 @@ def _parse_rates(text: str) -> tuple:
     return tuple(part.strip() for part in text.split("+") if part.strip())
 
 
+class _Params(dict):
+    """A spec's ``key=value`` texts, read as numbers with defaults.
+
+    A value that does not parse raises ``ValueError`` naming the
+    parameter and its text, e.g. ``relays='half' is not an integer``.
+    """
+
+    def integer(self, key: str, default: int) -> int:
+        return self._read(key, default, int, "an integer")
+
+    def number(self, key: str, default: float) -> float:
+        return self._read(key, default, float, "a number")
+
+    def integers(self, key: str, default: Tuple[int, ...]):
+        """``long=2+1`` -> ``(2, 1)``."""
+        return self._read(
+            key, default,
+            lambda text: tuple(int(part) for part in text.split("+")),
+            "a '+'-separated list of integers")
+
+    def _read(self, key, default, convert, expected):
+        if key not in self:
+            return default
+        try:
+            return convert(self[key])
+        except ValueError:
+            raise ValueError(
+                f"{key}={self[key]!r} is not {expected}") from None
+
+
 def parse_topology(spec: str, seed: int = 0) -> SystemGraph:
     """Build the graph a ``name[:key=value,...]`` spec describes.
 
     *seed* feeds the randomized families (``dag:``/``loopy:``).  Unknown
     names raise ``SystemExit`` with the full choice list — the CLI
-    relies on this as its argument diagnostic.
+    relies on this as its argument diagnostic.  A parameter value that
+    is not a number raises ``ValueError`` naming the parameter.
     """
     name, _sep, args_text = spec.partition(":")
-    params: Dict[str, str] = {}
+    params = _Params()
     if args_text:
         for item in args_text.split(","):
             key, _eq, value = item.partition("=")
@@ -47,71 +78,69 @@ def parse_topology(spec: str, seed: int = 0) -> SystemGraph:
     if name == "figure1":
         return figure1()
     if name in ("figure2", "feedback"):
-        return figure2(int(params.get("relays", 1)))
+        return figure2(params.integer("relays", 1))
     if name == "ring":
-        return ring(int(params.get("shells", 2)),
-                    relays_per_arc=int(params.get("relays", 1)))
+        return ring(params.integer("shells", 2),
+                    relays_per_arc=params.integer("relays", 1))
     if name == "tree":
-        return tree(int(params.get("depth", 3)),
-                    relays_per_hop=int(params.get("relays", 1)))
+        return tree(params.integer("depth", 3),
+                    relays_per_hop=params.integer("relays", 1))
     if name == "pipeline":
-        return pipeline(int(params.get("stages", 3)),
-                        relays_per_hop=int(params.get("relays", 1)))
+        return pipeline(params.integer("stages", 3),
+                        relays_per_hop=params.integer("relays", 1))
     if name == "reconvergent":
-        long_relays = tuple(
-            int(x) for x in params.get("long", "1+1").split("+"))
-        return reconvergent(long_relays=long_relays,
-                            short_relays=int(params.get("short", 1)))
+        return reconvergent(long_relays=params.integers("long", (1, 1)),
+                            short_relays=params.integer("short", 1))
     if name == "composed":
         from .topologies import composed
 
         return composed(
-            reconv_imbalance=int(params.get("imbalance", 1)),
-            loop_relays=int(params.get("loop_relays", 2)))
+            reconv_imbalance=params.integer("imbalance", 1),
+            loop_relays=params.integer("loop_relays", 2))
     if name == "self_loop":
         from .topologies import self_loop
 
-        return self_loop(relays=int(params.get("relays", 1)))
+        return self_loop(relays=params.integer("relays", 1))
     if name == "butterfly":
         from .topologies import butterfly_network
 
         return butterfly_network(
-            lanes=int(params.get("lanes", 8)),
-            relays_per_hop=int(params.get("relays", 1)))
+            lanes=params.integer("lanes", 8),
+            relays_per_hop=params.integer("relays", 1))
     if name == "dag":
         from .random_gen import random_dag
 
         return random_dag(
             seed,
-            shells=int(params.get("shells", 6)),
-            max_fanin=int(params.get("fanin", 2)),
-            max_relays=int(params.get("relays", 3)),
-            half_probability=float(params.get("half", 0.0)))
+            shells=params.integer("shells", 6),
+            max_fanin=params.integer("fanin", 2),
+            max_relays=params.integer("relays", 3),
+            half_probability=params.number("half", 0.0))
     if name == "loopy":
         from .random_gen import random_loopy
 
         return random_loopy(
             seed,
-            shells=int(params.get("shells", 5)),
-            extra_back_edges=int(params.get("chords", 1)),
-            max_relays=int(params.get("relays", 2)),
-            half_probability=float(params.get("half", 0.0)))
+            shells=params.integer("shells", 5),
+            extra_back_edges=params.integer("chords", 1),
+            max_relays=params.integer("relays", 2),
+            half_probability=params.number("half", 0.0))
     if name == "gals-chain":
         from .topologies import gals_chain
 
         return gals_chain(
             rates=_parse_rates(params.get("rates", "1+1/2")),
-            stages_per_domain=int(params.get("stages", 1)),
-            depth=int(params.get("depth", 2)),
-            relays_per_hop=int(params.get("relays", 0)))
+            stages_per_domain=params.integer("stages", 1),
+            depth=params.integer("depth", 2),
+            relays_per_hop=params.integer("relays", 0))
     if name == "gals-ring":
         from .topologies import gals_ring
 
         return gals_ring(
             rates=_parse_rates(params.get("rates", "1+1/2")),
-            shells_per_domain=int(params.get("shells", 1)),
-            depth=int(params.get("depth", 2)),
-            relays_per_arc=int(params.get("relays", 0)))
+            shells_per_domain=params.integer("shells", 1),
+            depth=params.integer("depth", 2),
+            relays_per_arc=params.integer("relays", 0))
     raise SystemExit(
         f"unknown topology {name!r} (choices: "
         + ", ".join(TOPOLOGY_CHOICES) + ")"

@@ -21,6 +21,7 @@ import dataclasses
 from collections import deque
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from ..errors import StateSpaceExceeded
 from .monitors import Violation
 
 
@@ -77,7 +78,7 @@ def explore(
         state = queue.popleft()
         explored += 1
         if explored > max_states:
-            raise MemoryError(
+            raise StateSpaceExceeded(
                 f"state space exceeded {max_states} states; raise "
                 f"max_states or shrink the system"
             )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis import min_cycle_ratio_throughput
+from repro.analysis import mcr, min_cycle_ratio_throughput
 from repro.analysis.mcr import _best_fraction_between
 from repro.graph import (
     composed,
@@ -19,6 +19,48 @@ from repro.graph import (
     tree,
 )
 from repro.skeleton import system_throughput
+
+
+def _fraction_has_cycle_below(arcs, n_nodes, ratio):
+    """Reference negative-cycle check: Bellman–Ford over ``Fraction``
+    weights ``tokens - ratio*delay``, as the analyzer ran it before it
+    scaled the weights to integers."""
+    dist = [Fraction(0)] * n_nodes
+    pred = [None] * n_nodes
+    last_relaxed = -1
+    for _round in range(n_nodes):
+        changed = False
+        for arc in arcs:
+            weight = Fraction(arc.tokens) - ratio * arc.delay
+            if dist[arc.src] + weight < dist[arc.dst]:
+                dist[arc.dst] = dist[arc.src] + weight
+                pred[arc.dst] = arc.src
+                changed = True
+                last_relaxed = arc.dst
+        if not changed:
+            return None
+    node = last_relaxed
+    for _ in range(n_nodes):
+        node = pred[node]
+    cycle = [node]
+    cursor = pred[node]
+    while cursor != node:
+        cycle.append(cursor)
+        cursor = pred[cursor]
+    cycle.reverse()
+    return cycle
+
+
+def _check(graph, monkeypatch):
+    """The analyzer agrees with simulation, and its critical cycle with
+    the ``Fraction`` reference search."""
+    result = min_cycle_ratio_throughput(graph)
+    assert result.throughput == system_throughput(graph)
+    with monkeypatch.context() as patch:
+        patch.setattr(mcr, "_has_cycle_below", _fraction_has_cycle_below)
+        reference = min_cycle_ratio_throughput(graph)
+    assert (result.throughput, result.critical_cycle) == \
+        (reference.throughput, reference.critical_cycle)
 
 
 class TestKnownTopologies:
@@ -47,25 +89,21 @@ class TestKnownTopologies:
 
 
 class TestAgainstSimulation:
-    """MCR must agree with skeleton simulation on random topologies."""
+    """MCR must agree with skeleton simulation on random topologies, and
+    with the ``Fraction`` reference search on the critical cycle."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_dags(self, seed):
-        graph = random_dag(seed, shells=5)
-        assert min_cycle_ratio_throughput(graph).throughput == \
-            system_throughput(graph)
+    def test_random_dags(self, seed, monkeypatch):
+        _check(random_dag(seed, shells=5), monkeypatch)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_loopy(self, seed):
-        graph = random_loopy(seed, shells=4)
-        assert min_cycle_ratio_throughput(graph).throughput == \
-            system_throughput(graph)
+    def test_random_loopy(self, seed, monkeypatch):
+        _check(random_loopy(seed, shells=4), monkeypatch)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_dags_with_half_relays(self, seed):
-        graph = random_dag(seed, shells=5, half_probability=0.5)
-        assert min_cycle_ratio_throughput(graph).throughput == \
-            system_throughput(graph)
+    def test_random_dags_with_half_relays(self, seed, monkeypatch):
+        _check(random_dag(seed, shells=5, half_probability=0.5),
+               monkeypatch)
 
 
 class TestSternBrocot:

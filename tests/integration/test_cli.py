@@ -39,6 +39,18 @@ class TestParseTopology:
         g = _parse_topology("butterfly:lanes=4")
         assert len(g.shells()) == 4
 
+    @pytest.mark.parametrize("spec,message", [
+        ("ring:shells=2,relays=half", "relays='half' is not an integer"),
+        ("figure2:relays=", "relays='' is not an integer"),
+        ("dag:half=x", "half='x' is not a number"),
+        ("reconvergent:long=2+x",
+         "long='2+x' is not a '+'-separated list of integers"),
+    ])
+    def test_bad_parameter_names_itself(self, spec, message):
+        with pytest.raises(ValueError) as excinfo:
+            _parse_topology(spec)
+        assert str(excinfo.value) == message
+
 
 class TestCommands:
     def test_analyze(self, capsys):
@@ -92,6 +104,27 @@ class TestCommands:
         assert out[1] == "witness: environment per cycle from reset"
         assert out[2:] == [f"  cycle {c}: offered -; stopped -"
                            for c in range(3)]
+
+    def test_liveness_past_max_states_is_inconclusive(self, capsys):
+        assert main(["liveness", "figure1", "--max-states", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("inconclusive: figure1: state space "
+                                "exceeded 5 states — raise --max-states\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "ring:shells=2,relays=half"],
+        ["liveness", "ring:shells=2,relays=half"],
+        ["deadlock", "ring:shells=2,relays=half"],
+    ])
+    def test_non_integer_spec_parameter_is_one_line(self, argv):
+        """A direct-parse command and a manifest command both exit 1
+        with one line naming the parameter."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == (
+            f"repro-lid {argv[0]}: bad topology 'ring:shells=2,relays=half'"
+            f": relays='half' is not an integer")
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_liveness_honours_seed(self, seed, capsys):

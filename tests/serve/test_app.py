@@ -112,6 +112,14 @@ class TestRoutes:
         assert status == 400
         assert "fault" in json.loads(body)["error"]
 
+    def test_bad_topology_parameter_400_names_it(self, server):
+        status, _h, body = post(server, {
+            "kind": "deadlock", "topology": "ring:shells=2,relays=half"})
+        assert status == 400
+        assert json.loads(body)["error"].endswith(
+            "bad topology 'ring:shells=2,relays=half': "
+            "relays='half' is not an integer")
+
     def test_removed_backend_400_names_the_choices(self, server):
         for removed in ("vectorized", "codegen"):
             status, _h, body = post(server, {"kind": "campaign",
