@@ -22,7 +22,6 @@ from .throughput import (
     reconvergence_pairs,
     static_system_throughput,
 )
-from .transient import analyze_transient
 
 
 @dataclasses.dataclass
@@ -110,18 +109,19 @@ def analyze(
     variant: ProtocolVariant = DEFAULT_VARIANT,
     max_cycles: int = 50_000,
     *,
-    jobs: int = 1,
-    graph_ref=None,
     cache=None,
 ) -> SystemReport:
     """Run every analysis on *graph* and return the combined report.
 
-    *jobs*, *graph_ref* and *cache* are forwarded to the liveness check
-    (see :func:`repro.skeleton.deadlock.check_deadlock`); the report is
-    identical for any ``jobs`` value.
+    The skeleton runs to periodicity once: the simulated throughput,
+    transient and period are those of the liveness check's optimistic
+    (least-fixpoint) probe, which is the plain unscripted run.  When
+    that probe finds no periodic regime within *max_cycles*, this
+    raises :class:`~repro.errors.PeriodicityTimeout`.  *cache* is
+    forwarded to :func:`repro.skeleton.deadlock.check_deadlock`.
     """
     from ..skeleton.deadlock import check_deadlock
-    from ..skeleton.sim import SkeletonSim
+    from ..skeleton.periodicity import periodicity_timeout, transient_bound
 
     loops = analyze_loops(graph)
     recon: List[Tuple[str, str, int, int, Fraction]] = []
@@ -141,12 +141,11 @@ def analyze(
         # compositions with bridge depths >= 3, an upper bound otherwise).
         mcr_throughput = static_system_throughput(graph)
         critical_cycle = []
-    sim = SkeletonSim(graph, variant=variant)
-    result = sim.run(max_cycles=max_cycles)
     verdict = check_deadlock(graph, variant=variant, max_cycles=max_cycles,
-                             jobs=jobs, graph_ref=graph_ref, cache=cache)
-    transient = analyze_transient(graph, variant=variant,
-                                  max_cycles=max_cycles)
+                             cache=cache)
+    result = verdict.optimistic
+    if result is None:
+        raise periodicity_timeout(graph.name, max_cycles)
 
     return SystemReport(
         name=graph.name,
@@ -164,6 +163,6 @@ def analyze(
         simulated_throughput=result.min_shell_throughput(),
         transient=result.transient,
         period=result.period,
-        transient_bound=transient.static_bound,
+        transient_bound=transient_bound(graph),
         deadlock_verdict=verdict.detail,
     )

@@ -51,80 +51,50 @@ class Series:
         return len(self.points)
 
 
-def _loop_point(args) -> Fraction:
-    """One loop-series point; module-level so workers can pickle it."""
-    shells, total = args
+def loop_series(shells: int = 2, max_relays: int = 8) -> Series:
+    """T = S/(S+R) measured by skeleton simulation, R = shells..max."""
     from ..skeleton import system_throughput
 
-    per_arc = [total // shells + (1 if i < total % shells else 0)
-               for i in range(shells)]
-    return system_throughput(ring(shells, relays_per_arc=per_arc))
-
-
-def _imbalance_point(extra: int) -> Fraction:
-    from ..skeleton import system_throughput
-
-    return system_throughput(
-        reconvergent(long_relays=(1 + extra, 1), short_relays=1))
-
-
-def _transient_point(args) -> int:
-    stages, relays = args
-    from ..skeleton import transient_and_period
-
-    transient, _period = transient_and_period(
-        pipeline(stages, relays_per_hop=relays))
-    return transient
-
-
-def loop_series(shells: int = 2, max_relays: int = 8,
-                *, jobs: int = 1) -> Series:
-    """T = S/(S+R) measured by skeleton simulation, R = shells..max.
-
-    Points are independent simulations; ``jobs > 1`` fans them across
-    worker processes with an identical resulting series.
-    """
-    from ..exec import map_deterministic
-
-    totals = list(range(shells, max_relays + 1))
-    ys = map_deterministic(
-        _loop_point, [(shells, total) for total in totals], jobs=jobs)
+    points = []
+    for total in range(shells, max_relays + 1):
+        per_arc = [total // shells + (1 if i < total % shells else 0)
+                   for i in range(shells)]
+        points.append((total, system_throughput(
+            ring(shells, relays_per_arc=per_arc))))
     return Series(
         name=f"loop S={shells}",
         x_label="relay stations R",
         y_label="throughput",
-        points=list(zip(totals, ys)),
+        points=points,
     )
 
 
-def imbalance_series(max_extra: int = 5, *, jobs: int = 1) -> Series:
+def imbalance_series(max_extra: int = 5) -> Series:
     """T = (m-i)/m measured as the long branch grows by i stations."""
-    from ..exec import map_deterministic
+    from ..skeleton import system_throughput
 
-    extras = list(range(max_extra + 1))
-    ys = map_deterministic(_imbalance_point, extras, jobs=jobs)
     return Series(
         name="reconvergent imbalance",
         x_label="extra relay stations on the long branch",
         y_label="throughput",
-        points=list(zip(extras, ys)),
+        points=[(extra, system_throughput(reconvergent(
+                    long_relays=(1 + extra, 1), short_relays=1)))
+                for extra in range(max_extra + 1)],
     )
 
 
 def transient_series(max_relays_per_hop: int = 5,
-                     stages: int = 3, *, jobs: int = 1) -> Series:
+                     stages: int = 3) -> Series:
     """Measured transient vs per-hop relay depth for a pipeline."""
-    from ..exec import map_deterministic
+    from ..skeleton import transient_and_period
 
-    depths = list(range(1, max_relays_per_hop + 1))
-    ys = map_deterministic(
-        _transient_point, [(stages, relays) for relays in depths],
-        jobs=jobs)
     return Series(
         name=f"pipeline transient ({stages} stages)",
         x_label="relay stations per hop",
         y_label="transient cycles",
-        points=list(zip(depths, ys)),
+        points=[(relays, transient_and_period(
+                    pipeline(stages, relays_per_hop=relays))[0])
+                for relays in range(1, max_relays_per_hop + 1)],
     )
 
 

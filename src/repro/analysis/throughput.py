@@ -203,15 +203,6 @@ def analyze_loops(graph: SystemGraph) -> Dict[Tuple[str, ...], Fraction]:
     return result
 
 
-def _sweep_chunk(args) -> List[Dict[str, Fraction]]:
-    """One worker's slice of a throughput sweep (module-level: pickling)."""
-    graph_ref, sinks, sources, variant, max_cycles, backend = args
-    return throughput_sweep(
-        graph_ref.materialize(), sink_patterns=sinks,
-        source_patterns=sources, variant=variant,
-        max_cycles=max_cycles, backend=backend)
-
-
 def throughput_sweep(
     graph: SystemGraph,
     sink_patterns: Optional[Sequence[Dict[str, Sequence[bool]]]] = None,
@@ -219,10 +210,6 @@ def throughput_sweep(
     variant=None,
     max_cycles: int = 10_000,
     backend: str = "auto",
-    *,
-    jobs: int = 1,
-    graph_ref=None,
-    progress=None,
 ) -> List[Dict[str, Fraction]]:
     """Exact steady-state rates for a whole scenario sweep at once.
 
@@ -233,69 +220,16 @@ def throughput_sweep(
     so a wide sweep costs roughly one scalar run (the paper's
     "absolutely negligible" skeleton cost, bit-parallel); results are
     exact fractions per shell and sink, per instance.
-
-    ``jobs > 1`` splits the instance list into contiguous chunks, each
-    simulated by a worker process (still batched inside the worker);
-    results come back in instance order, identical to the serial sweep.
-    Pass *graph_ref* when the graph itself does not pickle; without one
-    an unpicklable graph silently degrades to the serial path, which
-    returns the same list.
-
-    *progress* (a :class:`repro.obs.ProgressReporter`) is advanced as
-    instances are classified — per instance on the serial path, per
-    completed worker chunk on the parallel one.  It never affects the
-    returned rates.
     """
     from ..lid.variant import DEFAULT_VARIANT
     from ..skeleton.backend import select
-
-    if (jobs > 1 and sink_patterns is not None
-            and not isinstance(sink_patterns, dict)
-            and len(sink_patterns) > 1):
-        from ..errors import ExecutionError
-        from ..exec import GraphRef, chunk_units, map_deterministic
-
-        ref = graph_ref
-        if ref is None:
-            src_graph = (graph.graph if isinstance(graph, LoweredSystem)
-                         else graph)
-            try:
-                ref = GraphRef.from_graph(src_graph)
-            except ExecutionError:
-                ref = None
-        paired_sources = None
-        if (source_patterns is not None
-                and not isinstance(source_patterns, dict)
-                and len(source_patterns) == len(sink_patterns)):
-            paired_sources = list(source_patterns)
-        if ref is not None:
-            sinks = list(sink_patterns)
-            work = []
-            for idx_chunk in chunk_units(list(range(len(sinks))), jobs):
-                chunk_sources = (
-                    [paired_sources[i] for i in idx_chunk]
-                    if paired_sources is not None else source_patterns)
-                work.append((ref, [sinks[i] for i in idx_chunk],
-                             chunk_sources, variant, max_cycles, backend))
-            if progress is not None:
-                # The parallel unit of completion is one worker chunk
-                # of instances, not a single instance.
-                progress.set_total(len(work))
-            parts = map_deterministic(_sweep_chunk, work, jobs=jobs,
-                                      progress=progress)
-            if progress is not None:
-                progress.finish()
-            return [rates for part in parts for rates in part]
 
     handle = select(graph, variant or DEFAULT_VARIANT,
                     source_patterns=source_patterns,
                     sink_patterns=sink_patterns,
                     detect_ambiguity=False, backend=backend)
-    results = handle.run(max_cycles=max_cycles)
-    if progress is not None:
-        progress.set_total(len(results))
     sweeps: List[Dict[str, Fraction]] = []
-    for result in results:
+    for result in handle.run(max_cycles=max_cycles):
         rates: Dict[str, Fraction] = {}
         for name, fires in result.shell_fires.items():
             rates[name] = (Fraction(fires, result.period)
@@ -304,10 +238,6 @@ def throughput_sweep(
             rates[name] = (Fraction(accepts, result.period)
                            if result.period else Fraction(0))
         sweeps.append(rates)
-        if progress is not None:
-            progress.advance(1)
-    if progress is not None:
-        progress.finish()
     return sweeps
 
 

@@ -130,7 +130,6 @@ def _add_variant(parser) -> None:
 def _build_analyze(sub):
     p = sub.add_parser("analyze", help="analyze a topology")
     _add_seed(p)
-    _add_jobs(p)
     p.add_argument("topology")
     _add_variant(p)
     p.add_argument("--metrics-out", default=None, metavar="FILE",
@@ -177,7 +176,6 @@ def _build_figure2(sub):
 def _build_deadlock(sub):
     p = sub.add_parser("deadlock", help="skeleton liveness check")
     _add_seed(p)
-    _add_jobs(p)
     _add_ledger(p)
     p.add_argument("topology")
     _add_variant(p)
@@ -186,8 +184,7 @@ def _build_deadlock(sub):
                         "regime; an inconclusive verdict exits 2")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="instrument the liveness probes and write "
-                        "their metrics snapshot as JSON (forces "
-                        "serial probing)")
+                        "their metrics snapshot as JSON")
 
 
 def _build_inject(sub):
@@ -542,13 +539,9 @@ def main(argv=None) -> int:
         graph = _topology(args)
         if args.topology.startswith(("dag", "loopy")):
             print(f"seed: {args.seed}")
-        from .exec import GraphRef
-
         try:
             report = analyze(graph, variant=args.variant,
-                             max_cycles=args.max_cycles, jobs=args.jobs,
-                             graph_ref=GraphRef.from_spec(
-                                 args.topology, seed=args.seed))
+                             max_cycles=args.max_cycles)
         except PeriodicityTimeout as exc:
             print(f"inconclusive: {exc} — raise --max-cycles",
                   file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from ..errors import StructuralError
 from .model import SystemGraph
 from .topologies import figure1, figure2, pipeline, reconvergent, ring, tree
 
@@ -67,8 +68,17 @@ def parse_topology(spec: str, seed: int = 0) -> SystemGraph:
     *seed* feeds the randomized families (``dag:``/``loopy:``).  Unknown
     names raise ``SystemExit`` with the full choice list — the CLI
     relies on this as its argument diagnostic.  A parameter value that
-    is not a number raises ``ValueError`` naming the parameter.
+    is not a number, or that the family's builder rejects (a ring of
+    no shells, a clock rate that is not a fraction), raises
+    ``ValueError`` with the reason.
     """
+    try:
+        return _build(spec, seed)
+    except StructuralError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _build(spec: str, seed: int) -> SystemGraph:
     name, _sep, args_text = spec.partition(":")
     params = _Params()
     if args_text:

@@ -134,7 +134,7 @@ def execute_manifest(
 
         cache = ResultCache.disk(cache_dir)
     if manifest.kind == "deadlock":
-        return _execute_deadlock(manifest, jobs=jobs, cache=cache,
+        return _execute_deadlock(manifest, cache=cache,
                                  telemetry=telemetry)
     return _execute_campaign(manifest, jobs=jobs, cache=cache,
                              progress=progress, telemetry=telemetry,
@@ -220,11 +220,11 @@ def _execute_campaign(manifest: Manifest, *, jobs: int, cache, progress,
     return _outcome(record, text, manifest.format, wall, cache)
 
 
-def _execute_deadlock(manifest: Manifest, *, jobs: int, cache,
+def _execute_deadlock(manifest: Manifest, *, cache,
                       telemetry) -> ServeOutcome:
     from time import perf_counter
 
-    from ..exec import GraphRef, graph_fingerprint
+    from ..exec import graph_fingerprint
     from ..lid.variant import ProtocolVariant
     from ..obs import make_record
     from ..skeleton import check_deadlock
@@ -234,9 +234,6 @@ def _execute_deadlock(manifest: Manifest, *, jobs: int, cache,
     started = perf_counter()
     verdict = check_deadlock(graph, variant=variant,
                              max_cycles=manifest.max_cycles,
-                             jobs=jobs,
-                             graph_ref=GraphRef.from_spec(
-                                 manifest.topology, seed=manifest.seed),
                              cache=cache,
                              telemetry=telemetry)
     wall = perf_counter() - started
@@ -254,7 +251,7 @@ def _execute_deadlock(manifest: Manifest, *, jobs: int, cache,
             "period": verdict.period,
         },
         metrics=_metrics(telemetry),
-        meta={"wall_seconds": round(wall, 6), "jobs": jobs})
+        meta={"wall_seconds": round(wall, 6)})
     exit_code = 2 if verdict.inconclusive else (0 if verdict.live else 1)
     return _outcome(record, verdict.detail + "\n", "detail", wall, cache,
                     exit_code)

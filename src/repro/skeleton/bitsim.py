@@ -49,6 +49,7 @@ match cycle by cycle.  The differential suite in
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -56,7 +57,7 @@ from ..graph.model import SystemGraph
 from ..ir import LoweredSystem, lower, pack_planes
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
 from .codegen import plan_for
-from .sim import SkeletonResult
+from .periodicity import SkeletonResult, run_to_period
 
 PatternMap = Mapping[str, Sequence[bool]]
 
@@ -326,24 +327,50 @@ class BitplaneSkeletonSim:
         """One hashable snapshot per plane (mirrors scalar state()).
 
         *planes* restricts the extraction to those planes (in order);
-        default every plane.
+        default every plane.  The W register and bridge words are
+        joined once into one integer with stride B (the batch width):
+        word *i* fills bits ``[i*B, (i+1)*B)`` (every state word stays
+        within the batch mask, so no two overlap).  Plane *p*'s
+        register key is then ``(joined >> p) & stride_mask``, whose bit
+        ``i*B`` is bit *p* of word *i*: one shift and one mask per
+        plane, and the key stays exact.  Source phases enter only for
+        sources with a script longer than one step; the others never
+        move.
         """
-        words = (self.shell_reg + self.rs_main + self.rs_aux
-                 + self.rs_stop_reg
-                 + [word for ge in self.bridge_ge for word in ge])
-        cycle = self.cycle
-        phases = self.src_phase
-        keys = []
-        for p in (range(self.batch) if planes is None else planes):
-            packed = 0
+        width = self.batch
+        joined = 0
+        for words in (self.shell_reg, self.rs_main, self.rs_aux,
+                      self.rs_stop_reg, *self.bridge_ge):
             for word in words:
-                packed = (packed << 1) | ((word >> p) & 1)
-            keys.append((
-                packed,
-                tuple(phase[p] for phase in phases),
-                cycle % self._key_mod[p],
-            ))
-        return keys
+                joined = (joined << width) | word
+        stride_mask = self._stride_mask
+        cycle = self.cycle
+        key_mod = self._key_mod
+        moving = [(self._src_ticks[s], self._src_holds[s],
+                   self._src_pats[s])
+                  for s, static in enumerate(self._src_static)
+                  if not static]
+        return [((joined >> p) & stride_mask,
+                 tuple((ticks - holds[p]) % len(pats[p])
+                       for ticks, holds, pats in moving),
+                 cycle % key_mod[p])
+                for p in (range(width) if planes is None else planes)]
+
+    @functools.cached_property
+    def _stride_mask(self) -> int:
+        """One set bit per state word, B apart (see state_keys)."""
+        words = self._n_regs + 3 * self._n_rs + sum(self.bridge_depths)
+        return sum(1 << (i * self.batch) for i in range(words))
+
+    @property
+    def quiet_from(self) -> List[int]:
+        """Per plane, the first cycle after its last scheduled bridge
+        poke (0 when it has none)."""
+        quiet = [0] * self.batch
+        for _b, bit, _lo, hi, _d in self._bridge_pokes:
+            plane = bit.bit_length() - 1
+            quiet[plane] = max(quiet[plane], hi)
+        return quiet
 
     def poke_bridge(self, instance: int, bridge, cycle: int,
                     delta: int, duration: int = 1) -> None:
@@ -382,64 +409,10 @@ class BitplaneSkeletonSim:
 
     def run_to_period(self, max_cycles: int = 10_000) \
             -> List[SkeletonResult]:
-        """Simulate until every plane is periodic; one result each."""
-        b = self.batch
-        seen: List[Dict[Tuple, int]] = [dict() for _ in range(b)]
-        transient: List[Optional[int]] = [None] * b
-        period: List[Optional[int]] = [None] * b
-        for p, key in enumerate(self.state_keys()):
-            seen[p][key] = 0
-        pending = list(range(b))
-        for _ in range(max_cycles):
-            if not pending:
-                break
-            self.step()
-            still = []
-            for p, key in zip(pending, self.state_keys(pending)):
-                hit = seen[p].get(key)
-                if hit is not None:
-                    transient[p] = hit
-                    period[p] = self.cycle - hit
-                else:
-                    seen[p][key] = self.cycle
-                    still.append(p)
-            pending = still
-        if pending:
-            from ..errors import PeriodicityTimeout
-
-            raise PeriodicityTimeout(
-                f"{self.graph.name}: instances {pending} not "
-                f"periodic within {max_cycles} cycles "
-                f"(state space larger than expected)",
-                graph=self.graph.name, max_cycles=max_cycles)
-
-        results = []
-        for p in range(b):
-            lo, hi = transient[p], transient[p] + period[p]
-            shell_fires = {
-                name: sum((self._fire_history[c][j] >> p) & 1
-                          for c in range(lo, hi))
-                for j, name in enumerate(self.shell_names)
-            }
-            sink_accepts = {
-                name: sum((self._accept_history[c][j] >> p) & 1
-                          for c in range(lo, hi))
-                for j, name in enumerate(self.sink_names)
-            }
-            deadlocked = bool(self.shell_names) and all(
-                count == 0 for count in shell_fires.values())
-            ambiguous = self.ambiguous_cycles[p]
-            results.append(SkeletonResult(
-                transient=transient[p],
-                period=period[p],
-                shell_fires=shell_fires,
-                sink_accepts=sink_accepts,
-                cycles_run=self.cycle,
-                deadlocked=deadlocked,
-                potential_deadlock_cycle=(ambiguous[0] if ambiguous
-                                          else None),
-            ))
-        return results
+        """Simulate until every plane is periodic; one result each
+        (see :func:`~repro.skeleton.periodicity.detect_period`)."""
+        return run_to_period(self, max_cycles, self._fire_history,
+                             self._accept_history, self.ambiguous_cycles)
 
     # -- per-plane extraction ------------------------------------------------
 

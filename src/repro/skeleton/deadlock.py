@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Sequence
 
+from ..errors import PeriodicityTimeout
 from ..graph.model import SystemGraph
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
 from .sim import SkeletonResult, SkeletonSim
@@ -64,43 +65,24 @@ class DeadlockVerdict:
                 and not self.inconclusive)
 
 
-def _probe(args) -> tuple:
-    """Run one fixpoint probe inside a worker process.
+def _probe(sim: SkeletonSim, max_cycles: int, telemetry,
+           name: str) -> Optional[SkeletonResult]:
+    """Run one fixpoint probe to periodicity; ``None`` on a timeout.
 
-    Returns the picklable pair ``("ok", SkeletonResult)`` or
-    ``("timeout", None)`` — a raised :class:`PeriodicityTimeout` means
-    different things for the two probes, so the *caller* owns that
-    interpretation, not the worker.
+    With metrics-carrying *telemetry*, the probe's snapshot is folded
+    into the caller's registry under its own ``deadlock/<name>/``
+    namespace, so the optimistic and pessimistic passes never
+    double-count each other's skeleton counters.
     """
-    graph_ref, variant, fixpoint, max_cycles, sources, sinks = args
-    from ..errors import PeriodicityTimeout
-
-    sim = SkeletonSim(
-        graph_ref.materialize(),
-        variant=variant,
-        fixpoint=fixpoint,
-        source_patterns=sources,
-        sink_patterns=sinks,
-    )
     try:
-        return ("ok", sim.run(max_cycles=max_cycles))
+        result = sim.run(max_cycles=max_cycles)
     except PeriodicityTimeout:
-        return ("timeout", None)
-
-
-def _merge_probe_metrics(telemetry, probe: str, sim: SkeletonSim) -> None:
-    """Fold one probe's metrics snapshot into the caller's registry.
-
-    Each probe gets its own ``deadlock/<probe>/`` namespace so the
-    optimistic and pessimistic passes never double-count each other's
-    skeleton counters.
-    """
-    if telemetry is None or telemetry.metrics is None:
-        return
-    snapshot = sim.metrics_snapshot()
-    telemetry.metrics.merge_snapshot(
-        {f"deadlock/{probe}/{name}": record
-         for name, record in snapshot.items()})
+        result = None
+    if telemetry is not None and telemetry.metrics is not None:
+        telemetry.metrics.merge_snapshot(
+            {f"deadlock/{name}/{metric}": record
+             for metric, record in sim.metrics_snapshot().items()})
+    return result
 
 
 def _pattern_key(patterns) -> tuple:
@@ -117,8 +99,6 @@ def check_deadlock(
     source_patterns: Optional[Dict[str, Sequence[bool]]] = None,
     sink_patterns: Optional[Dict[str, Sequence[bool]]] = None,
     *,
-    jobs: int = 1,
-    graph_ref=None,
     cache=None,
     telemetry=None,
 ) -> DeadlockVerdict:
@@ -130,26 +110,17 @@ def check_deadlock(
     budget.
 
     *telemetry* (a :class:`repro.obs.Telemetry`) instruments the
-    probes; because worker processes cannot write into the caller's
-    registries, a telemetry-carrying check always probes serially —
-    the verdict is identical either way, only the wall clock differs.
-
-    ``jobs > 1`` runs the optimistic and pessimistic probes in separate
-    worker processes when the stop network may be ambiguous (the only
-    case that needs both); the verdict is identical to the serial one
-    for any ``jobs`` value.  The graph must be rebuildable inside the
-    workers — pass *graph_ref* (a :class:`repro.exec.GraphRef`) for
-    graphs holding unpicklable pearls/streams; without one the check
-    silently falls back to serial probing, which returns the same
-    verdict.  *cache* (a :class:`repro.exec.ResultCache`) memoises the
+    probes.  *cache* (a :class:`repro.exec.ResultCache`) memoises the
     whole verdict keyed on graph fingerprint, variant, cycle budget and
     script patterns.
 
     Each probe is one scalar :class:`SkeletonSim` run to periodicity:
-    a one-shot check has nothing to amortize a compiled plan over.
+    a one-shot check has nothing to amortize a compiled plan over.  The
+    pessimistic probe runs only when the stop network may be ambiguous
+    (a static topology property) and the optimistic one does not
+    deadlock.
     """
-    from ..errors import ExecutionError, PeriodicityTimeout
-    from ..exec import GraphRef, graph_fingerprint, map_deterministic
+    from ..exec import graph_fingerprint
 
     key = None
     if cache is not None:
@@ -165,49 +136,16 @@ def check_deadlock(
             cache.put(key, verdict)
         return verdict
 
-    optimistic_sim = SkeletonSim(
-        graph,
-        variant=variant,
-        fixpoint="least",
-        source_patterns=source_patterns,
-        sink_patterns=sink_patterns,
-        telemetry=telemetry,
-    )
-    # Ambiguity potential is a static topology property, so whether the
-    # pessimistic probe will be needed is known before running anything
-    # — that is what makes speculative parallel probing exact.
-    needs_pessimistic = optimistic_sim._may_be_ambiguous
-    opt_status = pess_status = None
-    optimistic = pessimistic = None
+    def _sim(fixpoint: str) -> SkeletonSim:
+        return SkeletonSim(graph, variant=variant, fixpoint=fixpoint,
+                           source_patterns=source_patterns,
+                           sink_patterns=sink_patterns,
+                           telemetry=telemetry)
 
-    # Telemetry registries live in this process; speculative worker
-    # probes could not report into them, so instrumented checks always
-    # probe serially (the verdict is jobs-invariant anyway).
-    parallel_ok = jobs > 1 and needs_pessimistic and telemetry is None
-    ref = graph_ref
-    if parallel_ok and ref is None:
-        try:
-            ref = GraphRef.from_graph(graph)
-        except ExecutionError:
-            ref = None  # unpicklable graph: probe serially below
-
-    if parallel_ok and ref is not None:
-        probes = [
-            (ref, variant, mode, max_cycles,
-             source_patterns, sink_patterns)
-            for mode in ("least", "greatest")
-        ]
-        (opt_status, optimistic), (pess_status, pessimistic) = (
-            map_deterministic(_probe, probes, jobs=2))
-    else:
-        try:
-            optimistic = optimistic_sim.run(max_cycles=max_cycles)
-            opt_status = "ok"
-        except PeriodicityTimeout:
-            opt_status = "timeout"
-        _merge_probe_metrics(telemetry, "optimistic", optimistic_sim)
-
-    if opt_status == "timeout":
+    optimistic_sim = _sim("least")
+    optimistic = _probe(optimistic_sim, max_cycles, telemetry,
+                        "optimistic")
+    if optimistic is None:
         return _done(DeadlockVerdict(
             deadlocked=False,
             potential=False,
@@ -222,40 +160,23 @@ def check_deadlock(
         ))
 
     potential = optimistic.potential
+    pessimistic = None
     detail = ""
     if optimistic.deadlocked:
         detail = (
             f"hard deadlock: periodic window of {optimistic.period} cycles "
             f"after cycle {optimistic.transient} contains no shell firing"
         )
-        # The serial path never probes past a hard deadlock; discard a
-        # speculative pessimistic result to keep verdicts identical.
-        pessimistic = None
-        pess_status = None
-    if not optimistic.deadlocked and potential:
+    elif potential:
         detail = (
             f"stop network ambiguous from cycle "
             f"{optimistic.potential_deadlock_cycle}: least and greatest "
             f"fixpoints disagree (combinational stop cycle is active)"
         )
-    if needs_pessimistic and not optimistic.deadlocked:
-        if pess_status is None:
-            pessimistic_sim = SkeletonSim(
-                graph,
-                variant=variant,
-                fixpoint="greatest",
-                source_patterns=source_patterns,
-                sink_patterns=sink_patterns,
-                telemetry=telemetry,
-            )
-            try:
-                pessimistic = pessimistic_sim.run(max_cycles=max_cycles)
-                pess_status = "ok"
-            except PeriodicityTimeout:
-                pess_status = "timeout"
-            _merge_probe_metrics(telemetry, "pessimistic",
-                                 pessimistic_sim)
-        if pess_status == "timeout":
+    if optimistic_sim._may_be_ambiguous and not optimistic.deadlocked:
+        pessimistic = _probe(_sim("greatest"), max_cycles, telemetry,
+                             "pessimistic")
+        if pessimistic is None:
             return _done(DeadlockVerdict(
                 deadlocked=False,
                 potential=potential,

@@ -23,9 +23,7 @@ guaranteed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.model import SystemGraph
@@ -41,46 +39,13 @@ from ..ir import (
     lower,
 )
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
+from .periodicity import SkeletonResult, run_to_period
 
 # Element kind tags (kept as small ints for compact state tuples).
 # Canonically defined by repro.ir; the historical underscore aliases
 # stay because older call sites import them.
 _SRC, _SHELL, _SINK, _RS_FULL, _RS_HALF, _RS_HALF_REG, _RS_BRIDGE = (
     SRC, SHELL, SINK, RS_FULL, RS_HALF, RS_HALF_REG, RS_BRIDGE)
-
-
-@dataclasses.dataclass
-class SkeletonResult:
-    """Outcome of a skeleton run (see :class:`SkeletonSim.run`)."""
-
-    transient: int
-    period: int
-    shell_fires: Dict[str, int]
-    sink_accepts: Dict[str, int]
-    cycles_run: int
-    deadlocked: bool
-    potential_deadlock_cycle: Optional[int]
-
-    @property
-    def potential(self) -> bool:
-        return self.potential_deadlock_cycle is not None
-
-    def throughput(self, name: str) -> Fraction:
-        """Steady-state firings (or acceptances) per cycle for a block."""
-        if self.period == 0:
-            return Fraction(0)
-        if name in self.shell_fires:
-            return Fraction(self.shell_fires[name], self.period)
-        if name in self.sink_accepts:
-            return Fraction(self.sink_accepts[name], self.period)
-        raise KeyError(f"no shell or sink named {name!r}")
-
-    def min_shell_throughput(self) -> Fraction:
-        if not self.shell_fires or self.period == 0:
-            return Fraction(0)
-        return min(
-            Fraction(f, self.period) for f in self.shell_fires.values()
-        )
 
 
 class SkeletonSim:
@@ -312,6 +277,18 @@ class SkeletonSim:
             tuple(self.src_phase),
             self.cycle % self._phase_mod,
         )
+
+    def state_keys(self, instances: Sequence[int] = (0,)) -> List[Tuple]:
+        """:meth:`state` as the periodicity detector asks for it: one
+        key per listed instance, and this engine has one."""
+        return [self.state()]
+
+    @property
+    def quiet_from(self) -> List[int]:
+        """The first cycle after every scheduled bridge poke (0 when
+        none is scheduled), as a one-instance list."""
+        return [max((hi for _b, _lo, hi, _d in self._bridge_pokes),
+                    default=0)]
 
     @property
     def initial_state(self) -> Tuple:
@@ -759,47 +736,10 @@ class SkeletonSim:
         The paper's key observation — after a system-dependent transient
         every part of the system behaves periodically — guarantees
         termination: the composite register state is finite, so a state
-        must repeat.
+        must repeat.  A run started at cycle *c* reports a transient of
+        at least *c*, and none before the last scheduled bridge poke
+        has ended (see :func:`~repro.skeleton.periodicity.detect_period`).
         """
-        seen: Dict[Tuple, int] = {self.state(): 0}
-        transient = period = None
-        for _ in range(max_cycles):
-            self.step()
-            snapshot = self.state()
-            if snapshot in seen:
-                transient = seen[snapshot]
-                period = self.cycle - transient
-                break
-            seen[snapshot] = self.cycle
-        if period is None:
-            from ..errors import PeriodicityTimeout
-
-            raise PeriodicityTimeout(
-                f"{self.graph.name}: no periodicity within {max_cycles} "
-                f"cycles (state space larger than expected)",
-                graph=self.graph.name, max_cycles=max_cycles,
-            )
-
-        window = self.fire_history[transient:transient + period]
-        shell_fires = {
-            name: sum(1 for fires in window if fires[i])
-            for i, name in enumerate(self.shell_names)
-        }
-        accept_window = self.accept_history[transient:transient + period]
-        sink_accepts = {
-            name: sum(1 for acc in accept_window if acc[i])
-            for i, name in enumerate(self.sink_names)
-        }
-        deadlocked = bool(self.shell_names) and all(
-            count == 0 for count in shell_fires.values()
-        )
-        potential = self.ambiguous_cycles[0] if self.ambiguous_cycles else None
-        return SkeletonResult(
-            transient=transient,
-            period=period,
-            shell_fires=shell_fires,
-            sink_accepts=sink_accepts,
-            cycles_run=self.cycle,
-            deadlocked=deadlocked,
-            potential_deadlock_cycle=potential,
-        )
+        return run_to_period(self, max_cycles, self.fire_history,
+                             self.accept_history,
+                             [self.ambiguous_cycles])[0]

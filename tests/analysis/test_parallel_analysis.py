@@ -1,85 +1,31 @@
-"""jobs-invariance of the analysis layer: sweeps, liveness, benches.
+"""jobs-invariance of the experiment runner, and the verdict cache.
 
-Every entry point that accepts ``jobs`` must return exactly what the
-serial path returns — parallelism is a wall-clock knob, nothing else.
+``write_results`` (``repro-lid reproduce --jobs``) must return exactly
+what the serial path returns — parallelism is a wall-clock knob,
+nothing else.  The skeleton analyses (sweeps, series, liveness) run
+serially: their runs take milliseconds, less than a worker pool costs.
 """
 
 import filecmp
 import os
 
-from repro.analysis.report import analyze
-from repro.analysis.sweep import (
-    imbalance_series,
-    loop_series,
-    transient_series,
-)
-from repro.analysis.throughput import throughput_sweep
-from repro.exec import GraphRef, ResultCache
-from repro.graph import figure2, pipeline, ring
-from repro.lid.variant import ProtocolVariant
+from repro.exec import ResultCache
+from repro.graph import ring
 from repro.skeleton import check_deadlock
 
 
-class TestSeriesJobsInvariance:
-    def test_loop_series(self):
-        assert loop_series(jobs=3).points == loop_series().points
-
-    def test_imbalance_series(self):
-        assert imbalance_series(jobs=2).points == imbalance_series().points
-
-    def test_transient_series(self):
-        assert transient_series(jobs=2).points == transient_series().points
-
-
-class TestThroughputSweepJobs:
-    def test_chunked_sweep_matches_serial(self):
-        graph = pipeline(3, relays_per_hop=1)
-        patterns = [{"out": tuple(i < k for i in range(6))}
-                    for k in range(6)]
-        serial = throughput_sweep(graph, sink_patterns=patterns)
-        parallel = throughput_sweep(graph, sink_patterns=patterns, jobs=3)
-        assert parallel == serial
-
-    def test_explicit_graph_ref(self):
-        graph = pipeline(3, relays_per_hop=1)
-        patterns = [{"out": (True,)}, {"out": (False,)}]
-        ref = GraphRef.from_spec("pipeline:stages=3,relays=1")
-        assert (throughput_sweep(graph, sink_patterns=patterns, jobs=2,
-                                 graph_ref=ref)
-                == throughput_sweep(graph, sink_patterns=patterns))
-
-
 class TestDeadlockJobs:
-    # The one topology class that actually runs both probes: a half
-    # relay station on a loop (ambiguous stop network possible).
-    def _graph(self):
-        return ring(2, relays_per_arc=[["half"], ["full"]])
-
-    def test_parallel_probes_match_serial(self):
-        for variant in (ProtocolVariant.CASU, ProtocolVariant.CARLONI):
-            serial = check_deadlock(self._graph(), variant=variant)
-            parallel = check_deadlock(self._graph(), variant=variant,
-                                      jobs=2)
-            assert parallel == serial
-
-    def test_unambiguous_graph_stays_serial_and_agrees(self):
-        serial = check_deadlock(figure2())
-        assert check_deadlock(figure2(), jobs=4) == serial
-
     def test_verdict_cache_hits_and_agrees(self):
+        # A half relay station on a loop: the one topology class that
+        # runs both fixpoint probes.
+        graph = ring(2, relays_per_arc=[["half"], ["full"]])
         cache = ResultCache.memory()
-        first = check_deadlock(self._graph(), cache=cache)
+        first = check_deadlock(graph, cache=cache)
         assert cache.stats.to_dict() == {"hits": 0, "misses": 1,
                                          "evictions": 0}
-        second = check_deadlock(self._graph(), cache=cache)
+        second = check_deadlock(graph, cache=cache)
         assert cache.stats.hits == 1
         assert second == first
-
-    def test_analyze_forwards_jobs(self):
-        serial = analyze(figure2())
-        parallel = analyze(figure2(), jobs=2,
-                           graph_ref=GraphRef.from_spec("figure2"))
-        assert parallel == serial
 
 
 class TestWriteResultsJobs:

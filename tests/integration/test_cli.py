@@ -126,6 +126,23 @@ class TestCommands:
             f"repro-lid {argv[0]}: bad topology 'ring:shells=2,relays=half'"
             f": relays='half' is not an integer")
 
+    @pytest.mark.parametrize("argv,spec,reason", [
+        (["analyze", "ring:shells=0"], "ring:shells=0",
+         "ring needs at least one shell"),
+        (["liveness", "gals-ring:rates=x+1"], "gals-ring:rates=x+1",
+         "bad clock rate 'x' for domain D0: Invalid literal for "
+         "Fraction: 'x'"),
+        (["inject", "--topology", "ring:shells=0", "--smoke",
+          "--no-cache"], "ring:shells=0", "ring needs at least one shell"),
+    ])
+    def test_rejected_spec_parameter_is_one_line(self, argv, spec, reason):
+        """A value the family's builder refuses is reported like a
+        value that does not parse, not as a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == (
+            f"repro-lid {argv[0]}: bad topology {spec!r}: {reason}")
+
     @pytest.mark.parametrize("seed", [0, 2])
     def test_liveness_honours_seed(self, seed, capsys):
         """Seeded families are checked on the graph ``--seed`` draws."""
@@ -392,6 +409,8 @@ class TestArgparseValidation:
         ["inject", "--engine", "skeleton", "--backend", "vectorized"],
         ["inject", "--engine", "skeleton", "--backend", "codegen"],
         ["deadlock", "figure2", "--backend", "scalar"],
+        ["analyze", "figure2", "--jobs", "2"],
+        ["deadlock", "figure2", "--jobs", "2"],
     ])
     def test_bad_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

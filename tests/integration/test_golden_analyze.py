@@ -18,10 +18,10 @@ GOLDEN = pathlib.Path(__file__).parent.parent / "golden" / "analyze.txt"
 PREFIX = "$ repro-lid "
 
 
-def _blocks():
+def _blocks(golden=GOLDEN):
     """``(header, expected block)`` per command, in file order."""
     blocks = []
-    for line in GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True):
+    for line in golden.read_text(encoding="utf-8").splitlines(keepends=True):
         if line.startswith(PREFIX):
             blocks.append([line])
         else:

@@ -120,6 +120,13 @@ class TestRoutes:
             "bad topology 'ring:shells=2,relays=half': "
             "relays='half' is not an integer")
 
+    def test_rejected_topology_parameter_400_names_it(self, server):
+        status, _h, body = post(server, {
+            "kind": "deadlock", "topology": "ring:shells=0"})
+        assert status == 400
+        assert json.loads(body)["error"].endswith(
+            "bad topology 'ring:shells=0': ring needs at least one shell")
+
     def test_removed_backend_400_names_the_choices(self, server):
         for removed in ("vectorized", "codegen"):
             status, _h, body = post(server, {"kind": "campaign",

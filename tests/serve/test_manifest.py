@@ -1,8 +1,23 @@
 """Manifest validation and canonical-identity tests."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.serve import Manifest, ManifestError
+
+SERVING_DOC = Path(__file__).parents[2] / "docs" / "serving.md"
+
+
+def _documented_manifests():
+    """Every JSON object in a ``json`` block of docs/serving.md; objects
+    are separated by blank lines."""
+    blocks = re.findall(r"```json\n(.*?)```",
+                        SERVING_DOC.read_text(encoding="utf-8"), re.S)
+    return [json.loads(chunk) for block in blocks
+            for chunk in block.split("\n\n") if chunk.strip()]
 
 
 class TestValidation:
@@ -80,6 +95,17 @@ class TestValidation:
         d = Manifest.from_dict({"kind": "deadlock",
                                 "topology": "ring:shells=3"})
         assert Manifest.from_dict(d.to_dict()) == d
+
+
+class TestDocumentedManifests:
+    def test_serving_doc_has_one_of_each_kind(self):
+        kinds = {m["kind"] for m in _documented_manifests()}
+        assert kinds == {"campaign", "deadlock", "series"}
+
+    @pytest.mark.parametrize("manifest", _documented_manifests(),
+                             ids=lambda m: json.dumps(m, sort_keys=True))
+    def test_validates(self, manifest):
+        Manifest.from_dict(manifest)
 
 
 class TestIdentity:
