@@ -254,7 +254,7 @@ def _build_liveness(sub):
     _add_seed(p)
     p.add_argument("topology")
     _add_variant(p)
-    p.add_argument("--max-states", type=int, default=100_000)
+    p.add_argument("--max-states", type=_positive_int, default=100_000)
 
 
 def _build_trace(sub):

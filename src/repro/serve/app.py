@@ -30,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import signal
 import threading
 from typing import Any, Dict, Optional, Tuple
 
@@ -295,6 +296,11 @@ async def _run_async(server: CampaignServer, announce=None) -> None:
     await server.start()
     if announce is not None:
         announce(server)
+    # SIGTERM takes Ctrl-C's path: cancel serve_forever, then close the
+    # server and its scheduler, whose pool workers exit with it.
+    with contextlib.suppress(NotImplementedError, RuntimeError):
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
     try:
         await server.serve_forever()
     except asyncio.CancelledError:
@@ -307,7 +313,8 @@ def run_server(server: CampaignServer, announce=None) -> int:
     """Blocking foreground entry point (the ``serve`` subcommand).
 
     *announce* is called with the started server (bound port resolved)
-    before entering the accept loop.
+    before entering the accept loop.  Ctrl-C and SIGTERM both close the
+    server and its scheduler, then return 0.
     """
     try:
         asyncio.run(_run_async(server, announce))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import signal
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -40,6 +41,14 @@ from .manifest import Manifest
 
 #: Default bound on outstanding (queued + executing) leader flights.
 DEFAULT_QUEUE_DEPTH = 8
+
+
+def _default_signals() -> None:
+    """Pool worker start-up: a forked worker inherits the server loop's
+    SIGTERM handler and wakeup fd; restore the default, so a worker
+    signalled on its own exits and never wakes the server's loop."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 class ServeRejected(Exception):
@@ -121,7 +130,8 @@ class CampaignScheduler:
 
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                mp_context=multiprocessing.get_context("fork"))
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_default_signals)
         else:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.jobs,
@@ -133,8 +143,12 @@ class CampaignScheduler:
             max_workers=self.jobs + 4, thread_name_prefix="serve-aux")
 
     def close(self) -> None:
+        """Cancel queued work and stop the pools.  A process pool is
+        joined: its workers finish the run in hand and exit, so none
+        outlives the scheduler."""
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=self.mode == "process",
+                                cancel_futures=True)
             self._pool = None
         if self._aux is not None:
             self._aux.shutdown(wait=False, cancel_futures=True)

@@ -50,6 +50,14 @@ compiles once (see :data:`STATS`; the EXP-C1 bench asserts this), and
 a long-lived process that meets a new topology per request stays
 bounded.
 
+**A third form: the liveness transition.**  The emitter's equation
+writers live in :mod:`repro.skeleton.codegen.equations`.  From the
+same writers :func:`transition_for` compiles the exhaustive liveness
+explorer's one-cycle transition, :meth:`~repro.skeleton.sim.SkeletonSim.
+step_from` over 0/1 ints.  It is compiled on every call and not
+cached (nor counted in :data:`STATS`), and its path never imports the
+plane emitter's module.
+
 Layering: this package may import ``repro.ir`` only (enforced by
 ``tools/check_layering.py``); the protocol variant is consumed
 duck-typed (``discards_void_stops`` + ``str()``), never via a
@@ -71,6 +79,7 @@ __all__ = [
     "STATS",
     "clear_plan_cache",
     "plan_for",
+    "transition_for",
 ]
 
 #: Compiled plans kept in-process (least recently used evicted first).
@@ -121,11 +130,11 @@ def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
 
 
-def _compile(source: str, tag: str) -> Tuple[Callable, Callable]:
+def _compile(source: str, tag: str) -> Dict[str, Any]:
+    """The namespace the generated module *source* defines."""
     namespace: Dict[str, Any] = {}
-    code = compile(source, f"<repro-codegen:{tag}>", "exec")
-    exec(code, namespace)
-    return namespace["cycle"], namespace["run_cycles"]
+    exec(compile(source, f"<repro-codegen:{tag}>", "exec"), namespace)
+    return namespace
 
 
 def _declaration_order(low: LoweredSystem) -> Tuple:
@@ -218,12 +227,35 @@ def plan_for(
         metrics_on=metrics_on,
         events_on=events_on,
     )
-    cycle, run_cycles = _compile(source, low.fingerprint[:12])
+    namespace = _compile(source, low.fingerprint[:12])
     STATS.compiles += 1
-    plan = CompiledPlan(key=key, source=source, cycle=cycle,
-                        run_cycles=run_cycles)
+    plan = CompiledPlan(key=key, source=source, cycle=namespace["cycle"],
+                        run_cycles=namespace["run_cycles"])
     _PLAN_CACHE[key] = plan
     while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
         _PLAN_CACHE.popitem(last=False)
         STATS.evictions += 1
     return plan
+
+
+def transition_for(low: LoweredSystem, variant) -> Callable:
+    """Compiled one-cycle transition of *low* (a skeleton view).
+
+    ``transition(registers, phase, offers, stops) -> (next registers,
+    fires, source stops, ambiguous)`` is
+    :meth:`~repro.skeleton.sim.SkeletonSim.step_from` over 0/1 ints
+    with one flat register tuple (see
+    :func:`~repro.skeleton.codegen.equations.generate_transition_source`),
+    written by the plane emitter's equation writers.  It is compiled on
+    every call and never cached: a proof walks thousands of transitions
+    of one topology, so the compile is a small share of it, and nothing
+    outlives the caller.
+    """
+    # The equation writers without the plane emitter: the liveness path
+    # never imports planes.py.
+    from .equations import generate_transition_source
+
+    source = generate_transition_source(
+        low, is_casu=bool(variant.discards_void_stops))
+    return _compile(source, f"{low.fingerprint[:12]}:transition")[
+        "transition"]

@@ -11,27 +11,12 @@ largest compile peak in the package.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ...ir import (
-    RS_BRIDGE,
-    RS_FULL,
-    RS_HALF,
-    RS_HALF_REG,
-    SHELL,
-    SRC,
-    LoweredSystem,
-)
+from ...ir import RS_HALF, SHELL, LoweredSystem
+from .equations import Equations, _tuple_expr, _unpack_line
 
 __all__ = ["generate_plane_source"]
-
-
-def _tuple_expr(items: List[str]) -> str:
-    if not items:
-        return "()"
-    if len(items) == 1:
-        return f"({items[0]},)"
-    return "(" + ", ".join(items) + ")"
 
 
 #: The tail of a vertical-counter add: a carry out of the two low
@@ -86,11 +71,6 @@ _PACK = [
 ]
 
 
-def _unpack_line(names: List[str], source: str) -> str:
-    """``a, b, = source`` (a one-element target list keeps its comma)."""
-    return ", ".join(names) + ", = " + source
-
-
 def generate_plane_source(
     low: LoweredSystem,
     *,
@@ -136,76 +116,18 @@ def generate_plane_source(
     clock domain, all planes or none) at ``cycle % hyperperiod``;
     elements of a domain that ticks every cycle are not gated.
     """
-    hops = low.hops
-    n_hops = len(hops)
-    n_shells = len(low.shell_names)
-    rs_kinds = [r.tag for r in low.relays]
-    shell_in = [list(x) for x in low.shell_in_hops]
-    shell_out_pairs = [
-        [(hop_out, hops[hop_out].producer_reg) for hop_out in outs]
-        for outs in low.shell_out_hops
-    ]
-    rs_in = list(low.relay_in_hop)
-    rs_out = list(low.relay_out_hop)
+    eq = Equations(low, is_casu=is_casu)
+    hops = eq.hops
+    n_hops = eq.n_hops
+    n_shells = eq.n_shells
+    rs_kinds = eq.rs_kinds
     sink_in = list(low.sink_in_hop)
-    sink_fixed = [(k, h) for k, h in enumerate(sink_in) if h is not None]
-    half_inout = [(i, rs_in[i], rs_out[i])
-                  for i, kind in enumerate(rs_kinds) if kind == RS_HALF]
+    sink_fixed = eq.sink_fixed
     hop_internal = [h.consumer_kind in (SHELL, RS_HALF) for h in hops]
     ambiguity = detect_ambiguity and low.may_be_ambiguous
-    single_pass = not low.may_be_ambiguous
-    guard = n_hops + n_shells + 2
-
-    # Clock gating: one word per domain (all planes or none); a domain
-    # that ticks on every base cycle needs no gate at all.
-    node_dom = low.node_domain
-    gated = [not low.single_clock and not all(d.schedule)
-             for d in low.domains]
-
-    def gate(dom: int) -> Optional[str]:
-        return f"e{dom}" if gated[dom] else None
-
-    shell_gate = [gate(node_dom[i]) for i in low.shell_ids]
-    src_gate = [gate(node_dom[i]) for i in low.source_ids]
-    sink_gate = [gate(node_dom[i]) for i in low.sink_ids]
-    rs_gate = [gate(node_dom[low.edges[r.edge].src]) for r in low.relays]
-
-    def valid(h: int) -> str:
-        hop = hops[h]
-        if hop.producer_kind == SRC:
-            return f"pv{hop.producer_id}"
-        if hop.producer_kind == SHELL:
-            return f"r{hop.producer_reg}"
-        if hop.producer_kind == RS_BRIDGE:
-            return f"g{hop.producer_id}_0"
-        return f"m{hop.producer_id}"
-
-    fixed: Dict[int, str] = {}
-    for i, kind in enumerate(rs_kinds):
-        if kind == RS_FULL:
-            fixed[rs_in[i]] = f"q{i}"
-        elif kind == RS_HALF_REG:
-            fixed[rs_in[i]] = f"m{i}"
-    for k, h in sink_fixed:
-        fixed[h] = f"sp{k}"
-    for b in low.bridges:
-        fixed[low.bridge_in_hop[b.index]] = f"g{b.index}_{b.depth - 1}"
-    settled = [h for h in range(n_hops) if h not in fixed]
-
-    def stop(sv: str, h: int) -> str:
-        return fixed.get(h) or f"{sv}{h}"
-
-    def fire_expr(i: int, sv: str) -> str:
-        terms = [shell_gate[i]] if shell_gate[i] else []
-        terms += [valid(h) for h in shell_in[i]]
-        if not terms:
-            terms.append("_M")
-        for hop_out, reg in shell_out_pairs[i]:
-            if is_casu:
-                terms.append(f"~({stop(sv, hop_out)} & r{reg})")
-            else:
-                terms.append(f"~{stop(sv, hop_out)}")
-        return " & ".join(terms)
+    gated = eq.gated
+    src_gate, sink_gate = eq.src_gate, eq.sink_gate
+    valid, stop = eq.valid, eq.stop
 
     # -- counters: vertical (two low slices in locals, the rest listed)
     # or, for one plane, plain int deltas rippled in by the epilogue --
@@ -245,65 +167,6 @@ def generate_plane_source(
         emit(f"{ind}if {word}:")
         emit_add(ind + "    ", ref, word)
 
-    def emit_bridge_step(ind: str, b, up: str, down: str) -> None:
-        """Saturating thermometer step: planes in *up* gain a token,
-        planes in *down* lose one (the two are disjoint)."""
-        depth = b.depth
-        names = [f"g{b.index}_{k}" for k in range(depth)]
-        exprs = []
-        for k in range(depth):
-            keep = (f"(~{down} | {names[k + 1]})" if k + 1 < depth
-                    else f"~{down}")
-            rise = up if k == 0 else f"({up} & {names[k - 1]})"
-            exprs.append(f"({names[k]} & {keep}) | {rise}")
-        if depth == 1:
-            emit(f"{ind}{names[0]} = {exprs[0]}")
-        else:
-            emit(f"{ind}{', '.join(names)} = {', '.join(exprs)}")
-
-    def emit_settle(sv: str, mode: str) -> None:
-        if single_pass:
-            for i in range(n_shells):
-                emit(f"f{i} = {fire_expr(i, sv)}")
-                if not shell_in[i]:
-                    continue
-                if is_casu:
-                    emit(f"_st = f{i} ^ _M")
-                    for h in shell_in[i]:
-                        emit(f"{sv}{h} = _st & {valid(h)}")
-                else:
-                    emit(" = ".join(f"{sv}{h}" for h in shell_in[i])
-                         + f" = f{i} ^ _M")
-            return
-        if settled:
-            emit(" = ".join(f"{sv}{h}" for h in settled)
-                 + (" = _M" if mode == "greatest" else " = 0"))
-        if not half_inout and not any(shell_in):
-            return  # nothing to settle: every stop is fixed
-        emit("_ch = True")
-        emit(f"_gd = {guard}")
-        emit("while _ch and _gd > 0:")
-        emit("    _ch = False")
-        emit("    _gd -= 1")
-        for rs_id, hop_in, hop_out in half_inout:
-            if is_casu:
-                emit(f"    _n = {stop(sv, hop_out)} & m{rs_id}")
-            else:
-                emit(f"    _n = {stop(sv, hop_out)}")
-            emit(f"    if {sv}{hop_in} != _n:")
-            emit(f"        {sv}{hop_in} = _n")
-            emit("        _ch = True")
-        for i in range(n_shells):
-            if not shell_in[i]:
-                continue  # a stall with no inputs presses on nothing
-            emit(f"    _st = ({fire_expr(i, sv)}) ^ _M")
-            for h in shell_in[i]:
-                emit(f"    _n = _st & {valid(h)}" if is_casu
-                     else "    _n = _st")
-                emit(f"    if {sv}{h} != _n:")
-                emit(f"        {sv}{h} = _n")
-                emit("        _ch = True")
-
     # -- body: one cycle over locals only --------------------------------
     if any(gated):
         emit(_unpack_line(
@@ -327,17 +190,8 @@ def generate_plane_source(
         if sink_gate[k]:
             emit(f"sp{k} |= _M ^ {sink_gate[k]}  # an idle sink stops")
 
-    emit(f"# settle the stop network ({fixpoint} fixpoint, "
-         + ("one pass)" if single_pass else "Gauss-Seidel)"))
-    emit_settle("s", fixpoint)
-    if not single_pass:
-        for i in range(n_shells):
-            emit(f"f{i} = {fire_expr(i, 's')}")
+    eq.emit_stops(emit, fixpoint, ambiguity)
     if ambiguity:
-        alt = "greatest" if fixpoint == "least" else "least"
-        emit(f"# ambiguity probe: settle again under the {alt} fixpoint")
-        emit_settle("t", alt)
-        emit("_df = " + " | ".join(f"(t{h} ^ s{h})" for h in settled))
         emit("if _df:")
         if one_plane:
             emit("    _amb[0].append(cycle_no)")
@@ -442,51 +296,9 @@ def generate_plane_source(
         if h is not None:
             emit_guarded_add("", f"sim.sink_accepted[{k}]", f"ac{k}")
 
-    emit("# edge: shell out-registers and relay stations")
-    commits: List[Tuple[Optional[str], List[str]]] = []
-    for i, pairs in enumerate(shell_out_pairs):
-        g = shell_gate[i]
-        for hop_out, reg in pairs:
-            held = stop("s", hop_out)
-            if g:
-                held = f"({held} | (_M ^ {g}))"
-            emit(f"nr{reg} = f{i} | (r{reg} & {held})")
-            commits.append((None, [f"r{reg} = nr{reg}"]))
-    for i, kind in enumerate(rs_kinds):
-        g = rs_gate[i]
-        ind = "    " if g else ""
-        if g:
-            emit(f"if {g}:")
-        v_in, s_out = valid(rs_in[i]), stop("s", rs_out[i])
-        if kind == RS_FULL:
-            emit(f"{ind}_nc = m{i} & {s_out}")
-            emit(f"{ind}_ac = {v_in} & ~q{i}")
-            emit(f"{ind}_qd = a{i} | _ac")
-            emit(f"{ind}nm{i} = _qd | _nc")
-            emit(f"{ind}na{i} = _nc & _qd")
-            emit(f"{ind}nq{i} = _nc & (q{i} | (_ac & ~a{i}))")
-            commits.append((g, [f"m{i} = nm{i}", f"a{i} = na{i}",
-                                f"q{i} = nq{i}"]))
-        else:  # half variants share the single-register update
-            emit(f"{ind}nm{i} = ({v_in} & ~{stop('s', rs_in[i])})"
-                 f" | (m{i} & {s_out})")
-            commits.append((g, [f"m{i} = nm{i}"]))
-
+    commits = eq.emit_edge(emit)
     if low.bridges:
-        emit("# bridges: write in the source domain, read in the "
-             "destination domain")
-        for b in low.bridges:
-            wg, rg = gate(b.src_domain), gate(b.dst_domain)
-            hop_in = low.bridge_in_hop[b.index]
-            hop_out = low.bridge_out_hop[b.index]
-            emit(f"_wr = {valid(hop_in)} & ~g{b.index}_{b.depth - 1}"
-                 + (f" & {wg}" if wg else ""))
-            emit(f"_rd = g{b.index}_0 & ~{stop('s', hop_out)}"
-                 + (f" & {rg}" if rg else ""))
-            emit("if _wr != _rd:")
-            emit("    _u = _wr & ~_rd")
-            emit("    _dn = _rd & ~_wr")
-            emit_bridge_step("    ", b, "_u", "_dn")
+        eq.emit_bridges(emit)
         emit("for _pb, _pl, _plo, _phi, _pdl in _pk:")
         emit("    if _plo <= cycle_no < _phi:")
         emit("        if _pdl > 0:")
@@ -497,14 +309,9 @@ def generate_plane_source(
             lead = "if" if b.index == 0 else "elif"
             emit(f"        {lead} _pb == {b.index}:")
             emit(f"            for _k in range(min(abs(_pdl), {b.depth})):")
-            emit_bridge_step("                ", b, "_u", "_dn")
+            eq.emit_bridge_step(emit, "                ", b, "_u", "_dn")
 
-    emit("# commit the edge")
-    for g, lines in commits:
-        if g:
-            emit(f"if {g}:")
-        for line in lines:
-            emit(("    " if g else "") + line)
+    eq.emit_commit(emit, commits)
 
     if metrics_on:
         for i in range(len(rs_kinds)):

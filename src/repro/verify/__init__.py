@@ -5,110 +5,56 @@ Block specs (:mod:`~repro.verify.fsm`), constrained environments
 (:mod:`~repro.verify.monitors`), a BFS engine
 (:mod:`~repro.verify.reach`) and the packaged paper properties
 (:mod:`~repro.verify.properties`, :mod:`~repro.verify.liveness`).
+The package exports each name below and imports its submodule on
+first use.
 """
 
-from .env import PAYLOAD_MODULUS, DownstreamState, EagerUpstream, UpstreamState
-from .fsm import (
-    FullRsState,
-    HalfRsState,
-    ShellState,
-    full_rs_outputs,
-    full_rs_step,
-    half_rs_step,
-    half_rs_stop_out,
-    shell_fire,
-    shell_input_stops,
-    shell_outputs,
-    shell_step,
-)
-from .composition import verify_all_chains, verify_chain, verify_shell_chain
-from .liveness import ProgressResult, check_progress
-from .ltl import (
-    And,
-    Implies,
-    LtlResult,
-    Not,
-    Or,
-    Prop,
-    TransitionSystem,
-    block_transition_system,
-    eventually_emits,
-    held_token_reappears,
-)
-from .monitors import (
-    CoherenceMonitor,
-    HoldMonitor,
-    NoSpuriousValidMonitor,
-    OrderMonitor,
-    Violation,
-)
-from .properties import (
-    PropertyResult,
-    results_table,
-    verify_all,
-    verify_queued_shell,
-    verify_relay_station,
-    verify_shell,
-)
-from .reach import Counterexample, ReachResult, explore, reachable_states
-from .refinement import (
-    RefinementResult,
-    check_refinement_stack,
-    cosimulate_relay_netlist,
-    cosimulate_relay_spec,
-)
-from .system_liveness import SystemLivenessResult, verify_system_liveness
+import importlib
+from typing import Any, List
 
-__all__ = [
-    "And",
-    "CoherenceMonitor",
-    "Counterexample",
-    "DownstreamState",
-    "EagerUpstream",
-    "FullRsState",
-    "HalfRsState",
-    "HoldMonitor",
-    "Implies",
-    "LtlResult",
-    "NoSpuriousValidMonitor",
-    "Not",
-    "Or",
-    "OrderMonitor",
-    "PAYLOAD_MODULUS",
-    "ProgressResult",
-    "Prop",
-    "PropertyResult",
-    "ReachResult",
-    "RefinementResult",
-    "ShellState",
-    "SystemLivenessResult",
-    "TransitionSystem",
-    "UpstreamState",
-    "Violation",
-    "block_transition_system",
-    "check_progress",
-    "check_refinement_stack",
-    "cosimulate_relay_netlist",
-    "cosimulate_relay_spec",
-    "eventually_emits",
-    "explore",
-    "full_rs_outputs",
-    "full_rs_step",
-    "half_rs_step",
-    "half_rs_stop_out",
-    "held_token_reappears",
-    "reachable_states",
-    "results_table",
-    "shell_fire",
-    "shell_input_stops",
-    "shell_outputs",
-    "shell_step",
-    "verify_all",
-    "verify_all_chains",
-    "verify_chain",
-    "verify_queued_shell",
-    "verify_relay_station",
-    "verify_shell",
-    "verify_shell_chain",
-    "verify_system_liveness",
-]
+#: Public names by the submodule that defines them.  A submodule is
+#: imported on first use of one of its names, so ``repro-lid liveness``
+#: (``system_liveness``, ``reach``, ``monitors``) does not load the
+#: block-level checkers.
+_SUBMODULES = {
+    "composition": ("verify_all_chains", "verify_chain",
+                    "verify_shell_chain"),
+    "env": ("PAYLOAD_MODULUS", "DownstreamState", "EagerUpstream",
+            "UpstreamState"),
+    "fsm": ("FullRsState", "HalfRsState", "ShellState", "full_rs_outputs",
+            "full_rs_step", "half_rs_step", "half_rs_stop_out",
+            "shell_fire", "shell_input_stops", "shell_outputs",
+            "shell_step"),
+    "liveness": ("ProgressResult", "check_progress"),
+    "ltl": ("And", "Implies", "LtlResult", "Not", "Or", "Prop",
+            "TransitionSystem", "block_transition_system",
+            "eventually_emits", "held_token_reappears"),
+    "monitors": ("CoherenceMonitor", "HoldMonitor",
+                 "NoSpuriousValidMonitor", "OrderMonitor", "Violation"),
+    "properties": ("PropertyResult", "results_table", "verify_all",
+                   "verify_queued_shell", "verify_relay_station",
+                   "verify_shell"),
+    "reach": ("Counterexample", "ReachResult", "explore",
+              "reachable_states"),
+    "refinement": ("RefinementResult", "check_refinement_stack",
+                   "cosimulate_relay_netlist", "cosimulate_relay_spec"),
+    "system_liveness": ("SystemLivenessResult", "verify_system_liveness"),
+}
+_HOME = {name: module for module, names in _SUBMODULES.items()
+         for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> Any:
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

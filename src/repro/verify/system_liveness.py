@@ -19,13 +19,20 @@ deadlock-freedom.  The cooperative environment is deterministic, so the
 test is exact: follow the orbit until a shell fires or a state repeats
 (:func:`~repro.verify.reach.progresses`).
 
-The explored state is ``((registers, phase), committed)``: the
-skeleton's :meth:`~repro.skeleton.sim.SkeletonSim.step_from` state,
-whose phase is ``cycle % hyperperiod`` (always 0 for single-clock
-systems), and one hold-contract flag per source.  A port whose clock
-domain does not tick at the phase has no environment choice: its
-source presents void and keeps its commitment, its sink stops — the
-GALS model both skeleton engines run.
+The explored state is the skeleton's registers, the clock phase
+``cycle % hyperperiod`` (always 0 for single-clock systems) and one
+hold-contract flag per source.  A port whose clock domain does not tick
+at the phase has no environment choice: its source presents void and
+keeps its commitment, its sink stops — the GALS model both skeleton
+engines run.
+
+Each transition is one call of the topology's compiled transition
+(:func:`~repro.skeleton.codegen.transition_for`), written by the plane
+emitter's equation writers over 0/1 ints and compiled once per call;
+:meth:`~repro.skeleton.sim.SkeletonSim.step_from` is its executable
+spec, and a differential test holds the two equal on every reachable
+state and environment choice.  A stuck state is reported in
+``step_from``'s ``((registers, phase), committed)`` form.
 
 ``verify_system_liveness(graph)`` is one
 :func:`~repro.verify.reach.explore` call.  It returns a verdict with the
@@ -42,12 +49,13 @@ import itertools
 from typing import List, Optional, Tuple
 
 from ..graph.model import SystemGraph
+from ..ir import LoweredSystem, lower
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
-from ..skeleton.sim import SkeletonSim
+from ..skeleton.codegen import transition_for
 from .monitors import Violation
 from .reach import explore, progresses
 
-#: Explorer state: (step_from state, per-source committed flags).
+#: A reported stuck state: (step_from state, per-source committed flags).
 _State = Tuple[Tuple, Tuple[bool, ...]]
 #: One witness cycle: (sources that offered, sinks that stopped).
 _EnvCycle = Tuple[Tuple[str, ...], Tuple[str, ...]]
@@ -94,16 +102,34 @@ class SystemLivenessResult:
         return "\n".join(lines)
 
 
+def _step_from_state(low: LoweredSystem, state: Tuple) -> _State:
+    """An explorer state in ``step_from``'s form: registers as bools
+    grouped per table, each bridge as its occupancy."""
+    registers, phase, committed = state
+    bits = [bool(x) for x in registers]
+    n_regs, n_rs = len(low.shell_regs), len(low.relays)
+    tables = [tuple(bits[:n_regs])]
+    for k in range(3):
+        start = n_regs + k * n_rs
+        tables.append(tuple(bits[start:start + n_rs]))
+    occupancy, start = [], n_regs + 3 * n_rs
+    for b in low.bridges:
+        occupancy.append(sum(registers[start:start + b.depth]))
+        start += b.depth
+    tables.append(tuple(occupancy))
+    return (tuple(tables), phase), tuple(bool(c) for c in committed)
+
+
 def verify_system_liveness(
     graph: SystemGraph,
     variant: ProtocolVariant = DEFAULT_VARIANT,
     max_states: int = 100_000,
 ) -> SystemLivenessResult:
     """Prove (or refute) deadlock-freedom over all environments."""
-    sim = SkeletonSim(graph, variant=variant)
-    step_from = sim.step_from
-    has_shells = bool(sim.shell_names)
-    low = sim.lowered
+    low = lower(graph).skeleton_view()
+    transition = transition_for(low, variant)
+    has_shells = bool(low.shell_names)
+    hyperperiod = low.hyperperiod
 
     def ticks(node_ids, phase):
         return tuple(low.domains[low.node_domain[i]].schedule[phase]
@@ -112,7 +138,7 @@ def verify_system_liveness(
     # Per phase: which sources tick, every stop choice of the sinks
     # (an idle sink stops), and the cooperative environment.
     src_ticks, stop_choices, cooperative_env = [], [], []
-    for phase in range(low.hyperperiod):
+    for phase in range(hyperperiod):
         src_ticks.append(ticks(low.source_ids, phase))
         sink_ticks = ticks(low.sink_ids, phase)
         stop_choices.append(list(itertools.product(
@@ -121,22 +147,23 @@ def verify_system_liveness(
             (src_ticks[phase], tuple(not tick for tick in sink_ticks)))
 
     def cooperative(machine):
-        nxt, fires, _src_stops, _ambiguous = step_from(
-            machine, *cooperative_env[machine[1]])
-        return nxt, any(fires)
+        registers, phase = machine
+        nxt, fires, _src_stops, _ambiguous = transition(
+            registers, phase, *cooperative_env[phase])
+        return (nxt, (phase + 1) % hyperperiod), any(fires)
 
     transitions = ambiguous_states = 0
 
-    def successors(state: _State):
+    def successors(state):
         nonlocal transitions, ambiguous_states
-        machine, committed = state
-        phase = machine[1]
+        registers, phase, committed = state
+        next_phase = (phase + 1) % hyperperiod
         # The cooperative step is one of this state's transitions; only
         # when it does not fire is the orbit beyond it followed.
         coop_env = cooperative_env[phase]
-        coop_step = step_from(machine, *coop_env)
+        coop_step = transition(registers, phase, *coop_env)
         if has_shells and not any(coop_step[1]) and not progresses(
-                coop_step[0], cooperative):
+                (coop_step[0], next_phase), cooperative):
             raise Violation("no shell fires again under the cooperative "
                             "environment")
         # A ticking source may withhold unless the contract binds it to
@@ -150,17 +177,20 @@ def verify_system_liveness(
                 env = (offers, stops)
                 nxt, _fires, src_stops, amb = (
                     coop_step if env == coop_env
-                    else step_from(machine, offers, stops))
+                    else transition(registers, phase, offers, stops))
                 ambiguous = ambiguous or amb
                 next_committed = tuple(
                     (o and s) if tick else held
                     for o, s, tick, held in zip(
                         offers, src_stops, src_ticks[phase], committed))
                 transitions += 1
-                yield env, (nxt, next_committed)
-        ambiguous_states += ambiguous
+                yield env, (nxt, next_phase, next_committed)
+        ambiguous_states += bool(ambiguous)
 
-    initial: _State = (sim.initial_state, (False,) * len(sim.source_names))
+    n_rs = len(low.relays)
+    initial = ((1,) * len(low.shell_regs)
+               + (0,) * (3 * n_rs + sum(b.depth for b in low.bridges)),
+               0, (False,) * len(low.source_names))
     result = explore([initial], successors, max_states=max_states)
     if result.holds:
         return SystemLivenessResult(
@@ -171,15 +201,15 @@ def verify_system_liveness(
         )
     steps = result.counterexample.steps
     witness = [
-        (tuple(n for n, o in zip(sim.source_names, offers) if o),
-         tuple(n for n, s in zip(sim.sink_names, stops) if s))
+        (tuple(n for n, o in zip(low.source_names, offers) if o),
+         tuple(n for n, s in zip(low.sink_names, stops) if s))
         for (offers, stops), _state in steps[1:-1]
     ]
     return SystemLivenessResult(
         live=False,
         reachable_states=result.states_explored,
         transitions=transitions,
-        stuck_state=steps[-1][1],
+        stuck_state=_step_from_state(low, steps[-1][1]),
         ambiguous_states=ambiguous_states,
         witness=witness,
     )

@@ -411,6 +411,8 @@ class TestArgparseValidation:
         ["deadlock", "figure2", "--backend", "scalar"],
         ["analyze", "figure2", "--jobs", "2"],
         ["deadlock", "figure2", "--jobs", "2"],
+        ["liveness", "figure2", "--max-states", "0"],
+        ["liveness", "figure2", "--max-states", "-1"],
     ])
     def test_bad_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

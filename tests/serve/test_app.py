@@ -12,9 +12,17 @@ The load-bearing assertions of the serving PR live here:
 * NDJSON streaming delivers progress events and the identical body.
 """
 
+import contextlib
 import http.client
 import json
+import os
+import pathlib
+import re
+import signal
+import subprocess
+import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -338,3 +346,67 @@ class TestStreaming:
         assert final["exit_code"] == 0
         done = [event["done"] for event in events[:-1]]
         assert done == sorted(done), "progress is monotonic"
+
+
+def _children(pid):
+    """PIDs whose parent is *pid* (read from ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    """Running or sleeping; an exited process or a zombie is not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads worker PIDs from /proc")
+class TestSigterm:
+    def test_sigterm_stops_the_server_and_its_workers(self, tmp_path):
+        """SIGTERM takes Ctrl-C's path: the server stops accepting,
+        closes, and a process-mode scheduler stops its pool, so no
+        worker outlives the server."""
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--jobs", "2", "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env)
+        workers = []
+        try:
+            banner = proc.stderr.readline()
+            port = int(re.search(r"http://[^:]+:(\d+) ", banner).group(1))
+            handle = types.SimpleNamespace(port=port)
+            status, _headers, _body = post(handle, SMOKE)
+            assert status == 200
+            workers = _children(proc.pid)
+            assert len(workers) == 2, workers
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            survivors = [pid for pid in workers if _alive(pid)]
+            assert not survivors, f"workers still running: {survivors}"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stderr.close()

@@ -142,13 +142,34 @@ class TestMechanics:
         assert verify_system_liveness(pipeline(2))
 
     def test_mutation_detected(self, monkeypatch):
-        """Freeze the relay-station update and the explorer finds the
-        resulting trap state."""
-        from repro.lid.variant import ProtocolVariant as PV
+        """Relay stations that never release a token trap the system,
+        and the explorer finds the trap state."""
+        from repro.verify import system_liveness
 
-        # A variant that never lets tokens through relay slots.
-        monkeypatch.setattr(
-            PV, "slot_consumed", lambda self, valid, stop: False)
+        compiled = system_liveness.transition_for
+
+        def never_released(low, variant):
+            # A slot that is never consumed: the main register keeps its
+            # value, and a token the real update would load there is
+            # parked in the aux slot behind a raised stop register.
+            transition = compiled(low, variant)
+            n_regs, n_rs = len(low.shell_regs), len(low.relays)
+            main = slice(n_regs, n_regs + n_rs)
+            aux = slice(n_regs + n_rs, n_regs + 2 * n_rs)
+
+            def mutated(registers, phase, offers, stops):
+                nxt, fires, src_stops, ambiguous = transition(
+                    registers, phase, offers, stops)
+                parked = tuple(a | m for a, m in zip(registers[aux],
+                                                     nxt[main]))
+                nxt = (nxt[:n_regs] + registers[main] + parked + parked
+                       + nxt[n_regs + 3 * n_rs:])
+                return nxt, fires, src_stops, ambiguous
+            return mutated
+
+        assert verify_system_liveness(pipeline(2)).live
+        monkeypatch.setattr(system_liveness, "transition_for",
+                            never_released)
         result = verify_system_liveness(pipeline(2))
         assert not result.live
 
