@@ -55,10 +55,12 @@ one word-level run per ~64 experiments.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import pickle
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -422,6 +424,11 @@ class CampaignReport:
         return by_kind
 
     def to_payload(self, execution: bool = False) -> Dict[str, Any]:
+        return self._payload(execution, [r.to_dict() for r in self.results],
+                             self.skipped)
+
+    def _payload(self, execution: bool, experiments: List,
+                 skipped: List) -> Dict[str, Any]:
         payload = {
             "schema": SCHEMA,
             "topology": self.topology,
@@ -435,8 +442,8 @@ class CampaignReport:
             "samples": self.samples,
             "window": list(self.window) if self.window else None,
             "strict": self.strict,
-            "experiments": [r.to_dict() for r in self.results],
-            "skipped": self.skipped,
+            "experiments": experiments,
+            "skipped": skipped,
             "summary": self.counts(),
             "summary_by_kind": self.counts_by_kind(),
         }
@@ -451,9 +458,26 @@ class CampaignReport:
         so that the bytes are also identical across ``--jobs`` values
         and cache states; ``execution=True`` opts into the header for
         audit trails that do not need jobs-invariance.
+
+        The text is exactly ``json.dumps(self.to_payload(execution),
+        indent=2, sort_keys=True) + "\\n"``.  With ``indent`` that
+        encoder runs in pure Python, one call per value, so only the
+        header goes through it; each experiment and skipped entry is
+        filled into a template whose keys are already sorted
+        (``_render_experiment``, ``_render_skipped``).
         """
-        return json.dumps(self.to_payload(execution=execution),
-                          indent=2, sort_keys=True) + "\n"
+        header = json.dumps(self._payload(execution, [], []), indent=2,
+                            sort_keys=True)
+        # Only top-level keys sit at indent 2 and no JSON string holds a
+        # raw newline, so each empty list below occurs exactly once.
+        head, _, rest = header.partition('\n  "experiments": [],\n')
+        middle, _, tail = rest.partition('\n  "skipped": [],\n')
+        return "".join((
+            head, '\n  "experiments": ',
+            _render_list(map(_render_experiment, self.results)), ",\n",
+            middle, '\n  "skipped": ',
+            _render_list(map(_render_skipped, self.skipped)), ",\n",
+            tail, "\n"))
 
     def format_table(self) -> str:
         counts = self.counts()
@@ -478,6 +502,124 @@ class CampaignReport:
             lines.append(f"skipped={len(self.skipped)} "
                          f"(not expressible on this engine)")
         return "\n".join(lines)
+
+
+# -- report rendering ------------------------------------------------------
+#
+# One experiment and one skipped entry as ``json.dumps(..., indent=2,
+# sort_keys=True)`` writes them inside the report's top-level lists:
+# keys in sorted order, the entry at indent 4, its keys at indent 6 and
+# the fault's at indent 8.
+
+_FAULT_TEMPLATE = (
+    '      "fault": {\n'
+    '        "cycle": %s,\n'
+    '        "duration": %s,\n'
+    '        "kind": %s,\n'
+    '        "target": %s,\n'
+    '        "value": %s\n'
+    '      },\n')
+
+_EXPERIMENT_TEMPLATE = (
+    '    {\n'
+    '      "detail": %s,\n'
+    + _FAULT_TEMPLATE
+    + '      "fire_cycles": %s,\n'
+    '      "fired": %s,\n'
+    '      "label": %s,\n'
+    '      "verdict": %s\n'
+    '    }')
+
+_SKIPPED_TEMPLATE = (
+    '    {\n'
+    + _FAULT_TEMPLATE
+    + '      "label": %s,\n'
+    '      "reason": %s\n'
+    '    }')
+
+#: The indent of each template field, for values that span lines.
+_EXPERIMENT_INDENTS = (6,) + (8,) * 5 + (6,) * 4
+_SKIPPED_INDENTS = (8,) * 5 + (6,) * 2
+
+_SKIPPED_KEYS = frozenset(("fault", "label", "reason"))
+_FAULT_KEYS = frozenset(("kind", "target", "cycle", "duration", "value"))
+
+#: What ``json.dumps`` uses under its default ``ensure_ascii=True``.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render_value(value: Any, indent: int) -> str:
+    """*value* as ``json.dumps`` writes it at *indent* in the report.
+
+    Exact ``str`` and ``int`` values, ``None`` and the booleans are
+    written directly; anything else (floats, containers, subclasses)
+    goes through ``json.dumps`` and has its lines re-indented.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + " " * indent)
+
+
+def _fill(template: str, fields: Tuple, indents: Tuple[int, ...]) -> str:
+    return template % tuple(map(_render_value, fields, indents))
+
+
+def _render_experiment(result: ExperimentResult) -> str:
+    spec = result.spec
+    detail, cycle, duration = result.detail, spec.cycle, spec.duration
+    kind, target, value = spec.kind, spec.target, spec.value
+    fire_cycles, fired = result.fire_cycles, result.fired
+    label, verdict = spec.label(), result.verdict
+    if type(detail) is str and type(cycle) is int \
+            and type(duration) is int and type(kind) is str \
+            and type(target) is str and value is None \
+            and type(fire_cycles) is int and type(fired) is bool \
+            and type(verdict) is str:
+        return _EXPERIMENT_TEMPLATE % (
+            _encode_str(detail), cycle, duration, _encode_str(kind),
+            _encode_str(target), "null", fire_cycles,
+            "true" if fired else "false", _encode_str(label),
+            _encode_str(verdict))
+    return _fill(_EXPERIMENT_TEMPLATE,
+                 (detail, cycle, duration, kind, target, value,
+                  fire_cycles, fired, label, verdict),
+                 _EXPERIMENT_INDENTS)
+
+
+def _render_skipped(entry: Dict[str, Any]) -> str:
+    fault = entry.get("fault")
+    if entry.keys() != _SKIPPED_KEYS or type(fault) is not dict \
+            or fault.keys() != _FAULT_KEYS:
+        return "    " + _render_value(entry, 4)
+    cycle, duration = fault["cycle"], fault["duration"]
+    kind, target, value = fault["kind"], fault["target"], fault["value"]
+    label, reason = entry["label"], entry["reason"]
+    if type(cycle) is int and type(duration) is int \
+            and type(kind) is str and type(target) is str \
+            and value is None and type(label) is str \
+            and type(reason) is str:
+        return _SKIPPED_TEMPLATE % (
+            cycle, duration, _encode_str(kind), _encode_str(target),
+            "null", _encode_str(label), _encode_str(reason))
+    return _fill(_SKIPPED_TEMPLATE,
+                 (cycle, duration, kind, target, value, label, reason),
+                 _SKIPPED_INDENTS)
+
+
+def _render_list(items) -> str:
+    """A top-level report list from its rendered entries."""
+    body = ",\n".join(items)
+    return "[\n" + body + "\n  ]" if body else "[]"
 
 
 def _record_verdicts(telemetry, report: CampaignReport) -> None:
@@ -784,29 +926,21 @@ def _pattern_for(spec: FaultSpec,
         len(baseline), start + spec.duration)
     if start >= stop:
         return None
-    window = list(baseline[start:stop])
-    changed = False
+    window = baseline[start:stop]
     if spec.kind == "stop-glitch":
-        window = [not v for v in window]
-        changed = True
-    elif spec.kind == "delayed-stop":
-        # The delayed value propagates through the window: each faulted
-        # cycle replays the (already faulted) previous cycle, so the
-        # whole window holds the value entering it.
-        held = bool(baseline[start - 1]) if start else False
-        for i, value in enumerate(window):
-            if bool(value) != held:
-                window[i] = held
-                changed = True
+        window = tuple(map(operator.not_, window))
     else:
-        forced = spec.kind in ("stop-stuck-1", "valid-stuck-1")
-        for i, value in enumerate(window):
-            if bool(value) != forced:
-                window[i] = forced
-                changed = True
-    if not changed:
-        return None
-    return baseline[:start] + tuple(window) + baseline[stop:]
+        if spec.kind == "delayed-stop":
+            # The delayed value propagates through the window: each
+            # faulted cycle replays the (already faulted) previous
+            # cycle, so the whole window holds the value entering it.
+            held = bool(baseline[start - 1]) if start else False
+        else:
+            held = spec.kind in ("stop-stuck-1", "valid-stuck-1")
+        if all(window) if held else not any(window):
+            return None  # the window already holds that value
+        window = (held,) * len(window)
+    return baseline[:start] + window + baseline[stop:]
 
 
 _SINK_KINDS = ("stop-stuck-1", "stop-stuck-0", "stop-glitch",
@@ -1064,28 +1198,32 @@ def skeleton_campaign(
 
         if payload_specs:
             # Payload corruption is control-transparent: classify it
-            # from the golden column's per-cycle accepts (column 0).
+            # from the golden column's per-cycle accepts (column 0),
+            # read once per sink as the sorted cycles it accepted in.
             accept_hist = handle.accept_history(0)
-            sink_index = {name: i
-                          for i, name in enumerate(handle.sink_names)}
+            faulted = {sink_name for _spec, sink_name in payload_specs}
+            accepted_at = {
+                name: [c for c, row in enumerate(accept_hist) if row[i]]
+                for i, name in enumerate(handle.sink_names)
+                if name in faulted}
             for spec, sink_name in payload_specs:
-                sink = sink_index[sink_name]
-                accepts_at = [accepts[sink] for accepts in accept_hist]
+                accepted = accepted_at[sink_name]
                 stop_at = cycles if spec.stuck else min(
                     cycles, spec.cycle + spec.duration)
-                hits = [c for c in range(spec.cycle, stop_at)
-                        if accepts_at[c]]
+                first = bisect.bisect_left(accepted, spec.cycle)
+                hits = max(bisect.bisect_left(accepted, stop_at) - first,
+                           0)
                 if hits:
                     verdict = "silent-corruption"
                     detail = (f"sink {sink_name!r} consumed a corrupted "
-                              f"payload at cycle {hits[0]}")
+                              f"payload at cycle {accepted[first]}")
                 else:
                     verdict = "masked"
                     detail = ("corrupted slot never consumed (void or "
                               "back-pressured throughout the fault "
                               "window)")
                 results.append(ExperimentResult(spec, verdict, detail,
-                                                bool(hits), len(hits)))
+                                                bool(hits), hits))
                 if progress is not None:
                     progress.advance(1)
     if progress is not None:

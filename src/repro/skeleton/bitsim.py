@@ -50,7 +50,10 @@ match cycle by cycle.  The differential suite in
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
+import re
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..graph.model import SystemGraph
@@ -91,6 +94,49 @@ class _VerticalCounter:
 
     def values(self, planes: int) -> List[int]:
         return [self.value(p) for p in range(planes)]
+
+
+#: Byte value -> 1 if truthy, else 0 (script images, see _image).
+_TRUTHY = bytes([0] + [1] * 255)
+#: A run of set cycles in a script image.
+_RUNS = re.compile(rb"\x01+")
+
+
+def _image(script: Tuple, span: int) -> int:
+    """*script*'s truthiness repeated over *span* cycles, one byte per
+    cycle (1 when the entry is truthy), read as a big-endian int."""
+    try:
+        image = bytes(script).translate(_TRUTHY)
+    except (TypeError, ValueError):  # entries that are not small ints
+        image = bytes(map(bool, script))
+    return int.from_bytes(image * (span // len(script)), "big")
+
+
+def _sink_schedule(groups: Sequence[Tuple[Tuple, int]], span: int,
+                   mask: int) -> List[int]:
+    """One stop word per cycle of *span* from (script, planes) groups.
+
+    The most-shared script is expanded once, for every plane in
+    *mask*.  Each other distinct script adds only the runs of cycles
+    where it differs from that one, found at C speed: XOR the two
+    images and match the runs of set bytes.  A run flips its group's
+    planes at both ends of an XOR difference array, and one prefix XOR
+    folds the array into the words, so a sink costs O(span + runs)
+    Python steps, not one per cycle of every distinct script.
+    """
+    base = max(groups, key=lambda group: group[1].bit_count())[0]
+    base_image = _image(base, span)
+    flips = [0] * (span + 1)
+    for script, planes in groups:
+        if script is base:
+            diff, planes = base_image, mask
+        else:
+            diff = _image(script, span) ^ base_image
+        for run in _RUNS.finditer(diff.to_bytes(span, "big")):
+            flips[run.start()] ^= planes
+            flips[run.end()] ^= planes
+    flips.pop()
+    return list(itertools.accumulate(flips, operator.xor))
 
 
 def check_instance(instance: int, batch: int) -> None:
@@ -242,29 +288,22 @@ class BitplaneSkeletonSim:
                             for planes in self._src_pats]
 
         # Sink stops are cycle-indexed: expand each sink's per-plane
-        # schedule to one plane word per cycle over the lcm span, once.
-        # Planes sharing a script share one mask, and only asserted
-        # positions are visited (campaign scripts are mostly False).
-        # When the lcm is unreasonable the step packs the word each
-        # cycle from the (script, planes) groups instead.
+        # schedule to one plane word per cycle over the lcm span, once
+        # (see _sink_schedule).  When the lcm is unreasonable the step
+        # packs the word each cycle from the (script, planes) groups
+        # instead.
         self._sink_sched: List[Optional[List[int]]] = []
         self._sink_groups: List[List[Tuple[Tuple, int]]] = []
         for planes in self._sink_pats:
             masks: Dict[Tuple, int] = {}
             for p, pattern in enumerate(planes):
                 masks[pattern] = masks.get(pattern, 0) | (1 << p)
-            self._sink_groups.append(list(masks.items()))
-            span = math.lcm(*(len(p) for p in planes))
-            if span > 4096:
-                self._sink_sched.append(None)
-                continue
-            words = [0] * span
-            for pattern, plane_mask in masks.items():
-                for i, bit in enumerate(pattern):
-                    if bit:
-                        for c in range(i, span, len(pattern)):
-                            words[c] |= plane_mask
-            self._sink_sched.append(words)
+            groups = list(masks.items())
+            self._sink_groups.append(groups)
+            span = math.lcm(*(len(p) for p in masks))
+            self._sink_sched.append(
+                _sink_schedule(groups, span, self._mask)
+                if span <= 4096 else None)
 
         # Per-plane state-key phase modulus: the plane's sink script
         # period folded with the clock-domain hyperperiod, exactly as

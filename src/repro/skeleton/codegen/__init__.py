@@ -45,10 +45,15 @@ clock table and the cycle count.  One plan therefore serves every
 script combination of a campaign.
 
 Plans live in an in-process LRU of :data:`PLAN_CACHE_SIZE` plans keyed
-by the plan key: building a thousand simulators over one topology
-compiles once (see :data:`STATS`; the EXP-C1 bench asserts this), and
-a long-lived process that meets a new topology per request stays
-bounded.
+by the plan key, and a plan enters it on its second use: building a
+thousand simulators over one topology compiles once (see
+:data:`STATS`; the EXP-C1 bench asserts this), and a long-lived
+process that meets a new topology per request stays bounded.  The
+last compiled plan waits in one side slot, where a hit counts like an
+LRU hit, and the keys of the last :data:`PLAN_CACHE_SIZE` plans used
+only once are remembered without their plans (a weak reference finds
+a plan that a live simulator still holds).  So a stream of one-off
+topologies (every ``dag:`` seed) never evicts a plan that recurs.
 
 **A third form: the liveness transition.**  The emitter's equation
 writers live in :mod:`repro.skeleton.codegen.equations`.  From the
@@ -68,6 +73,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import weakref
 from typing import Any, Callable, Dict, Tuple
 
 from ...ir import LoweredSystem
@@ -82,7 +88,8 @@ __all__ = [
     "transition_for",
 ]
 
-#: Compiled plans kept in-process (least recently used evicted first).
+#: Compiled plans kept in-process (least recently used evicted first),
+#: and keys remembered of plans used once.
 PLAN_CACHE_SIZE = 16
 
 
@@ -120,14 +127,23 @@ class CompiledPlan:
 
 #: In-process plan cache, least recently used first.  Every new
 #: ``dag:``/``loopy:`` seed is a new topology and so a new plan; the
-#: bound keeps a long-lived process flat.
+#: bound keeps a long-lived process flat, and admission on second use
+#: keeps those one-off plans out.
 _PLAN_CACHE: "collections.OrderedDict[Tuple, CompiledPlan]" = \
+    collections.OrderedDict()
+#: The side slot: the last compiled plan, by key (at most one entry).
+_LAST_COMPILED: Dict[Tuple, CompiledPlan] = {}
+#: Keys compiled once and not admitted, oldest first, each with a weak
+#: reference to its plan: the list never keeps a plan alive.
+_SEEN_ONCE: "collections.OrderedDict[Tuple, weakref.ref]" = \
     collections.OrderedDict()
 
 
 def clear_plan_cache() -> None:
-    """Drop every in-process plan (tests and benchmarks)."""
+    """Drop every in-process plan and key (tests and benchmarks)."""
     _PLAN_CACHE.clear()
+    _LAST_COMPILED.clear()
+    _SEEN_ONCE.clear()
 
 
 def _compile(source: str, tag: str) -> Dict[str, Any]:
@@ -213,24 +229,41 @@ def plan_for(
         _PLAN_CACHE.move_to_end(key)
         STATS.plan_hits += 1
         return plan
+    plan = _LAST_COMPILED.get(key)
+    if plan is None:
+        seen = _SEEN_ONCE.get(key)
+        # Alive while a simulator holds it.
+        plan = seen() if seen is not None else None
+    if plan is not None:
+        STATS.plan_hits += 1
+    else:
+        # Imported on first use: a process that never compiles a plan
+        # never compiles the emitter's module.
+        from .planes import generate_plane_source
 
-    # Imported on first use: a process that never compiles a plan never
-    # compiles the emitter's module.
-    from .planes import generate_plane_source
-
-    source = generate_plane_source(
-        low,
-        is_casu=bool(variant.discards_void_stops),
-        one_plane=one_plane,
-        fixpoint=fixpoint,
-        detect_ambiguity=detect_ambiguity,
-        metrics_on=metrics_on,
-        events_on=events_on,
-    )
-    namespace = _compile(source, low.fingerprint[:12])
-    STATS.compiles += 1
-    plan = CompiledPlan(key=key, source=source, cycle=namespace["cycle"],
-                        run_cycles=namespace["run_cycles"])
+        source = generate_plane_source(
+            low,
+            is_casu=bool(variant.discards_void_stops),
+            one_plane=one_plane,
+            fixpoint=fixpoint,
+            detect_ambiguity=detect_ambiguity,
+            metrics_on=metrics_on,
+            events_on=events_on,
+        )
+        namespace = _compile(source, low.fingerprint[:12])
+        STATS.compiles += 1
+        plan = CompiledPlan(key=key, source=source,
+                            cycle=namespace["cycle"],
+                            run_cycles=namespace["run_cycles"])
+        _LAST_COMPILED.clear()
+        _LAST_COMPILED[key] = plan
+        if key not in _SEEN_ONCE:  # a first use: remember the key only
+            _SEEN_ONCE[key] = weakref.ref(plan)
+            if len(_SEEN_ONCE) > PLAN_CACHE_SIZE:
+                _SEEN_ONCE.popitem(last=False)
+            return plan
+    # A second use: admit the plan.
+    _SEEN_ONCE.pop(key, None)
     _PLAN_CACHE[key] = plan
     while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
         _PLAN_CACHE.popitem(last=False)

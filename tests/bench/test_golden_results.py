@@ -104,27 +104,33 @@ class TestSkeletonCostGolden:
             assert speedup > 1.0, name
 
     def test_skeleton_beats_full_sim_via_backend_api(self, golden_rows):
-        """Re-establish the claim with a fresh (shorter) measurement."""
+        """Re-establish the claim with a fresh (shorter) measurement.
+
+        Only the stepping is timed on either side: the handle and the
+        elaborated system are built outside the clock.  Each side is
+        the best of five rounds that alternate with the other side's,
+        so a neighbour that slows the host for a while slows both.
+        """
         import time
 
         for name, _cycles, _speedup in golden_rows:
             stages = int(name.removeprefix("pipeline"))
             cycles = 200
-            graph = pipeline(stages, relays_per_hop=2)
+            skeleton_s = full_s = float("inf")
+            for _round in range(5):
+                handle = select(pipeline(stages, relays_per_hop=2),
+                                DEFAULT_VARIANT, batch=1,
+                                detect_ambiguity=False)
+                start = time.perf_counter()
+                handle.run_cycles(cycles)
+                skeleton_s = min(skeleton_s, time.perf_counter() - start)
 
-            start = time.perf_counter()
-            handle = select(graph, DEFAULT_VARIANT, batch=1,
-                            detect_ambiguity=False)
-            handle.run_cycles(cycles)
-            skeleton_s = time.perf_counter() - start
-
-            graph = pipeline(stages, relays_per_hop=2)
-            system = graph.elaborate()
-            system.finalize(strict=False)
-            system.sim.reset()
-            start = time.perf_counter()
-            system.sim.step(cycles)
-            full_s = time.perf_counter() - start
+                system = pipeline(stages, relays_per_hop=2).elaborate()
+                system.finalize(strict=False)
+                system.sim.reset()
+                start = time.perf_counter()
+                system.sim.step(cycles)
+                full_s = min(full_s, time.perf_counter() - start)
 
             assert skeleton_s < full_s, (
                 f"{name}: skeleton {skeleton_s * 1e3:.1f} ms not under "

@@ -306,3 +306,22 @@ def test_sampled_skeleton_report_matches_golden(tmp_path):
                  "--faults", "stop,void,payload,drop", "--seed", "7",
                  "--format", "json", "-o", str(out)]) == 0
     assert out.read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
+EXHAUSTIVE_REPORT = (Path(__file__).parent / "data"
+                     / "exhaustive-pipeline3-w60.json")
+
+
+@pytest.mark.parametrize("backend", ["auto", "scalar"])
+def test_exhaustive_window_report_matches_golden(tmp_path, backend):
+    """An exhaustive window over sink stop, source void, sink payload
+    and relay-drop faults: 24 experiments covering four verdicts and
+    every skipped-entry shape, rendered from the report templates.
+    CI ``cmp``s the same argv."""
+    out = tmp_path / "report.json"
+    assert main(["inject", "--engine", "skeleton", "--backend", backend,
+                 "--topology", "pipeline:stages=3", "--cycles", "200",
+                 "--exhaustive", "--window", "60:64",
+                 "--faults", "stop,void,payload,drop", "--seed", "5",
+                 "--format", "json", "-o", str(out)]) == 0
+    assert out.read_bytes() == EXHAUSTIVE_REPORT.read_bytes()

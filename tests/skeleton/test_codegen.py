@@ -199,12 +199,18 @@ class TestPlanKey:
                 assert sim.metrics_snapshot(plane) == ref.metrics_snapshot()
 
 
+def _twice(graph, **kwargs):
+    """Use *graph*'s one-plane plan twice: the second use admits it."""
+    _one_plane(graph, **kwargs)
+    return _one_plane(graph, **kwargs)
+
+
 class TestPlanCacheBound:
     def test_lru_keeps_exactly_the_bound(self):
         extra = 3
         graphs = [pipeline(n) for n in range(1, PLAN_CACHE_SIZE + extra + 1)]
         for graph in graphs:
-            _one_plane(graph)
+            _twice(graph)
         assert len(codegen._PLAN_CACHE) == PLAN_CACHE_SIZE
         assert STATS.compiles == PLAN_CACHE_SIZE + extra
         assert STATS.evictions == extra
@@ -212,23 +218,29 @@ class TestPlanCacheBound:
     def test_a_hit_refreshes_recency(self):
         graphs = [pipeline(n) for n in range(1, PLAN_CACHE_SIZE + 1)]
         for graph in graphs:
-            _one_plane(graph)
+            _twice(graph)
+        assert STATS.plan_hits == PLAN_CACHE_SIZE
         _one_plane(graphs[0])  # now the most recently used
-        _one_plane(pipeline(PLAN_CACHE_SIZE + 1))
+        _twice(pipeline(PLAN_CACHE_SIZE + 1))
         assert STATS.evictions == 1
         _one_plane(graphs[0])
-        assert STATS.plan_hits == 2  # still cached
+        assert STATS.plan_hits == PLAN_CACHE_SIZE + 3  # still cached
+        compiles = STATS.compiles
         _one_plane(graphs[1])
-        assert STATS.compiles == PLAN_CACHE_SIZE + 2  # evicted
+        assert STATS.compiles == compiles + 1  # evicted
 
     def test_evicted_topology_recompiles_identically(self):
         graph = ring(2, relays_per_arc=[["half"], ["full"]])
         script = [{"out": (False, True, True)}, {}]
+        BitplaneSkeletonSim(graph, script)
         first = BitplaneSkeletonSim(graph, script)
+        assert first._plan.key in codegen._PLAN_CACHE
         source = first._plan.source
         first.run(90)
         for n in range(1, PLAN_CACHE_SIZE + 1):
             BitplaneSkeletonSim(pipeline(n), batch=2)
+            BitplaneSkeletonSim(pipeline(n), batch=2)
+        assert first._plan.key not in codegen._PLAN_CACHE
         assert STATS.evictions >= 1
         compiles = STATS.compiles
         again = BitplaneSkeletonSim(graph, script)
@@ -240,6 +252,59 @@ class TestPlanCacheBound:
         assert again.accept_history(0) == first.accept_history(0)
         assert [again.metrics_snapshot(p) for p in (0, 1)] \
             == [first.metrics_snapshot(p) for p in (0, 1)]
+
+
+class TestPlanAdmission:
+    def test_first_use_stays_out_of_the_lru(self):
+        first = _one_plane(pipeline(3))
+        assert not codegen._PLAN_CACHE
+        second = _one_plane(pipeline(3))  # the side slot serves it
+        assert second._plan is first._plan
+        assert STATS.compiles == 1 and STATS.plan_hits == 1
+        assert list(codegen._PLAN_CACHE) == [first._plan.key]
+
+    def test_one_off_topologies_never_evict_a_plan_used_twice(self):
+        recurring = ring(2, relays_per_arc=[["half"], ["full"]])
+        plan = _twice(recurring)._plan
+        for n in range(1, 4 * PLAN_CACHE_SIZE + 1):
+            _one_plane(pipeline(n))
+        assert STATS.evictions == 0
+        assert list(codegen._PLAN_CACHE) == [plan.key]
+        compiles = STATS.compiles
+        assert _one_plane(recurring)._plan is plan
+        assert STATS.compiles == compiles
+
+    def test_a_live_plan_is_found_through_its_key(self):
+        """A plan used once that a simulator still holds is served
+        again, not recompiled, after another compile took the slot."""
+        held = _one_plane(pipeline(3))
+        _one_plane(pipeline(7))
+        again = _one_plane(pipeline(3))
+        assert again._plan is held._plan
+        assert STATS.compiles == 2 and STATS.plan_hits == 1
+        assert held._plan.key in codegen._PLAN_CACHE
+
+    def test_a_key_seen_once_is_admitted_on_its_second_compile(self):
+        """A recurring topology whose uses are interleaved with others,
+        and whose simulators are gone, compiles twice, then hits."""
+        graph = pipeline(3)
+        for _round in range(3):
+            _one_plane(graph)
+            _one_plane(pipeline(7))
+        assert STATS.compiles == 4
+        assert set(codegen._PLAN_CACHE) == {
+            _one_plane(graph)._plan.key, _one_plane(pipeline(7))._plan.key}
+        assert STATS.compiles == 4
+
+    def test_the_key_list_is_bounded(self):
+        graph = pipeline(3)
+        _one_plane(graph)
+        for n in range(4, 4 + PLAN_CACHE_SIZE):
+            _one_plane(pipeline(n))
+        assert len(codegen._SEEN_ONCE) == PLAN_CACHE_SIZE
+        _one_plane(graph)  # forgotten: a first use again
+        assert not codegen._PLAN_CACHE
+        assert STATS.compiles == PLAN_CACHE_SIZE + 2
 
 
 class TestConsumers:
