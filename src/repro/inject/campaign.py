@@ -1,9 +1,8 @@
 """Campaign runner: execute fault lists and classify the outcomes.
 
-Each experiment elaborates a fresh system, arms one
-:class:`~repro.inject.injector.FaultInjector`, runs to a fixed cycle
-budget and compares the result against a *golden* (fault-free) run of
-the same system.
+Each experiment arms one :class:`~repro.inject.injector.FaultInjector`
+on an elaborated system, runs to a fixed cycle budget and compares the
+result against a *golden* (fault-free) run of the same system.
 
 Up to the first cycle at which a fault actually changes a wire or
 register (its *first effective cycle*), a faulted run is the golden
@@ -12,9 +11,11 @@ golden run is a monitored *trunk* (:meth:`GoldenRun.capture` with the
 fault list) that checkpoints the whole system where each fault first
 bites, every experiment resumes from its :class:`Checkpoint` and
 simulates only the remaining cycles, and a fault that never bites
-takes the trunk's outcome unsimulated.  Reports are byte-identical to
-running every experiment from reset, which :func:`run_experiment`
-still does without a checkpoint.
+takes the trunk's outcome unsimulated.  A serial campaign elaborates
+one system for all its forked experiments: each restores its
+checkpoint into it, arms its injector and detaches it again.  Reports
+are byte-identical to running every experiment from reset in a fresh
+system, which :func:`run_experiment` still does without a checkpoint.
 
 Outcomes fall into five verdict classes:
 
@@ -317,6 +318,19 @@ def _stream_verdict(
         f"{short_detail}; shells still live at end of budget")
 
 
+def _elaborate(graph: SystemGraph, variant: ProtocolVariant,
+               strict: bool, monitors: bool, telemetry) -> Tuple[Any, List]:
+    """A system for experiments on *graph* and its channel monitors."""
+    from ..lid.monitor import watch_system
+
+    system = graph.elaborate(variant=variant)
+    if telemetry is not None:
+        system.attach_telemetry(telemetry)
+    watchers = (watch_system(system, strict_stop_shape=strict)
+                if monitors else [])
+    return system, watchers
+
+
 def run_experiment(
     graph: SystemGraph,
     spec: FaultSpec,
@@ -327,24 +341,32 @@ def run_experiment(
     monitors: bool = True,
     telemetry=None,
     checkpoint: Optional[Checkpoint] = None,
+    elaborated: Optional[Tuple[Any, List]] = None,
 ) -> ExperimentResult:
     """Run one fault on the scalar LID engine and classify it.
 
     Without a *checkpoint* the run starts from reset.  With one — the
     fault's fork from a trunk captured by :meth:`GoldenRun.capture`
-    with the same *variant*, *strict* and *monitors* — a fresh system
+    with the same *variant*, *strict* and *monitors* — the system
     restores the trunk's state at the fault's first effective cycle,
     the injector is armed there and only the remaining cycles are
     simulated.  The result is the same either way.
-    """
-    from ..lid.monitor import watch_system
 
+    The system is a fresh elaboration of *graph*, or *elaborated*: a
+    ``(system, monitors)`` pair that :func:`run_campaign` elaborated
+    once with the same *variant*, *strict*, *monitors* and *telemetry*
+    and that every experiment of the campaign reuses.  A reused system
+    needs a *checkpoint*, which sets every block and monitor it has,
+    and the injector is detached on return, whatever the verdict.
+    """
     cycles = golden.cycles
-    system = graph.elaborate(variant=variant)
-    if telemetry is not None:
-        system.attach_telemetry(telemetry)
-    watchers = (watch_system(system, strict_stop_shape=strict)
-                if monitors else [])
+    if elaborated is None:
+        elaborated = _elaborate(graph, variant, strict, monitors, telemetry)
+    elif checkpoint is None:
+        raise InjectionError(
+            "a reused system resumes from a checkpoint; run from reset "
+            "in a fresh one")
+    system, watchers = elaborated
     start, prev_stop = 0, False
     if checkpoint is not None:
         if len(checkpoint.monitors) != len(watchers):
@@ -363,6 +385,8 @@ def run_experiment(
     except Exception as exc:  # noqa: BLE001 - a crash is loud detection
         return ExperimentResult(spec, "detected", _detection_detail(exc),
                                 injector.fired, len(injector.fired_cycles))
+    finally:
+        injector.detach()
 
     verdict, detail = _stream_verdict(
         golden,
@@ -776,6 +800,12 @@ def run_campaign(
     reset instead, faults that never bite included, so snapshots and
     event streams observe every cycle.
 
+    Serially, the forked experiments share one system elaborated (and
+    watched) once per campaign: each restores its checkpoint into it,
+    arms its injector, runs and detaches the injector again (see
+    :func:`run_experiment`).  Experiments from reset, and every
+    experiment in a ``jobs > 1`` worker, elaborate a fresh system.
+
     ``jobs`` fans the experiments across worker processes via
     :func:`repro.exec.map_deterministic`; each unit carries its
     checkpoint, and the report is byte-identical for every value (see
@@ -816,10 +846,11 @@ def run_campaign(
     golden = _cached_trunk(graph, variant, cycles, seed, faults, strict,
                            monitors, cache)
     results: List[Optional[ExperimentResult]] = [None] * len(faults)
-    if golden.forks is None or trace is not None or (
-            telemetry is not None
-            and (telemetry.metrics is not None
-                 or telemetry.events is not None)):
+    from_reset = golden.forks is None or trace is not None or (
+        telemetry is not None
+        and (telemetry.metrics is not None
+             or telemetry.events is not None))
+    if from_reset:
         # Fork every experiment at cycle 0 (from reset), so metric
         # snapshots and event streams observe every cycle.
         runs = [(index, spec, None) for index, spec in enumerate(faults)]
@@ -860,10 +891,15 @@ def run_campaign(
                 if snapshot:
                     telemetry.metrics.merge_snapshot(snapshot)
     else:
+        # Forked experiments share one system (each restores its own
+        # checkpoint into it); experiments from reset get a fresh one.
+        elaborated = None if from_reset or not runs else _elaborate(
+            graph, variant, strict, monitors, telemetry)
         for index, spec, fork in runs:
             results[index] = run_experiment(
                 graph, spec, golden, variant=variant, strict=strict,
-                monitors=monitors, telemetry=telemetry, checkpoint=fork)
+                monitors=monitors, telemetry=telemetry, checkpoint=fork,
+                elaborated=elaborated)
             if progress is not None:
                 progress.advance(1)
     if progress is not None:
@@ -879,6 +915,12 @@ def run_campaign(
 
 
 # -- skeleton (batched) campaigns -----------------------------------------
+
+def _columns(rows: List[List[int]], batch: int) -> List[Tuple[int, ...]]:
+    """Per-block count rows (``rows[block][instance]``) as one tuple
+    per instance, in one transpose."""
+    return list(zip(*rows)) if rows else [()] * batch
+
 
 def endpoint_scripts(
     graph: SystemGraph,
@@ -1152,23 +1194,22 @@ def skeleton_campaign(
                 handle.poke_bridge(column, bridge, at, delta,
                                    duration=span)
         handle.run_cycles(cycles - tail)
-        head_fires = handle.fire_counts()
+        head_fires = _columns(handle.fire_counts(), handle.batch)
         handle.run_cycles(tail)
-        fires = handle.fire_counts()
-        accepts = handle.accept_counts()
+        fires = _columns(handle.fire_counts(), handle.batch)
+        accepts = _columns(handle.accept_counts(), handle.batch)
         voids = handle.void_stop_counts()
         # Shell firings in the tail window, one total per instance.
-        tail_fires = [sum(now[c] - then[c]
-                          for now, then in zip(fires, head_fires))
-                      for c in range(handle.batch)]
+        tail_fires = [sum(now) - sum(then)
+                      for now, then in zip(fires, head_fires)]
 
-        golden_fires = [row[0] for row in fires]
-        golden_accepts = [row[0] for row in accepts]
+        golden_fires = fires[0]
+        golden_accepts = accepts[0]
         golden_tail = tail_fires[0]
         golden_voids = voids[0]
         for column, (spec, _src, _snk) in enumerate(expressible, start=1):
-            col_fires = [row[column] for row in fires]
-            col_accepts = [row[column] for row in accepts]
+            col_fires = fires[column]
+            col_accepts = accepts[column]
             col_tail = tail_fires[column]
             col_voids = voids[column]
             if strict_detect and col_voids > golden_voids:

@@ -99,11 +99,19 @@ class FaultInjector:
     def attach(self) -> "FaultInjector":
         """Register with the simulator's injection phase; emit arm."""
         sim = self.system.sim
-        hook = self._wire_hook if self.spec.phase == "wire" \
-            else self._state_hook
-        sim.add_injection_hook(hook, phase=self.spec.phase)
+        sim.add_injection_hook(self._hook(), phase=self.spec.phase)
         self._emit("arm", sim.cycle)
         return self
+
+    def detach(self) -> None:
+        """Unregister from the simulator, which can then run another
+        experiment without this fault."""
+        self.system.sim.remove_injection_hook(self._hook(),
+                                              phase=self.spec.phase)
+
+    def _hook(self):
+        return self._wire_hook if self.spec.phase == "wire" \
+            else self._state_hook
 
     # -- per-cycle ---------------------------------------------------------
 

@@ -18,6 +18,15 @@ The kernel models single-clock RTL with a *settle / edge* discipline:
 3. **Edge** — every component samples the settled values and updates its
    registers simultaneously.
 
+The one-pass path calls only bound methods from lists the simulator
+builds when a phase first runs after the component set or the settle
+order changed (:meth:`Simulator.add_component`,
+:meth:`~Simulator.replace_component`, :meth:`~Simulator.set_settle_order`):
+the ``publish`` of every component that overrides it, the ``settle`` of
+the settle order and every ``tick``.  It resets the combinational wires
+by assignment, and Moore wires carry no change flag (see
+:mod:`repro.kernel.signal`); the fixpoint path keeps every flag.
+
 Fault injection (:mod:`repro.inject`) adds two optional phases that are
 completely inert when no injector is attached:
 
@@ -76,6 +85,9 @@ class Simulator:
         #: The signals the settle phase starts from their defaults.
         self._volatile: List[Signal] = []
         self._settle_order: Optional[List[Component]] = None
+        #: Bound ``publish`` / ``settle`` / ``tick`` lists of the
+        #: one-pass path; ``None`` until the next phase builds them.
+        self._phases: Optional[Tuple[List[Callable[[], None]], ...]] = None
         self._cycle_hooks: List[Callable[["Simulator"], None]] = []
         self._inject_wire_hooks: List[Callable[["Simulator"], None]] = []
         self._inject_state_hooks: List[Callable[["Simulator"], None]] = []
@@ -88,6 +100,7 @@ class Simulator:
         """Register a component; returns it for chaining."""
         self._components.append(component)
         component.attached(self)
+        self._phases = None
         return component
 
     def replace_component(self, old: Component, new: Component) -> None:
@@ -101,6 +114,7 @@ class Simulator:
         components[components.index(old)] = new
         new.attached(self)
         self._settle_order = None
+        self._phases = None
 
     def signal(self, name: str, default=None, sticky: bool = False) -> Signal:
         """Create (or fetch, if it exists) a named signal."""
@@ -133,6 +147,7 @@ class Simulator:
         structural lint); the kernel does not check them.
         """
         self._settle_order = None if order is None else list(order)
+        self._phases = None
 
     def add_cycle_hook(self, hook: Callable[["Simulator"], None]) -> None:
         """Run *hook(sim)* after the settle phase of every cycle.
@@ -156,12 +171,25 @@ class Simulator:
         With no hooks registered both call sites loop over an empty
         list.
         """
+        self._injection_hooks(phase).append(hook)
+
+    def remove_injection_hook(
+        self,
+        hook: Callable[["Simulator"], None],
+        phase: str = "wire",
+    ) -> None:
+        """Unregister a hook :meth:`add_injection_hook` registered, so a
+        simulator can run the next experiment without it."""
+        self._injection_hooks(phase).remove(hook)
+
+    def _injection_hooks(
+        self, phase: str,
+    ) -> List[Callable[["Simulator"], None]]:
         if phase == "wire":
-            self._inject_wire_hooks.append(hook)
-        elif phase == "state":
-            self._inject_state_hooks.append(hook)
-        else:
-            raise ValueError(f"unknown injection phase {phase!r}")
+            return self._inject_wire_hooks
+        if phase == "state":
+            return self._inject_state_hooks
+        raise ValueError(f"unknown injection phase {phase!r}")
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         """Route phase timings and events through *telemetry*.
@@ -214,16 +242,30 @@ class Simulator:
         that ticks the components itself calls it in place of
         :meth:`step`.
         """
-        order = self._settle_order
-        if order is None:
+        if self._settle_order is None:
             self._settle_fixpoint()
             return
+        publishes, settles, _ticks = self._phases or self._build_phases()
         for sig in self._volatile:
-            sig.reset_for_settle()
-        for comp in self._components:
-            comp.publish()
-        for comp in order:
-            comp.settle()
+            sig.value = sig.default
+        for publish in publishes:
+            publish()
+        for settle in settles:
+            settle()
+
+    def _build_phases(self) -> Tuple[List[Callable[[], None]], ...]:
+        """The bound-method lists of the one-pass path: each
+        component's phase methods are looked up here, once per change
+        to the component set or the settle order."""
+        components = self._components
+        self._phases = (
+            [comp.publish for comp in components
+             if getattr(comp.publish, "__func__", None)
+             is not Component.publish],
+            [comp.settle for comp in self._settle_order or ()],
+            [comp.tick for comp in components],
+        )
+        return self._phases
 
     def _settle_fixpoint(self) -> None:
         for sig in self._signals:
@@ -282,7 +324,7 @@ class Simulator:
         profiler = telemetry.profiler if telemetry is not None else None
         settle_s = hooks_s = edge_s = 0.0
         t0 = t1 = t2 = 0.0
-        components = self._components
+        settle = self.settle
         wire_hooks = self._inject_wire_hooks
         cycle_hooks = self._cycle_hooks
         state_hooks = self._inject_state_hooks
@@ -291,7 +333,7 @@ class Simulator:
         for _ in range(cycles):
             if profiler is not None:
                 t0 = perf_counter()
-            self.settle()
+            settle()
             for hook in wire_hooks:
                 hook(self)
             if profiler is not None:
@@ -302,8 +344,8 @@ class Simulator:
                 hit = self.cycle
             if profiler is not None:
                 t2 = perf_counter()
-            for comp in components:
-                comp.tick()
+            for tick in (self._phases or self._build_phases())[2]:
+                tick()
             for hook in state_hooks:
                 hook(self)
             if profiler is not None:

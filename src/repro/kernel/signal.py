@@ -9,6 +9,13 @@ components sample the settled values and update their internal state.
 Signals are deliberately dumb: no drivers list, no resolution function.
 Single-driver discipline is enforced structurally by the layers above
 (see :mod:`repro.lid.lint`).
+
+Only combinational (Mealy) wires need :meth:`Signal.set`, whose change
+flag tells the fixpoint when a pass changed nothing.  A Moore wire is
+constant within a cycle and driven only at publish, before the
+fixpoint clears every flag, so its driver may assign :attr:`Signal.value`
+directly and leave no change flag (:meth:`repro.lid.channel.Channel.drive`
+does this for the forward ``data``/``valid`` wires).
 """
 
 from __future__ import annotations
@@ -33,19 +40,17 @@ class Signal:
         (used for Moore outputs, which are constant within a cycle).
     """
 
-    __slots__ = ("name", "default", "sticky", "_value", "_changed")
+    __slots__ = ("name", "default", "sticky", "value", "_changed")
 
     def __init__(self, name: str, default: Any = None, sticky: bool = False):
         self.name = name
         self.default = default
         self.sticky = sticky
-        self._value = default
+        #: Current settled (or partially settled) value.  Readers read
+        #: it; a Moore driver may assign it (no change flag, see the
+        #: module docstring); a combinational driver calls :meth:`set`.
+        self.value = default
         self._changed = False
-
-    @property
-    def value(self) -> Any:
-        """Current settled (or partially settled) value."""
-        return self._value
 
     def set(self, value: Any) -> None:
         """Drive the signal; records whether the value actually changed.
@@ -55,14 +60,14 @@ class Signal:
         a sticky signal is never reset, so keeping the old object would
         show the previous cycle's type to every reader.
         """
-        if value != self._value:
+        if value != self.value:
             self._changed = True
-        self._value = value
+        self.value = value
 
     def reset_for_settle(self) -> None:
         """Return to the default value at the start of a settle phase."""
         if not self.sticky:
-            self._value = self.default
+            self.value = self.default
         self._changed = False
 
     def consume_changed(self) -> bool:
@@ -72,7 +77,7 @@ class Signal:
         return changed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Signal({self.name!r}, value={self._value!r})"
+        return f"Signal({self.name!r}, value={self.value!r})"
 
 
 class SignalBundle:

@@ -12,10 +12,15 @@ token onto each of them), which matches the RTL the paper describes and
 keeps the single-driver discipline trivial.
 
 The forward wires are Moore outputs of the producer, driven again at
-every publish, so they are *sticky* signals; only ``stop`` is
-combinational and starts each settle phase low.  The channel also keeps
-the token its producer drove and hands that same object to the consumer
-(tokens are immutable), so reading a channel allocates nothing.
+every publish, so they are *sticky* signals that :meth:`Channel.drive`
+assigns without a change flag; only ``stop`` is combinational, starts
+each settle phase low and is driven through
+:meth:`~repro.kernel.signal.Signal.set`.  The channel also keeps the
+token its producer drove (:attr:`Channel.token`) and hands that same
+object to the consumer (tokens are immutable), so reading a channel
+allocates nothing.  The blocks of :mod:`repro.lid` read ``token`` and
+``stop.value`` directly; :meth:`Channel.read` and
+:meth:`Channel.stop_asserted` are the same reads for other callers.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ class Channel:
         self.stop = stop
         self.producer: Optional[str] = None
         self.consumer: Optional[str] = None
-        self._token: Token = VOID
+        #: The presented token: the one the producer drove, or the one
+        #: a fault forced.
+        self.token: Token = VOID
 
     @classmethod
     def create(cls, sim: Simulator, name: str) -> "Channel":
@@ -55,10 +62,15 @@ class Channel:
     # -- producer side ---------------------------------------------------
 
     def drive(self, token: Token) -> None:
-        """Publish *token* on the forward wires (producer, Moore)."""
-        self._token = token
-        self.data.set(token.value)
-        self.valid.set(token.valid)
+        """Publish *token* on the forward wires (producer, Moore).
+
+        The wires are assigned without a change flag: they are driven
+        only at publish, before the fixpoint clears every flag, or by
+        a fault after the settle phase.
+        """
+        self.token = token
+        self.data.value = token.value
+        self.valid.value = token.valid
 
     def stop_asserted(self) -> bool:
         """Settled value of the backward stop wire (producer reads)."""
@@ -69,7 +81,7 @@ class Channel:
     def read(self) -> Token:
         """Current forward token (consumer, after publish phase): the
         token the producer drove, or the one a fault forced."""
-        return self._token
+        return self.token
 
     def set_stop(self, value: bool) -> None:
         """Drive the backward stop wire (consumer).
@@ -106,7 +118,7 @@ class Channel:
         A no-op on a void token: the data wire is a don't-care when
         ``valid`` is low, so there is nothing to corrupt.
         """
-        if self._token.valid:
+        if self.token.valid:
             self.drive(Token(value))
 
     # -- bookkeeping -------------------------------------------------------

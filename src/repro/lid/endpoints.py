@@ -106,12 +106,13 @@ class Source(Component):
         self.output.drive(self._current)
 
     def tick(self) -> None:
-        stop = self.output.stop_asserted()
-        if self._current.valid and stop:
-            return  # held under back pressure
-        if self._current.valid:
-            self.emitted.append((self.cycle, self._current.value))
-        self._current = self._pull()
+        current = self._current
+        if current.valid:
+            if self.output.stop.value:
+                return  # held under back pressure
+            self.emitted.append((self._sim.cycle, current.value))
+        self._pulls += 1  # _pull(), inlined on the per-cycle path
+        self._current = next(self._stream, VOID)
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -179,20 +180,22 @@ class Sink(Component):
         self.void_cycles = restore_history(void_cycles)
 
     def publish(self) -> None:
-        if self.stop_script is not None and self.stop_script(self.cycle):
-            self.input.set_stop(True)
+        if self.stop_script is not None \
+                and self.stop_script(self._sim.cycle):
+            self.input.stop.set(True)
 
     def tick(self) -> None:
-        stopping = self.stop_script is not None and self.stop_script(self.cycle)
-        token = self.input.read()
-        if token.valid and not stopping:
-            self.received.append((self.cycle, token.value))
-            telemetry = self._sim.telemetry if self._sim else None
+        sim = self._sim
+        cycle = sim.cycle
+        token = self.input.token
+        if not token.valid:
+            self.void_cycles.append(cycle)
+        elif self.stop_script is None or not self.stop_script(cycle):
+            self.received.append((cycle, token.value))
+            telemetry = sim.telemetry
             if telemetry is not None and telemetry.events is not None:
-                telemetry.events.emit("token", "accept", self.cycle,
+                telemetry.events.emit("token", "accept", cycle,
                                       sink=self.name)
-        elif not token.valid:
-            self.void_cycles.append(self.cycle)
 
     # -- metrics -----------------------------------------------------------
 

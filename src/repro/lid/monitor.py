@@ -14,9 +14,10 @@ assertions bound to every channel:
   channel whose token is void when the consumer follows the refined
   protocol.
 
-Attach with :func:`watch_system` (every channel) or by constructing
-:class:`ChannelMonitor` for specific channels.  Monitors are pure
-observers — they never drive signals — so they cannot perturb the run.
+Attach with :func:`watch_system` (every channel, one cycle hook) or by
+constructing :class:`ChannelMonitor` for specific channels.  Monitors
+are pure observers — they never drive signals — so they cannot perturb
+the run.
 
 Violations are *structured*: every raised
 :class:`~repro.errors.ProtocolViolationError` carries the cycle,
@@ -28,7 +29,8 @@ export captures the violation alongside the events leading up to it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import functools
+from typing import List, Optional, Sequence
 
 from ..errors import ProtocolViolationError
 from ..kernel.scheduler import Simulator
@@ -67,6 +69,10 @@ class ChannelMonitor:
         self.channel = channel
         self.strict_stop_shape = strict_stop_shape
         self.variant = variant
+        #: Whether the stop-shape check applies (it is the refined
+        #: protocol's rule), decided once.
+        self._checks_stop_shape = (strict_stop_shape
+                                   and variant is ProtocolVariant.CASU)
         self._prev_token: Optional[Token] = None
         self._prev_stop = False
         self.cycles_observed = 0
@@ -87,38 +93,43 @@ class ChannelMonitor:
          self.tokens_seen) = state
 
     def _sample(self, sim: Simulator) -> None:
-        token = self.channel.read()
-        stop = self.channel.stop_asserted()
+        _sample_all((self,), sim)
 
-        if self._prev_token is not None:
-            held = self._prev_token.valid and self._prev_stop
-            if held and token != self._prev_token:
-                raise _violation(
-                    sim,
-                    f"channel {self.channel.name!r}: token "
-                    f"{self._prev_token} was stopped at cycle "
-                    f"{sim.cycle - 1} but cycle {sim.cycle} presents "
-                    f"{token} — hold violated",
-                    channel=self.channel.name, invariant="hold",
-                    cycle=sim.cycle, variant=self.variant,
-                )
 
-        if self.strict_stop_shape and stop and not token.valid \
-                and self.variant is ProtocolVariant.CASU:
+def _sample_all(monitors: Sequence[ChannelMonitor], sim: Simulator) -> None:
+    """Sample every monitor's channel once, in order; the first
+    violation raises and leaves the later monitors unsampled."""
+    for monitor in monitors:
+        channel = monitor.channel
+        token = channel.token
+        stop = channel.stop.value
+        prev = monitor._prev_token
+        # ``token is prev``: a held token is the same object, so the
+        # hold check rarely needs Token.__eq__.
+        if prev is not None and prev.valid and monitor._prev_stop \
+                and token is not prev and token != prev:
             raise _violation(
                 sim,
-                f"channel {self.channel.name!r}: stop asserted on a void "
+                f"channel {channel.name!r}: token {prev} was stopped at "
+                f"cycle {sim.cycle - 1} but cycle {sim.cycle} presents "
+                f"{token} — hold violated",
+                channel=channel.name, invariant="hold",
+                cycle=sim.cycle, variant=monitor.variant,
+            )
+        if stop and monitor._checks_stop_shape and not token.valid:
+            raise _violation(
+                sim,
+                f"channel {channel.name!r}: stop asserted on a void "
                 f"token at cycle {sim.cycle}; the refined protocol "
                 f"discards stops on invalid signals",
-                channel=self.channel.name, invariant="stop-shape",
-                cycle=sim.cycle, variant=self.variant,
+                channel=channel.name, invariant="stop-shape",
+                cycle=sim.cycle, variant=monitor.variant,
             )
-
         if token.valid:
-            self.tokens_seen += 1
-        self._prev_token = token
-        self._prev_stop = stop
-        self.cycles_observed += 1
+            monitor.tokens_seen += 1
+        monitor._prev_token = token
+        monitor._prev_stop = stop
+        monitor.cycles_observed += 1
 
 
 class StreamMonitor:
@@ -159,19 +170,17 @@ class StreamMonitor:
 
 def watch_system(system, strict_stop_shape: bool = False
                  ) -> List[ChannelMonitor]:
-    """Attach a :class:`ChannelMonitor` to every channel of *system*.
+    """Watch every channel of *system* with a :class:`ChannelMonitor`.
 
-    Call before :meth:`~repro.lid.system.LidSystem.run`; returns the
-    monitors (their counters are handy in tests).  The system's variant
-    governs the optional stop-shape check.
+    One cycle hook samples all of them in channel order, so the first
+    violation (and its message) is the one per-channel hooks
+    registered in that order would raise.  Call before
+    :meth:`~repro.lid.system.LidSystem.run`; returns the monitors
+    (their counters are handy in tests).  The system's variant governs
+    the optional stop-shape check.
     """
-    monitors = []
-    for channel in system.channels:
-        monitor = ChannelMonitor(
-            channel,
-            strict_stop_shape=strict_stop_shape,
-            variant=system.variant,
-        )
-        monitor.attach(system.sim)
-        monitors.append(monitor)
+    monitors = [ChannelMonitor(channel, strict_stop_shape=strict_stop_shape,
+                               variant=system.variant)
+                for channel in system.channels]
+    system.sim.add_cycle_hook(functools.partial(_sample_all, monitors))
     return monitors

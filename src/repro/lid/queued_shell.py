@@ -31,7 +31,7 @@ from typing import Deque, Dict, Sequence
 from ..errors import StructuralError
 from .channel import Channel
 from .shell import Shell
-from .token import Token, VOID
+from .token import VOID
 from .variant import DEFAULT_VARIANT, ProtocolVariant
 
 
@@ -70,9 +70,9 @@ class QueuedShell(Shell):
 
     def publish(self) -> None:
         super().publish()
-        for port, chan in self.input_channels.items():
+        for port, chan in zip(self._in_ports, self._in_chans):
             if self._stop_regs[port]:
-                chan.set_stop(True)
+                chan.stop.set(True)
 
     def _inputs_ready(self) -> bool:
         return all(len(q) > 0 for q in self._queues.values())
@@ -80,11 +80,10 @@ class QueuedShell(Shell):
     def _can_fire(self) -> bool:
         if not self._inputs_ready():
             return False
-        for chans in self._outputs.values():
-            for chan in chans:
-                if self.variant.output_blocked(
-                        chan.stop_asserted(), self._out_regs[chan].valid):
-                    return False
+        discards = self._discards_void_stops
+        for chan, reg in zip(self._out_chans, self._out_regs):
+            if chan.stop.value and (reg.valid or not discards):
+                return False
         return True
 
     def combinational_stop_inputs(self) -> Sequence[Channel]:
@@ -103,29 +102,23 @@ class QueuedShell(Shell):
                 port: self._queues[port].popleft()
                 for port in self.pearl.input_ports
             }
-            produced = self.pearl.step(payloads)
-            for port, chans in self._outputs.items():
-                token = Token(produced[port])
-                for chan in chans:
-                    self._out_regs[chan] = token
-            self.fired_cycles.append(self.cycle)
+            self._load(self.pearl.step(payloads))
+            self.fired_cycles.append(self._sim.cycle)
             self.fire_count += 1
         else:
-            for chans in self._outputs.values():
-                for chan in chans:
-                    reg = self._out_regs[chan]
-                    if reg.valid and chan.stop_asserted():
-                        continue
-                    self._out_regs[chan] = VOID
+            regs = self._out_regs
+            for index, chan in enumerate(self._out_chans):
+                if not (regs[index].valid and chan.stop.value):
+                    regs[index] = VOID
 
         # Enqueue arrivals and update the registered stops.  Stop is
         # asserted exactly while the queue is full; because the
         # upstream reacts one cycle late, the *last* slot plays the
         # role of the relay station's skid register — it catches the
         # token already in flight when the queue first fills.
-        for port, chan in self.input_channels.items():
+        for port, chan in zip(self._in_ports, self._in_chans):
             queue = self._queues[port]
-            token = chan.read()
+            token = chan.token
             accepted = token.valid and not self._stop_regs[port]
             if accepted:
                 if len(queue) >= self.queue_depth:

@@ -46,6 +46,9 @@ class _RelayBase(Component):
     def __init__(self, name: str, variant: ProtocolVariant = DEFAULT_VARIANT):
         super().__init__(name)
         self.variant = variant
+        #: The variant's one decision, read once (see
+        #: :attr:`ProtocolVariant.discards_void_stops`).
+        self._discards_void_stops = variant.discards_void_stops
         self.input: Optional[Channel] = None
         self.output: Optional[Channel] = None
         self.valid_out_cycles: List[int] = []
@@ -69,15 +72,13 @@ class _RelayBase(Component):
             return 0.0
         return sum(1 for c in self.valid_out_cycles if c < cycles) / cycles
 
-    def _trace_occupancy(self, before: int) -> None:
-        """Emit a ``relay/occupancy`` event when the fill level moved."""
-        telemetry = self._sim.telemetry if self._sim else None
-        if telemetry is None or telemetry.events is None:
-            return
+    def _trace_occupancy(self, events, before: int) -> None:
+        """Emit a ``relay/occupancy`` event when the fill level moved
+        (called only when an event stream is attached)."""
         occupancy = self.occupancy
         if occupancy != before:
-            telemetry.events.emit("relay", "occupancy", self.cycle,
-                                  relay=self.name, occupancy=occupancy)
+            events.emit("relay", "occupancy", self._sim.cycle,
+                        relay=self.name, occupancy=occupancy)
 
     @property
     def registers(self) -> int:
@@ -141,17 +142,21 @@ class RelayStation(_RelayBase):
     def publish(self) -> None:
         self.output.drive(self._main)
         if self._stop_reg:
-            self.input.set_stop(True)
+            self.input.stop.set(True)
 
     def tick(self) -> None:
-        occupancy_before = self.occupancy
-        stop_in = self.output.stop_asserted()
+        telemetry = self._sim.telemetry
+        events = None if telemetry is None else telemetry.events
+        if events is not None:
+            occupancy_before = self.occupancy
+        stop_in = self.output.stop.value
         if self._main.valid and not stop_in:
             # A token actually departs this cycle (valid and unstopped).
-            self.valid_out_cycles.append(self.cycle)
-        incoming = self.input.read()
+            self.valid_out_cycles.append(self._sim.cycle)
+        incoming = self.input.token
         accepted = incoming.valid and not self._stop_reg
-        consumed = self.variant.slot_consumed(self._main.valid, stop_in)
+        # As in ProtocolVariant.slot_consumed: the same in both variants.
+        consumed = not (self._main.valid and stop_in)
 
         if self._aux.valid:
             # FULL: the registered stop guarantees nothing arrives now.
@@ -170,7 +175,8 @@ class RelayStation(_RelayBase):
                 self._aux = incoming
                 self._stop_reg = True
             # else keep waiting with one buffered token, stop low.
-        self._trace_occupancy(occupancy_before)
+        if events is not None:
+            self._trace_occupancy(events, occupancy_before)
 
     # -- checkpoints -------------------------------------------------------
 
@@ -255,42 +261,44 @@ class HalfRelayStation(_RelayBase):
         self.output.drive(self._main)
         if self.registered_stop and self._main.valid:
             # Conservative registered stop: advertise whenever occupied.
-            self.input.set_stop(True)
+            self.input.stop.set(True)
 
     def settle(self) -> None:
         if self.registered_stop:
             return
-        stop_in = self.output.stop_asserted()
-        if self.variant is ProtocolVariant.CASU:
-            stop_out = stop_in and self._main.valid
-        else:
-            # Original protocol: stop back-propagated regardless of
-            # the validity of the datum it lands on.
-            stop_out = stop_in
-        if stop_out:
-            self.input.set_stop(True)
+        # The refined protocol drops a stop that lands on a void; the
+        # original back-propagates it regardless of the datum's
+        # validity.
+        if self.output.stop.value and (
+                self._main.valid or not self._discards_void_stops):
+            self.input.stop.set(True)
 
     def tick(self) -> None:
-        occupancy_before = self.occupancy
-        stop_in = self.output.stop_asserted()
+        telemetry = self._sim.telemetry
+        events = None if telemetry is None else telemetry.events
+        if events is not None:
+            occupancy_before = self.occupancy
+        stop_in = self.output.stop.value
         if self._main.valid and not stop_in:
-            self.valid_out_cycles.append(self.cycle)
-        incoming = self.input.read()
-        consumed = self.variant.slot_consumed(self._main.valid, stop_in)
+            self.valid_out_cycles.append(self._sim.cycle)
+        incoming = self.input.token
+        # As in ProtocolVariant.slot_consumed.
+        consumed = not (self._main.valid and stop_in)
         # The acceptance decision reads the *settled* stop on the
         # station's own input — which includes the stop this station
         # itself propagated combinationally during settle (transparent
         # mode) or published (registered-stop ablation).  Ticks always
-        # run after the settle phase, so the accessor sees the final
+        # run after the settle phase, so the wire holds the final
         # value; see the same-cycle-stop regression in
         # tests/lid/test_relay.py.
-        accepted = incoming.valid and not self.input.stop_asserted()
+        accepted = incoming.valid and not self.input.stop.value
 
         if consumed:
             self._main = incoming if accepted else VOID
         # else: hold; the transparent (or occupied-registered) stop has
         # already told the upstream to hold as well, so nothing is lost.
-        self._trace_occupancy(occupancy_before)
+        if events is not None:
+            self._trace_occupancy(events, occupancy_before)
 
     # -- checkpoints -------------------------------------------------------
 

@@ -32,7 +32,7 @@ ever duplicating a token.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import StructuralError
 from ..kernel.component import Component, capture_history, restore_history
@@ -61,9 +61,22 @@ class Shell(Component):
         super().__init__(name)
         self.pearl = pearl
         self.variant = variant
+        #: The variant's one decision, read once: does a stop on a void
+        #: output register stall the shell, and does a stalled shell
+        #: stop a void input?  (Neither, when stops on voids are
+        #: discarded.)
+        self._discards_void_stops = variant.discards_void_stops
         self._inputs: Dict[str, Channel] = {}
         self._outputs: Dict[str, List[Channel]] = {p: [] for p in pearl.output_ports}
-        self._out_regs: Dict[Channel, Token] = {}
+        # The wiring as the per-cycle methods walk it, refreshed by
+        # every connect: input ports and channels, and every output
+        # channel with the port it belongs to.
+        self._in_ports: Tuple[str, ...] = ()
+        self._in_chans: Tuple[Channel, ...] = ()
+        self._out_chans: Tuple[Channel, ...] = ()
+        self._out_ports: Tuple[str, ...] = ()
+        #: One output register per ``_out_chans`` entry.
+        self._out_regs: List[Token] = []
         self.fired_cycles: List[int] = []
         self.fire_count = 0
 
@@ -80,6 +93,8 @@ class Shell(Component):
             raise StructuralError(f"{self.name}: input {port!r} already connected")
         channel.bind_consumer(self.name)
         self._inputs[port] = channel
+        self._in_ports = tuple(self._inputs)
+        self._in_chans = tuple(self._inputs.values())
 
     def connect_output(self, port: str, channel: Channel) -> None:
         """Bind *channel* as one sink of pearl output *port* (fan-out ok)."""
@@ -90,6 +105,10 @@ class Shell(Component):
             )
         channel.bind_producer(self.name)
         self._outputs[port].append(channel)
+        self._out_chans = tuple(chan for chans in self._outputs.values()
+                                for chan in chans)
+        self._out_ports = tuple(name for name, chans in self._outputs.items()
+                                for _chan in chans)
 
     def check_wiring(self) -> None:
         """Raise :class:`StructuralError` if any pearl port is unbound."""
@@ -110,7 +129,7 @@ class Shell(Component):
         output stops within the cycle: all of them, because the
         simplified shell does not register stops (the structural lint
         and the settle order read this)."""
-        return tuple(self._inputs.values())
+        return self._in_chans
 
     @property
     def output_channels(self) -> Mapping[str, Sequence[Channel]]:
@@ -120,81 +139,73 @@ class Shell(Component):
 
     def reset(self) -> None:
         initial = self.pearl.reset()
-        self._out_regs = {}
-        for port, chans in self._outputs.items():
-            # Paper, footnote 1: shell outputs are initialized with
-            # valid data (relay stations, by contrast, start void).
-            token = Token(initial[port])
-            for chan in chans:
-                self._out_regs[chan] = token
+        # Paper, footnote 1: shell outputs are initialized with valid
+        # data (relay stations, by contrast, start void).
+        self._load(initial)
         self.fired_cycles = []
         self.fire_count = 0
 
+    def _load(self, produced: Mapping[str, object]) -> None:
+        """Load one token per output port into each of its registers."""
+        tokens = {port: Token(produced[port]) for port in self._outputs}
+        self._out_regs = [tokens[port] for port in self._out_ports]
+
     def publish(self) -> None:
-        for chans in self._outputs.values():
-            for chan in chans:
-                chan.drive(self._out_regs[chan])
+        for chan, reg in zip(self._out_chans, self._out_regs):
+            chan.drive(reg)
 
     def _can_fire(self) -> bool:
         """Combinational firing condition on current (settling) values."""
-        for chan in self._inputs.values():
-            if not chan.valid.value:
+        for chan in self._in_chans:
+            if not chan.token.valid:
                 return False
-        for chans in self._outputs.values():
-            for chan in chans:
-                if self.variant.output_blocked(
-                    chan.stop_asserted(), self._out_regs[chan].valid
-                ):
-                    return False
+        discards = self._discards_void_stops
+        for chan, reg in zip(self._out_chans, self._out_regs):
+            if chan.stop.value and (reg.valid or not discards):
+                return False
         return True
 
     def settle(self) -> None:
-        stalled = not self._can_fire()
-        for chan in self._inputs.values():
-            stop = self.variant.back_pressure(stalled, bool(chan.valid.value))
-            if stop:
+        if self._can_fire():
+            return
+        discards = self._discards_void_stops
+        for chan in self._in_chans:
+            if chan.token.valid or not discards:
                 # Monotone: only ever raise stops during settle.
-                chan.set_stop(True)
+                chan.stop.set(True)
 
     def tick(self) -> None:
         if self._can_fire():
-            payloads = {
-                port: chan.read().value for port, chan in self._inputs.items()
-            }
-            produced = self.pearl.step(payloads)
-            for port, chans in self._outputs.items():
-                token = Token(produced[port])
-                for chan in chans:
-                    self._out_regs[chan] = token
-            self.fired_cycles.append(self.cycle)
+            inputs = {}
+            for port, chan in zip(self._in_ports, self._in_chans):
+                inputs[port] = chan.token.value
+            self._load(self.pearl.step(inputs))
+            sim = self._sim
+            self.fired_cycles.append(sim.cycle)
             self.fire_count += 1
-            telemetry = self._sim.telemetry if self._sim else None
+            telemetry = sim.telemetry
             if telemetry is not None and telemetry.events is not None:
-                telemetry.events.emit("token", "fire", self.cycle,
+                telemetry.events.emit("token", "fire", sim.cycle,
                                       block=self.name)
-        else:
-            for chans in self._outputs.values():
-                for chan in chans:
-                    reg = self._out_regs[chan]
-                    if reg.valid and chan.stop_asserted():
-                        continue  # held under back pressure
-                    self._out_regs[chan] = VOID
+            return
+        regs = self._out_regs
+        index = 0
+        for chan in self._out_chans:
+            if not (regs[index].valid and chan.stop.value):
+                regs[index] = VOID  # else held under back pressure
+            index += 1
 
     # -- checkpoints ---------------------------------------------------------
-
-    def _register_order(self) -> List[Channel]:
-        return [chan for chans in self._outputs.values() for chan in chans]
 
     def capture_state(self):
         # Output registers by value (tokens are immutable), the pearl as
         # a deep copy: its internal state is part of the shell's.
-        regs = tuple(self._out_regs[chan] for chan in self._register_order())
-        return (regs, capture_history(self.fired_cycles), self.fire_count,
-                copy.deepcopy(self.pearl))
+        return (tuple(self._out_regs), capture_history(self.fired_cycles),
+                self.fire_count, copy.deepcopy(self.pearl))
 
     def restore_state(self, state) -> None:
         regs, fired_cycles, self.fire_count, pearl = state
-        self._out_regs = dict(zip(self._register_order(), regs))
+        self._out_regs = list(regs)
         self.fired_cycles = restore_history(fired_cycles)
         self.pearl = copy.deepcopy(pearl)
 
@@ -209,10 +220,11 @@ class Shell(Component):
         valid token to corrupt.  Legal only from a scheduler
         *state*-injection hook (see :mod:`repro.inject`).
         """
+        regs = self._out_regs
         corrupted = False
-        for chan, reg in self._out_regs.items():
+        for index, reg in enumerate(regs):
             if reg.valid:
-                self._out_regs[chan] = Token(mutate(reg.value))
+                regs[index] = Token(mutate(reg.value))
                 corrupted = True
         return corrupted
 

@@ -93,7 +93,19 @@ class _VerticalCounter:
         return total
 
     def values(self, planes: int) -> List[int]:
-        return [self.value(p) for p in range(planes)]
+        """``[value(p) for p in range(planes)]``, walking each slice's
+        bits once (lowest plane first) instead of shifting every slice
+        once per plane."""
+        totals = [0] * planes
+        mask = (1 << planes) - 1
+        for i, word in enumerate(self.slices):
+            word &= mask
+            if word:
+                weight = 1 << i
+                for plane, bit in enumerate(bin(word)[:1:-1]):
+                    if bit == "1":
+                        totals[plane] += weight
+        return totals
 
 
 #: Byte value -> 1 if truthy, else 0 (script images, see _image).

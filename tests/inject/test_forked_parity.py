@@ -13,17 +13,21 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.errors import InjectionError
 from repro.exec import GraphRef, ResultCache
 from repro.graph import SystemGraph, reconvergent
 from repro.graph.specs import parse_topology
 from repro.inject import (
     FAULT_CLASSES,
+    STATE_KINDS,
+    WIRE_KINDS,
     FaultSpec,
     GoldenRun,
     generate_faults,
     run_campaign,
     run_experiment,
 )
+from repro.lid.monitor import watch_system
 from repro.lid.token import Token
 from repro.lid.variant import ProtocolVariant
 from repro.obs import Telemetry
@@ -267,6 +271,102 @@ class TestCorners:
         assert snapshot == reset_t.metrics.snapshot()
 
 
+class _Ascending(Identity):
+    """Raises from ``step``, in the edge phase, on a payload that does
+    not exceed the last one it passed (a corrupted or repeated count)."""
+
+    def reset(self):
+        self.last = -1
+        return super().reset()
+
+    def step(self, inputs):
+        if inputs["a"] <= self.last:
+            raise ValueError(f"payload {inputs['a']} after {self.last}")
+        self.last = inputs["a"]
+        return super().step(inputs)
+
+
+def ascending_graph():
+    graph = SystemGraph("ascending")
+    graph.add_source("src")
+    graph.add_shell("A", _Ascending)
+    graph.add_shell("B", Identity)
+    graph.add_sink("out", stop_script=lambda c: c % 3 == 1)
+    graph.add_edge("src", "A", relays=1)
+    graph.add_edge("A", "B", relays=["half"])
+    graph.add_edge("B", "out", relays=1)
+    return graph
+
+
+class TestReusedSystem:
+    """A serial campaign runs its forked experiments in one elaborated
+    system; each must equal the same fault run alone from reset."""
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=str)
+    @pytest.mark.parametrize("topology", FAMILIES)
+    def test_every_kind_matches_isolated_runs(self, topology, variant):
+        graph = parse_topology(topology, seed=3)
+        faults = generate_faults(graph, variant=variant, classes=CLASSES,
+                                 cycles=CYCLES, exhaustive=True,
+                                 window=(9, 10), seed=5)
+        kinds = set(WIRE_KINDS + STATE_KINDS)
+        relays = graph.elaborate(variant=variant).relays.values()
+        if not any(relay.registers == 2 for relay in relays):
+            kinds.discard("relay-duplicate")
+        assert {spec.kind for spec in faults} == kinds
+        assert (_forked(graph, faults, variant, CYCLES, True)
+                == _from_reset(graph, faults, variant, CYCLES, True))
+
+    def _sequence(self):
+        """Detections that raise mid-cycle (a monitor) and in the edge
+        phase (a pearl), a permanent fault, each followed by a masked
+        experiment that still simulates."""
+        graph = ascending_graph()
+        variant = ProtocolVariant.CASU
+        candidates = generate_faults(graph, variant=variant,
+                                     classes=CLASSES, cycles=CYCLES,
+                                     exhaustive=True, window=(10, 14))
+        alone = _from_reset(graph, candidates, variant, CYCLES, False)
+
+        def first(predicate):
+            return next(spec for spec, result in zip(candidates, alone)
+                        if predicate(result))
+
+        monitor = first(lambda r: r["detail"].startswith("monitor 'hold'"))
+        edge = first(lambda r: r["detail"].startswith("crash: ValueError"))
+        masked = [spec for spec, result in zip(candidates, alone)
+                  if result["verdict"] == "masked" and result["fired"]]
+        sink_channel = graph.elaborate().sinks["out"].input.name
+        stuck = FaultSpec("stop-stuck-1", sink_channel, 11, duration=0)
+        return graph, variant, [monitor, masked[0], edge, masked[1],
+                                stuck, masked[-1]]
+
+    def test_raising_and_permanent_faults_leave_no_trace(self):
+        graph, variant, faults = self._sequence()
+        forked = _forked(graph, faults, variant, CYCLES, False)
+        assert forked == _from_reset(graph, faults, variant, CYCLES, False)
+        assert [result["verdict"] for result in forked][:4] == \
+            ["detected", "masked", "detected", "masked"]
+        assert forked[-1]["verdict"] == "masked"
+
+    def test_no_injection_hook_outlives_its_experiment(self):
+        graph, variant, faults = self._sequence()
+        trunk = GoldenRun.capture(graph, variant, CYCLES, faults=faults)
+        system = graph.elaborate(variant=variant)
+        elaborated = (system, watch_system(system))
+        results = []
+        for spec, fork in zip(faults, trunk.forks):
+            results.append(run_experiment(
+                graph, spec, trunk, variant=variant, checkpoint=fork,
+                elaborated=elaborated).to_dict())
+            assert system.sim._inject_wire_hooks == []
+            assert system.sim._inject_state_hooks == []
+        assert results == _from_reset(graph, faults, variant, CYCLES, False)
+        with pytest.raises(InjectionError, match="checkpoint"):
+            run_experiment(graph, faults[0], trunk, variant=variant,
+                           elaborated=elaborated)
+
+
 def lambda_pearl_graph():
     """A join pearl holding a lambda: deep-copyable, not picklable."""
     return reconvergent(join_factory=lambda: FunctionPearl(
@@ -339,6 +439,26 @@ PARENT_ARGV = ["inject", "--topology", "figure2:relays=2", "--cycles",
                "112", "--samples", "64", "--faults",
                "stop,void,phantom,payload,drop,duplicate,delayed-stop,shell",
                "--strict", "--seed", "11", "--format", "json"]
+
+
+#: The same for half relay stations under Carloni's protocol: a
+#: ``dag`` with 8 half and 9 full stations (5 / 10 / 28 / 0 / 5).
+HALF_CARLONI_REPORT = (Path(__file__).parent / "data"
+                       / "lid-dag5-half-carloni-seed3.json")
+HALF_CARLONI_ARGV = [
+    "inject", "--topology", "dag:shells=5,half=0.5", "--variant",
+    "carloni", "--cycles", "96", "--samples", "48", "--faults",
+    "stop,void,phantom,payload,drop,duplicate,delayed-stop,shell",
+    "--seed", "3", "--format", "json", "--no-cache"]
+
+
+def test_committed_half_carloni_report(tmp_path):
+    """Serially and at ``--jobs 2`` (the CI ``inject-smoke`` job
+    ``cmp``s the same two)."""
+    for index, extra in enumerate(([], ["--jobs", "2"])):
+        out = tmp_path / f"report-{index}.json"
+        assert main(HALF_CARLONI_ARGV + extra + ["-o", str(out)]) == 0
+        assert out.read_bytes() == HALF_CARLONI_REPORT.read_bytes()
 
 
 def test_committed_parent_report(tmp_path, capsys):

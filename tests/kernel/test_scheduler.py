@@ -186,3 +186,59 @@ class TestSettleOrder:
         assert sim.components[0] is f2_new
         sim.step(1)
         assert seen == [(True, True, True)]  # the fixpoint again
+
+
+class TestPhaseLists:
+    """The one-pass path calls bound methods from lists that every
+    change to the component set or the settle order rebuilds."""
+
+    def _counter(self):
+        sim = Simulator()
+        reg = CountingReg("r", sim.signal("q", default=0, sticky=True))
+        sim.add_component(reg)
+        sim.set_settle_order([])
+        return sim, reg
+
+    def test_component_added_after_the_order_publishes_and_ticks(self):
+        sim, reg = self._counter()
+        sim.step(2)
+        late_out = sim.signal("late", default=0, sticky=True)
+        late = CountingReg("late", late_out)
+        sim.add_component(late)
+        seen = []
+        sim.add_cycle_hook(lambda s: seen.append(late_out.value))
+        sim.step(3)
+        assert seen == [0, 1, 2]
+        assert (reg.count, late.count) == (5, 3)
+
+    def test_replaced_component_ticks_in_place_of_the_old(self):
+        sim, reg = self._counter()
+        sim.step(2)
+        new = CountingReg("r", reg.out)
+        sim.replace_component(reg, new)
+        sim.step(3)
+        assert (reg.count, new.count) == (2, 3)
+
+    def test_new_settle_order_takes_effect(self):
+        sim, order, seen = TestSettleOrder()._chain()
+        sim.set_settle_order(order)
+        sim.step(1)
+        sim.set_settle_order(tuple(reversed(order)))
+        sim.step(2)
+        assert seen == [(True,) * 3, (False,) * 3, (True, False, False)]
+
+    def test_removed_injection_hook_no_longer_runs(self):
+        sim, _reg = self._counter()
+        calls = []
+
+        def hook(s):
+            calls.append(s.cycle)
+
+        sim.add_injection_hook(hook, phase="state")
+        sim.step(2)
+        sim.remove_injection_hook(hook, phase="state")
+        sim.step(2)
+        assert calls == [0, 1]
+        with pytest.raises(ValueError, match="unknown injection phase"):
+            sim.remove_injection_hook(hook, phase="edge")
+

@@ -93,6 +93,56 @@ class TestViolationDetection:
             sim.step(10)
 
 
+class TestWatchSystem:
+    """``watch_system`` samples every channel from one cycle hook."""
+
+    def test_one_cycle_hook_for_every_channel(self, monkeypatch):
+        system, _sink = build_pipeline(stages=3, relays=2)
+        hooks = []
+        add = system.sim.add_cycle_hook
+        monkeypatch.setattr(system.sim, "add_cycle_hook",
+                            lambda hook: (hooks.append(hook), add(hook)))
+        monitors = watch_system(system)
+        assert len(hooks) == 1
+        assert [m.channel for m in monitors] == system.channels
+        system.run(20)
+        assert all(m.cycles_observed == 20 for m in monitors)
+
+    def _first_violation(self, watch):
+        """Void glitches on every channel in one cycle of a stalling
+        pipeline: several stopped tokens vanish at once."""
+        from repro.inject import FaultInjector, FaultSpec
+
+        system, _sink = build_pipeline(
+            stages=3, relays=1, stop_script=lambda c: c % 4 != 0)
+        for chan in system.channels:
+            FaultInjector(FaultSpec("void-glitch", chan.name, 9),
+                          system).attach()
+        watch(system)
+        with pytest.raises(ProtocolViolationError) as info:
+            system.run(30)
+        error = info.value
+        return str(error), error.cycle, error.channel, error.invariant
+
+    @staticmethod
+    def _per_channel(channels):
+        def watch(system):
+            for chan in channels(system):
+                ChannelMonitor(chan, variant=system.variant).attach(
+                    system.sim)
+        return watch
+
+    def test_same_first_violation_as_per_channel_hooks(self):
+        first = self._first_violation(watch_system)
+        assert first == self._first_violation(
+            self._per_channel(lambda system: system.channels))
+        # Another channel breaks hold in the same cycle, so the order
+        # of the samples decides which violation is raised.
+        last = self._first_violation(self._per_channel(
+            lambda system: reversed(system.channels)))
+        assert last[1] == first[1] and last[2] != first[2]
+
+
 class TestStreamMonitor:
     def test_records_consumed_payloads(self):
         system, sink = build_pipeline(stages=1, relays=1)

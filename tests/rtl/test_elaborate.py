@@ -131,3 +131,27 @@ class TestTransplantRelint:
         assert mixed.sinks["out"].received == \
             behavioural.sinks["out"].received
         assert mixed.sinks["out"].payloads[:8] == [0, 0, 0, 0, 1, 2, 3, 4]
+
+    def test_transplant_after_a_run(self):
+        """Stations swapped in after the kernel built its per-phase
+        lists are the ones the next run publishes, settles and ticks."""
+        graph = SystemGraph("halves")
+        graph.add_source("src")
+        for name in ("S0", "S1"):
+            graph.add_shell(name, pearls.Identity)
+        graph.add_sink("out", stop_script=lambda c: (c // 2) % 3 == 0)
+        graph.add_edge("src", "S0", relays=["full"])
+        graph.add_edge("S0", "S1", relays=["half"])
+        graph.add_edge("S1", "out")
+        behavioural = graph.elaborate()
+        behavioural.run(60)
+        mixed = graph.elaborate()
+        mixed.run(20)
+        stations = {name: transplant_netlist_station(mixed, name)
+                    for name in list(mixed.relays)}
+        mixed.run(60)
+        assert mixed.sinks["out"].received == \
+            behavioural.sinks["out"].received
+        for name, station in stations.items():
+            assert station.valid_out_cycles == \
+                behavioural.relays[name].valid_out_cycles

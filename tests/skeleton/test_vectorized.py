@@ -175,3 +175,28 @@ class TestSweeps:
         assert batch.cycle == 0
         assert all(batch.fire_count(i, 0) == 0
                    for i in range(len(batch.shell_names)))
+
+
+class TestVerticalCounter:
+    """``values`` unpacks every plane at once; ``value`` reads one
+    plane and is the reference."""
+
+    @pytest.mark.parametrize("planes", (1, 63, 64, 65, 217))
+    def test_values_match_value(self, planes):
+        import random
+
+        from repro.skeleton.bitsim import _VerticalCounter
+
+        rng = random.Random(planes)
+        counter = _VerticalCounter()
+        for width in (0, 1, planes // 2, planes, planes + 7):
+            # Random words (all-zero slices among them) no wider than
+            # *width* bits: planes past the highest set bit read zero,
+            # and bits past the last plane are ignored.
+            counter.slices = [rng.getrandbits(width) if width and
+                              rng.random() < 0.8 else 0
+                              for _ in range(rng.randint(2, 11))]
+            assert counter.values(planes) == \
+                [counter.value(p) for p in range(planes)]
+        counter.slices = [0, 0]
+        assert counter.values(planes) == [0] * planes
