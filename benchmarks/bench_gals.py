@@ -36,6 +36,11 @@ BATCH = 32
 #: Keep a generous margin: CI machines are noisy, and the point is to
 #: catch the batch path degenerating to a per-instance loop.
 SPEEDUP_FLOOR = 1.0
+#: One sink stop in a hundred cycles, on both engines: a script that
+#: repeats within the run keeps the bit-plane engine stepping every
+#: cycle, where constant inputs would let ``run_cycles`` skip the
+#: periodic tail (docs/bitsim.md) and the rate would time the skip.
+SINK_SCRIPT = {"out": (False,) * 99 + (True,)}
 
 
 def _graph():
@@ -46,7 +51,8 @@ def _graph():
 def _scalar_rate() -> float:
     best = 0.0
     for _ in range(ROUNDS):
-        sim = SkeletonSim(_graph(), detect_ambiguity=False)
+        sim = SkeletonSim(_graph(), sink_patterns=SINK_SCRIPT,
+                          detect_ambiguity=False)
         started = perf_counter()
         for _ in range(CYCLES):
             sim.step()
@@ -58,7 +64,8 @@ def _bitsim_rate() -> float:
     """Per-instance cycles/s at batch width BATCH."""
     best = 0.0
     for _ in range(ROUNDS):
-        handle = select(_graph(), batch=BATCH, detect_ambiguity=False)
+        handle = select(_graph(), sink_patterns=[SINK_SCRIPT] * BATCH,
+                        detect_ambiguity=False)
         assert handle.name == "bitsim"
         started = perf_counter()
         handle.run_cycles(CYCLES)
@@ -94,7 +101,7 @@ def test_bench_gals_engines(benchmark, emit):
         ("backend", "batch", "inst-cycles/s", "speedup"),
         rows,
         title=(f"EXP-G1: GALS two-domain ring (rates 1, 1/2; "
-               f"throughput exactly {formula})"),
+               f"throughput exactly {formula}; one sink stop in 100)"),
     )
     emit("EXP-G1-gals", table, rows=rows,
          wall_seconds=wall,

@@ -1193,9 +1193,12 @@ def skeleton_campaign(
                 bridge, at, delta, span = poke
                 handle.poke_bridge(column, bridge, at, delta,
                                    duration=span)
-        handle.run_cycles(cycles - tail)
+        # A run no longer than its tail window is all tail, as
+        # _tail_fires reads it on the LID engine.
+        head = max(cycles - tail, 0)
+        handle.run_cycles(head)
         head_fires = _columns(handle.fire_counts(), handle.batch)
-        handle.run_cycles(tail)
+        handle.run_cycles(cycles - head)
         fires = _columns(handle.fire_counts(), handle.batch)
         accepts = _columns(handle.accept_counts(), handle.batch)
         voids = handle.void_stop_counts()

@@ -49,6 +49,7 @@ match cycle by cycle.  The differential suite in
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -108,25 +109,81 @@ class _VerticalCounter:
         return totals
 
 
+def _sliced_sub(high: Sequence[int], low: Sequence[int]) -> List[int]:
+    """Per plane ``high - low`` of two bit-sliced counts (``high >= low``
+    in every plane), rippling a borrow word across the slices."""
+    out = []
+    borrow = 0
+    for i, word in enumerate(high):
+        other = low[i] if i < len(low) else 0
+        diff = word ^ other
+        out.append(diff ^ borrow)
+        borrow = (~word & other) | (~diff & borrow)
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+def _sliced_add_scaled(slices: List[int], delta: Sequence[int],
+                       times: int) -> None:
+    """Add ``times`` x *delta* (bit-sliced) into *slices* in place.
+
+    Shift-and-add: for every set bit *j* of *times*, *delta* shifted up
+    by *j* slices is added with a rippled carry word.  The slice list
+    keeps the form the compiled step leaves (at least two slices, no
+    zero slice on top of those).
+    """
+    shift = 0
+    while times:
+        if times & 1:
+            slices.extend([0] * (shift - len(slices)))
+            carry = 0
+            i = shift
+            for word in delta:
+                if i == len(slices):
+                    slices.append(0)
+                old = slices[i]
+                slices[i] = old ^ word ^ carry
+                carry = (old & word) | (carry & (old ^ word))
+                i += 1
+            while carry:
+                if i == len(slices):
+                    slices.append(0)
+                old = slices[i]
+                slices[i] = old ^ carry
+                carry &= old
+                i += 1
+        times >>= 1
+        shift += 1
+    while len(slices) > 2 and not slices[-1]:
+        slices.pop()
+
+
 #: Byte value -> 1 if truthy, else 0 (script images, see _image).
 _TRUTHY = bytes([0] + [1] * 255)
 #: A run of set cycles in a script image.
 _RUNS = re.compile(rb"\x01+")
 
 
+def _truth(script: Tuple) -> bytes:
+    """*script*'s truthiness, one byte per entry (1 when truthy)."""
+    try:
+        return bytes(script).translate(_TRUTHY)
+    except (TypeError, ValueError):  # entries that are not small ints
+        return bytes(map(bool, script))
+
+
 def _image(script: Tuple, span: int) -> int:
     """*script*'s truthiness repeated over *span* cycles, one byte per
-    cycle (1 when the entry is truthy), read as a big-endian int."""
-    try:
-        image = bytes(script).translate(_TRUTHY)
-    except (TypeError, ValueError):  # entries that are not small ints
-        image = bytes(map(bool, script))
-    return int.from_bytes(image * (span // len(script)), "big")
+    cycle, read as a big-endian int."""
+    return int.from_bytes(_truth(script) * (span // len(script)), "big")
 
 
 def _sink_schedule(groups: Sequence[Tuple[Tuple, int]], span: int,
-                   mask: int) -> List[int]:
-    """One stop word per cycle of *span* from (script, planes) groups.
+                   mask: int) -> Tuple[List[int], List[int]]:
+    """One stop word per cycle of *span* from (script, planes) groups,
+    and the cycles whose word differs from the one before (cycle 0
+    compares with the last word: the schedule repeats).
 
     The most-shared script is expanded once, for every plane in
     *mask*.  Each other distinct script adds only the runs of cycles
@@ -134,11 +191,14 @@ def _sink_schedule(groups: Sequence[Tuple[Tuple, int]], span: int,
     images and match the runs of set bytes.  A run flips its group's
     planes at both ends of an XOR difference array, and one prefix XOR
     folds the array into the words, so a sink costs O(span + runs)
-    Python steps, not one per cycle of every distinct script.
+    Python steps, not one per cycle of every distinct script.  A word
+    changes only at either end of a run, so the change list costs
+    O(runs) too.
     """
     base = max(groups, key=lambda group: group[1].bit_count())[0]
     base_image = _image(base, span)
     flips = [0] * (span + 1)
+    ends = set()
     for script, planes in groups:
         if script is base:
             diff, planes = base_image, mask
@@ -147,8 +207,19 @@ def _sink_schedule(groups: Sequence[Tuple[Tuple, int]], span: int,
         for run in _RUNS.finditer(diff.to_bytes(span, "big")):
             flips[run.start()] ^= planes
             flips[run.end()] ^= planes
+            ends.update(run.span())
     flips.pop()
-    return list(itertools.accumulate(flips, operator.xor))
+    words = list(itertools.accumulate(flips, operator.xor))
+    changes = sorted(c for c in ends if 0 < c < span and flips[c])
+    if words[0] != words[-1]:
+        changes.insert(0, 0)
+    return words, changes
+
+
+def _tail_start(script: Tuple) -> int:
+    """Index from which *script*'s truthiness stays constant to its end."""
+    image = _truth(script)
+    return len(image.rstrip(image[-1:]))
 
 
 def check_instance(instance: int, batch: int) -> None:
@@ -305,6 +376,7 @@ class BitplaneSkeletonSim:
         # packs the word each cycle from the (script, planes) groups
         # instead.
         self._sink_sched: List[Optional[List[int]]] = []
+        self._sink_changes: List[Optional[List[int]]] = []
         self._sink_groups: List[List[Tuple[Tuple, int]]] = []
         for planes in self._sink_pats:
             masks: Dict[Tuple, int] = {}
@@ -313,9 +385,10 @@ class BitplaneSkeletonSim:
             groups = list(masks.items())
             self._sink_groups.append(groups)
             span = math.lcm(*(len(p) for p in masks))
-            self._sink_sched.append(
-                _sink_schedule(groups, span, self._mask)
-                if span <= 4096 else None)
+            words, changes = (_sink_schedule(groups, span, self._mask)
+                              if span <= 4096 else (None, None))
+            self._sink_sched.append(words)
+            self._sink_changes.append(changes)
 
         # Per-plane state-key phase modulus: the plane's sink script
         # period folded with the clock-domain hyperperiod, exactly as
@@ -455,8 +528,164 @@ class BitplaneSkeletonSim:
         return self._plan.cycle(self)
 
     def run(self, cycles: int) -> None:
-        """Step all planes a fixed number of cycles."""
-        self._plan.run_cycles(self, cycles)
+        """Step all planes *cycles* cycles (none when ``cycles <= 0``).
+
+        The periodic tail of the call is not stepped: once every input
+        stays constant until the call ends and the state repeats, the
+        whole periods left are added to the counters, source phases and
+        histories instead (see "Periodic tail" in docs/bitsim.md).
+        Every observable equals stepping each cycle.
+        """
+        if cycles <= 0:
+            return
+        end = self.cycle + cycles
+        if self._periodic_tail and self._reach_quiet(end):
+            self._skip_periods(end)
+        if end > self.cycle:
+            self._plan.run_cycles(self, end - self.cycle)
+
+    @functools.cached_property
+    def _periodic_tail(self) -> bool:
+        """Whether run() may skip a periodic tail.  An event stream, the
+        ambiguity probe and a sink stop word packed per cycle need
+        every cycle stepped."""
+        return not (self._events_on or None in self._sink_sched
+                    or (self.detect_ambiguity
+                        and self.lowered.may_be_ambiguous))
+
+    @functools.cached_property
+    def _src_tails(self) -> List[List[list]]:
+        """Per source, its moving planes as ``[plane, script, start of
+        the script's constant tail]``; a start is found on first use."""
+        return [[[p, pattern, None] for p, pattern in moving]
+                for _fixed, moving in self._src_words]
+
+    def _quiet_from(self, end: int) -> Optional[int]:
+        """Earliest cycle from which every input can stay constant until
+        *end*, or ``None`` when that leaves no room to skip a period.
+
+        A skip needs a repeated key, one stepped period and one period
+        to skip, each a multiple of the hyperperiod.  A script that may
+        wrap before *end* never goes quiet.  Sink stop words and bridge
+        pokes are known per cycle; a source plane presents its script
+        at its phase, which moves at most one step per cycle, so the
+        bound is exact for them and a lower bound for the sources.
+        """
+        now = self.cycle
+        latest = end - 3 * self._hyperperiod
+        quiet = now
+        last = end - 1
+        for words, changes in zip(self._sink_sched, self._sink_changes):
+            if not changes:
+                continue
+            span = len(words)
+            if span < end - now:  # the schedule repeats: changes recur
+                return None
+            at = last % span
+            i = bisect.bisect_right(changes, at) - 1
+            quiet = max(quiet, last - at + changes[i] if i >= 0
+                        else last - at - span + changes[-1])
+        for _b, _bit, lo, hi, _delta in self._bridge_pokes:
+            if lo < end and hi > now:
+                # Quiet once it ends, or from its start when it lasts
+                # to the end of the call.
+                quiet = max(quiet, lo if hi >= end else hi)
+        if quiet > latest:
+            return None
+        for ticks, holds, tails in zip(self._src_ticks, self._src_holds,
+                                       self._src_tails):
+            for tail in tails:
+                plane, script, start = tail
+                length = len(script)
+                phase = (ticks - holds[plane]) % length
+                if phase + end - now > length:
+                    return None
+                if start is None:
+                    start = tail[2] = _tail_start(script)
+                quiet = max(quiet, now + start - phase)
+                if quiet > latest:
+                    return None
+        return quiet
+
+    def _reach_quiet(self, end: int) -> bool:
+        """Step in bulk until every input stays constant from the current
+        cycle to *end*; False when it will not with a period to skip.
+
+        A held source phase lags its bound, so the test repeats after
+        each bulk step; when the lag stops shrinking (a source held
+        for good) the caller steps the rest.
+        """
+        gap = None
+        while True:
+            quiet = self._quiet_from(end)
+            if quiet is None:
+                return False
+            if quiet == self.cycle:
+                return True
+            if gap is not None and quiet - self.cycle >= gap:
+                return False
+            gap = quiet - self.cycle
+            self._plan.run_cycles(self, gap)
+
+    def _skip_periods(self, end: int) -> None:
+        """Step until the state repeats, then skip the whole periods left
+        before *end*; every input is constant until *end*.
+
+        The key is every register and bridge word with ``cycle %
+        hyperperiod``, so a period is a multiple of the hyperperiod;
+        the search stops once two of them no longer fit.  One more
+        period P is stepped to measure each counter's, tick's and
+        hold's increment, which is then added ``k - 1`` more times for
+        the ``k`` whole periods that were left; the histories repeat
+        their last P rows as often.
+        """
+        seen: Dict[Tuple, int] = {}
+        hyperperiod = self._hyperperiod
+        step = self._plan.cycle
+        while self.cycle + 2 * hyperperiod <= end:
+            key = (*self.shell_reg, *self.rs_main, *self.rs_aux,
+                   *self.rs_stop_reg,
+                   *itertools.chain.from_iterable(self.bridge_ge),
+                   self.cycle % hyperperiod)
+            first = seen.setdefault(key, self.cycle)
+            if first != self.cycle:
+                break
+            step(self)
+        else:
+            return
+        period = self.cycle - first
+        skipped = (end - self.cycle) // period - 1
+        if skipped < 1:
+            return
+        counters = self._counters()
+        before = [counter.slices[:] for counter in counters]
+        ticks = self._src_ticks[:]
+        holds = [planes[:] for planes in self._src_holds]
+        self._plan.run_cycles(self, period)
+        for counter, then in zip(counters, before):
+            delta = _sliced_sub(counter.slices, then)
+            if any(delta):
+                _sliced_add_scaled(counter.slices, delta, skipped)
+        self._src_ticks[:] = [now + skipped * (now - then)
+                              for now, then in zip(self._src_ticks, ticks)]
+        for planes, then_planes in zip(self._src_holds, holds):
+            planes[:] = [now + skipped * (now - then)
+                         for now, then in zip(planes, then_planes)]
+        for history in (self._fire_history, self._accept_history):
+            history.extend(history[-period:] * skipped)
+        self.cycle += skipped * period
+
+    def _counters(self) -> List[_VerticalCounter]:
+        """Every counter the compiled step adds to."""
+        counters = [*self.shell_fired, *self.sink_accepted,
+                    self.stop_assertions, self.stops_on_voids,
+                    self.internal_stops_on_voids]
+        if self._metrics_on:
+            counters += self.hop_stall_cycles
+            for levels in (*self.rs_occupancy_counts,
+                           *self.bridge_occupancy_counts):
+                counters += levels
+        return counters
 
     def run_to_period(self, max_cycles: int = 10_000) \
             -> List[SkeletonResult]:

@@ -59,9 +59,10 @@ topologies (every ``dag:`` seed) never evicts a plan that recurs.
 writers live in :mod:`repro.skeleton.codegen.equations`.  From the
 same writers :func:`transition_for` compiles the exhaustive liveness
 explorer's one-cycle transition, :meth:`~repro.skeleton.sim.SkeletonSim.
-step_from` over 0/1 ints.  It is compiled on every call and not
-cached (nor counted in :data:`STATS`), and its path never imports the
-plane emitter's module.
+step_from` over 0/1 ints.  Transitions share the plans' cache, its
+admission rule and :data:`STATS` under their own key (structural
+fingerprint, declaration order and variant), and their path never
+imports the plane emitter's module.
 
 Layering: this package may import ``repro.ir`` only (enforced by
 ``tools/check_layering.py``); the protocol variant is consumed
@@ -202,6 +203,41 @@ def _plan_key(
     )
 
 
+def _cached(key: Tuple, build: Callable[[], Any]) -> Any:
+    """The cached entry for *key*, or *build()*'s, under the admission
+    rule: an entry enters the LRU on its second use (see the module
+    docstring)."""
+    entry = _PLAN_CACHE.get(key)
+    if entry is not None:
+        _PLAN_CACHE.move_to_end(key)
+        STATS.plan_hits += 1
+        return entry
+    entry = _LAST_COMPILED.get(key)
+    if entry is None:
+        seen = _SEEN_ONCE.get(key)
+        # Alive while a simulator holds it.
+        entry = seen() if seen is not None else None
+    if entry is not None:
+        STATS.plan_hits += 1
+    else:
+        entry = build()
+        STATS.compiles += 1
+        _LAST_COMPILED.clear()
+        _LAST_COMPILED[key] = entry
+        if key not in _SEEN_ONCE:  # a first use: remember the key only
+            _SEEN_ONCE[key] = weakref.ref(entry)
+            if len(_SEEN_ONCE) > PLAN_CACHE_SIZE:
+                _SEEN_ONCE.popitem(last=False)
+            return entry
+    # A second use: admit the entry.
+    _SEEN_ONCE.pop(key, None)
+    _PLAN_CACHE[key] = entry
+    while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
+        _PLAN_CACHE.popitem(last=False)
+        STATS.evictions += 1
+    return entry
+
+
 def plan_for(
     low: LoweredSystem,
     variant,
@@ -224,19 +260,8 @@ def plan_for(
     key = _plan_key(low, variant, one_plane=one_plane, fixpoint=fixpoint,
                     detect_ambiguity=detect_ambiguity,
                     metrics_on=metrics_on, events_on=events_on)
-    plan = _PLAN_CACHE.get(key)
-    if plan is not None:
-        _PLAN_CACHE.move_to_end(key)
-        STATS.plan_hits += 1
-        return plan
-    plan = _LAST_COMPILED.get(key)
-    if plan is None:
-        seen = _SEEN_ONCE.get(key)
-        # Alive while a simulator holds it.
-        plan = seen() if seen is not None else None
-    if plan is not None:
-        STATS.plan_hits += 1
-    else:
+
+    def build() -> CompiledPlan:
         # Imported on first use: a process that never compiles a plan
         # never compiles the emitter's module.
         from .planes import generate_plane_source
@@ -251,44 +276,36 @@ def plan_for(
             events_on=events_on,
         )
         namespace = _compile(source, low.fingerprint[:12])
-        STATS.compiles += 1
-        plan = CompiledPlan(key=key, source=source,
+        return CompiledPlan(key=key, source=source,
                             cycle=namespace["cycle"],
                             run_cycles=namespace["run_cycles"])
-        _LAST_COMPILED.clear()
-        _LAST_COMPILED[key] = plan
-        if key not in _SEEN_ONCE:  # a first use: remember the key only
-            _SEEN_ONCE[key] = weakref.ref(plan)
-            if len(_SEEN_ONCE) > PLAN_CACHE_SIZE:
-                _SEEN_ONCE.popitem(last=False)
-            return plan
-    # A second use: admit the plan.
-    _SEEN_ONCE.pop(key, None)
-    _PLAN_CACHE[key] = plan
-    while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
-        _PLAN_CACHE.popitem(last=False)
-        STATS.evictions += 1
-    return plan
+
+    return _cached(key, build)
 
 
 def transition_for(low: LoweredSystem, variant) -> Callable:
-    """Compiled one-cycle transition of *low* (a skeleton view).
+    """Compiled one-cycle transition of *low* (a skeleton view), cached.
 
     ``transition(registers, phase, offers, stops) -> (next registers,
     fires, source stops, ambiguous)`` is
     :meth:`~repro.skeleton.sim.SkeletonSim.step_from` over 0/1 ints
     with one flat register tuple (see
     :func:`~repro.skeleton.codegen.equations.generate_transition_source`),
-    written by the plane emitter's equation writers.  It is compiled on
-    every call and never cached: a proof walks thousands of transitions
-    of one topology, so the compile is a small share of it, and nothing
-    outlives the caller.
+    written by the plane emitter's equation writers.  It is served from
+    the plan cache under its own key: on a small system the compile
+    costs more than the proof.
     """
-    # The equation writers without the plane emitter: the liveness path
-    # never imports planes.py.
-    from .equations import generate_transition_source
+    key = ("transition", low.fingerprint, _declaration_order(low),
+           str(variant), bool(variant.discards_void_stops))
 
-    source = generate_transition_source(
-        low, is_casu=bool(variant.discards_void_stops))
-    return _compile(source, f"{low.fingerprint[:12]}:transition")[
-        "transition"]
+    def build() -> Callable:
+        # The equation writers without the plane emitter: the liveness
+        # path never imports planes.py.
+        from .equations import generate_transition_source
+
+        source = generate_transition_source(
+            low, is_casu=bool(variant.discards_void_stops))
+        return _compile(source, f"{low.fingerprint[:12]}:transition")[
+            "transition"]
+
+    return _cached(key, build)

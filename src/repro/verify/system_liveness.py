@@ -28,7 +28,8 @@ engines run.
 
 Each transition is one call of the topology's compiled transition
 (:func:`~repro.skeleton.codegen.transition_for`), written by the plane
-emitter's equation writers over 0/1 ints and compiled once per call;
+emitter's equation writers over 0/1 ints and compiled once per
+topology and variant (the plan cache serves a repeated proof);
 :meth:`~repro.skeleton.sim.SkeletonSim.step_from` is its executable
 spec, and a differential test holds the two equal on every reachable
 state and environment choice.  A stuck state is reported in

@@ -15,10 +15,10 @@ import json
 
 import pytest
 
-from repro.graph import figure2, pipeline
+from repro.graph import figure2, parse_topology, pipeline
 from repro.inject import FaultSpec, skeleton_campaign
 from repro.lid.variant import ProtocolVariant
-from repro.skeleton import backend
+from repro.skeleton import SkeletonSim, backend
 
 #: Hand-picked witnesses on pipeline(4, relays_per_hop=2); boundary
 #: channels are "S3->out#11" (sink) and "src->S0#1" (source).
@@ -141,3 +141,69 @@ class TestSkippedCampaignBackend:
         assert f"engine=skeleton/{resolved}" in report.format_table()
         audited = report.to_payload(execution=True)
         assert audited["execution"]["backend"] == resolved
+
+
+class TestShortRun:
+    """A campaign no longer than its tail window steps exactly its
+    cycles, and its tail window is the whole run (as ``_tail_fires``
+    reads it on the LID engine)."""
+
+    SPECS = ("pipeline:stages=2", "figure2", "gals-ring:rates=1+1/2")
+
+    @staticmethod
+    def _run(monkeypatch, spec, cycles, name):
+        handles = []
+        select = backend.select
+
+        def capture(*args, **kwargs):
+            handles.append(select(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(backend, "select", capture)
+        classes = ("stop", "void", "cdc") if "gals" in spec else (
+            "stop", "void")
+        report = skeleton_campaign(
+            parse_topology(spec), classes=classes, cycles=cycles,
+            exhaustive=True, backend=name)
+        (handle,) = handles
+        return report, handle
+
+    @pytest.mark.parametrize("cycles", [3, 4, 7, 8])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_both_backends_step_exactly_the_run(self, monkeypatch, spec,
+                                                cycles):
+        reports = {}
+        for name in ("auto", "scalar"):
+            report, handle = self._run(monkeypatch, spec, cycles, name)
+            sims = handle.sims if name == "scalar" else [handle.sim]
+            assert {sim.cycle for sim in sims} == {cycles}
+            reports[name] = report.to_json()
+        assert reports["auto"] == reports["scalar"]
+
+    @pytest.mark.parametrize("cycles", [3, 4, 7, 8])
+    def test_golden_counts_are_the_whole_run(self, cycles):
+        """The verdict details quote the golden column's totals over
+        exactly *cycles* cycles, checked against the scalar engine."""
+        graph = pipeline(2)
+        golden = SkeletonSim(graph, detect_ambiguity=False)
+        for _ in range(cycles):
+            golden.step()
+        fires = sum(map(sum, golden.fire_history))
+        accepts = sum(map(sum, golden.accept_history))
+        report = skeleton_campaign(
+            graph, cycles=cycles, backend="auto",
+            faults=[FaultSpec("stop-stuck-1", "S1->out#4", 0, 0)])
+        (result,) = report.results
+        assert result.verdict == "timeout"
+        assert (f"fires 2 vs {fires}, accepts 0 vs {accepts}"
+                in result.detail)
+
+    def test_deadlock_needs_a_silent_tail(self):
+        """With a run of at most eight cycles the tail window is the
+        whole run, so a column that fired at all is not deadlocked;
+        past it the same fault reads deadlock."""
+        fault = FaultSpec("stop-stuck-1", "S1->out#4", 0, 0)
+        verdicts = {cycles: skeleton_campaign(
+            pipeline(2), cycles=cycles, faults=[fault],
+            backend="auto").results[0].verdict for cycles in (8, 12)}
+        assert verdicts == {8: "timeout", 12: "deadlock"}

@@ -7,8 +7,11 @@ graphs, and the token-level LID engine refuses them with a pointer to
 the skeleton path.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.errors import InjectionError
 from repro.graph import parse_topology
 from repro.inject import run_campaign, skeleton_campaign
@@ -124,3 +127,23 @@ class TestLidEngineGuard:
         message = str(err.value)
         assert "single-clock" in message
         assert "skeleton" in message
+
+
+EXHAUSTIVE_REPORT = (Path(__file__).parent / "data"
+                     / "exhaustive-gals-ring-w40.json")
+
+
+@pytest.mark.parametrize("backend", ["auto", "scalar"])
+def test_exhaustive_window_report_matches_golden(tmp_path, backend):
+    """An exhaustive window of sink stop, source void and bridge faults
+    on a mixed-rate ring: the bit-plane engine skips the periodic tail
+    of this batch (docs/bitsim.md), and its bytes must equal the scalar
+    reference's and the committed report, which an engine that stepped
+    every cycle wrote.  CI ``cmp``s the same argv."""
+    out = tmp_path / "report.json"
+    assert main(["inject", "--engine", "skeleton", "--backend", backend,
+                 "--topology", "gals-ring:rates=1+1/2", "--cycles", "600",
+                 "--exhaustive", "--window", "40:64",
+                 "--faults", "stop,void,cdc", "--seed", "3",
+                 "--format", "json", "-o", str(out)]) == 0
+    assert out.read_bytes() == EXHAUSTIVE_REPORT.read_bytes()

@@ -307,6 +307,42 @@ class TestPlanAdmission:
         assert STATS.compiles == PLAN_CACHE_SIZE + 2
 
 
+
+class TestTransitionCache:
+    """Liveness transitions are entries of the plan cache: their own
+    key, the same admission rule, counted in STATS."""
+
+    def test_second_proof_compiles_nothing(self):
+        from repro.verify import verify_system_liveness
+
+        first = verify_system_liveness(figure2(1))
+        assert STATS.compiles == 1 and STATS.plan_hits == 0
+        second = verify_system_liveness(figure2(1))
+        assert STATS.compiles == 1 and STATS.plan_hits == 1
+        assert (second.live, second.reachable_states) == (
+            first.live, first.reachable_states)
+
+    def test_own_key_per_variant_beside_the_plans(self):
+        low = lower(figure2(1)).skeleton_view()
+        casu = codegen.transition_for(low, ProtocolVariant.CASU)
+        carloni = codegen.transition_for(low, ProtocolVariant.CARLONI)
+        assert carloni is not casu
+        assert codegen.transition_for(low, ProtocolVariant.CASU) is casu
+        assert STATS.compiles == 2 and STATS.plan_hits == 1
+        plan = _twice(figure2(1))._plan
+        keys = list(codegen._PLAN_CACHE)
+        assert keys[-1] == plan.key and keys[0][0] == "transition"
+        assert codegen._PLAN_CACHE[keys[0]] is casu
+
+    def test_one_off_transitions_never_evict_a_plan_used_twice(self):
+        plan = _twice(pipeline(3))._plan
+        for n in range(1, 2 * PLAN_CACHE_SIZE + 1):
+            codegen.transition_for(lower(pipeline(n)).skeleton_view(),
+                                   ProtocolVariant.CASU)
+        assert STATS.evictions == 0
+        assert list(codegen._PLAN_CACHE) == [plan.key]
+
+
 class TestConsumers:
     def test_throughput_sweep_routes_through_codegen(self):
         from repro.analysis.throughput import throughput_sweep
