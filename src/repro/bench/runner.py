@@ -644,41 +644,21 @@ def experiment_record(
     }
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write *text* to *path* atomically (temp file + ``os.replace``).
-
-    A reader — a dashboard polling a campaign directory, a CI artifact
-    collector — either sees the previous complete file or the new
-    complete file, never a truncated record, even if the writer dies
-    mid-write.
-    """
-    import os
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 def write_record(directory: str, record: Dict[str, Any]) -> str:
-    """Write one ``BENCH_<id>.json`` record atomically; returns the path."""
+    """Write one ``BENCH_<id>.json`` record atomically; returns the path.
+
+    A reader (a dashboard polling the directory, a CI artifact
+    collector) sees the previous complete file or the new one, never a
+    truncated record, even if the writer dies mid-write.
+    """
     import json
     import os
 
-    os.makedirs(directory, exist_ok=True)
+    from ..exec import atomic_write_bytes
+
     path = os.path.join(directory, f"BENCH_{record['bench']}.json")
-    _atomic_write_text(
-        path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    atomic_write_bytes(path, (json.dumps(record, indent=2, sort_keys=True)
+                              + "\n").encode("utf-8"))
     return path
 
 
@@ -746,7 +726,7 @@ def write_results(directory: str, jobs: int = 1, *,
     """
     import os
 
-    from ..exec import map_deterministic
+    from ..exec import atomic_write_bytes, map_deterministic
 
     os.makedirs(directory, exist_ok=True)
     experiment_ids = list(EXPERIMENTS)
@@ -760,7 +740,8 @@ def write_results(directory: str, jobs: int = 1, *,
     for exp_id, table, rows, wall in outcomes:
         description = EXPERIMENTS[exp_id][0]
         path = os.path.join(directory, f"{exp_id}.txt")
-        _atomic_write_text(path, f"[{exp_id}] {description}\n\n{table}\n")
+        atomic_write_bytes(path, f"[{exp_id}] {description}\n\n{table}\n"
+                                 .encode("utf-8"))
         paths.append(path)
         record = experiment_record(exp_id, wall_seconds=wall, rows=rows)
         paths.append(write_record(directory, record))

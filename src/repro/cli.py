@@ -10,10 +10,18 @@ Subcommands:
 * ``deadlock``  — skeleton liveness check of a named topology;
 * ``inject``    — fault-injection campaign with verdict classification
   (masked / detected / silent-corruption / deadlock / timeout);
+* ``liveness``  — exhaustive liveness proof of a named topology over
+  every environment;
 * ``trace``     — run with event tracing on; export JSONL or a Chrome
   trace viewable in Perfetto / ``chrome://tracing``;
 * ``profile``   — run with the phase profiler on; print wall time per
   scheduler phase, cycles/sec and events/sec;
+* ``stats``     — simulate a named topology and print its run
+  statistics as JSON;
+* ``series``    — emit a figure-style data series as CSV;
+* ``serve``     — run the campaign service (``docs/serving.md``);
+* ``client``    — POST a manifest to a running service, or query its
+  health and stats;
 * ``obs``       — cross-run observability: ``ls``/``show``/``diff``
   over the persistent run ledger, ``regress`` over bench records and
   ledger trajectories;
@@ -37,6 +45,8 @@ either way (``tests/integration/test_cli_parser.py``).
 :class:`repro.serve.Manifest` and run it with
 :func:`repro.serve.execute_manifest`, the path ``serve`` runs too, so
 offline and served report bytes and run ids agree by construction.
+Their manifest flags, and every command's ``--variant``, are built
+from the one field table, :data:`repro.serve.manifest.FIELDS`.
 
 Topology arguments take the form ``name[:key=value,...]``, e.g.
 ``ring:shells=3,relays=2`` or ``reconvergent:long=2+1,short=1``.
@@ -50,22 +60,18 @@ in report headers so runs can be reproduced from their output alone).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import analyze
 from .bench.runner import EXPERIMENTS, run_all, run_figure1, run_figure2
 from .graph.specs import parse_topology
-from .lid.variant import ProtocolVariant
-from .serve.manifest import BACKENDS, ENGINES, FORMATS
+from .serve.manifest import FIELDS, SMOKE
 
 #: Backward-compatible alias — the spec parser moved to
 #: :mod:`repro.graph.specs` so non-CLI consumers (GraphRef
 #: materialization, scripts) don't import argparse machinery.
 _parse_topology = parse_topology
-
-
-def _variant(text: str) -> ProtocolVariant:
-    return ProtocolVariant(text)
 
 
 def _positive_int(text: str) -> int:
@@ -121,10 +127,49 @@ def _add_progress(parser) -> None:
              "ETA); stdout bytes are unchanged")
 
 
+@functools.lru_cache(maxsize=None)
+def _field_argument(name: str, positional: bool = False):
+    """``(args, kwargs)`` of ``add_argument`` for the manifest field
+    *name* (a ``FIELDS`` row): a positional argument, a switch or a
+    ``--name VALUE`` option.  Worked out once per process, because
+    ``main`` builds a parser on every call."""
+    row = FIELDS[name]
+    choices = row.allowed()
+    if row.parse is not None:
+        choices = tuple(row.parse(choice) for choice in choices)
+    if positional:
+        return (name,), {"choices": choices or None}
+    flag = "--" + name.replace("_", "-")
+    if isinstance(row.default, bool):
+        return (flag,), {"action": "store_true", "help": row.help}
+    default = row.default if row.cli_default is None else row.cli_default
+    if row.parse is not None:
+        # Parsed here, so argparse does not convert it on every parse.
+        default = row.parse(default)
+    kwargs = {"type": row.parse, "default": default,
+              "choices": choices or None, "metavar": row.metavar,
+              "help": row.help}
+    return (flag,), {key: value for key, value in kwargs.items()
+                     if value is not None}
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_arguments(kind: str) -> tuple:
+    """:func:`_field_argument` of every flag of manifest *kind*, in
+    table order."""
+    return tuple(_field_argument(row.name, kind in row.positional)
+                 for row in FIELDS.values()
+                 if kind in row.kinds and row.flag)
+
+
+def _add_fields(parser, kind: str) -> None:
+    for args, kwargs in _kind_arguments(kind):
+        parser.add_argument(*args, **kwargs)
+
+
 def _add_variant(parser) -> None:
-    parser.add_argument("--variant", type=_variant,
-                        default=ProtocolVariant.CASU,
-                        choices=list(ProtocolVariant))
+    args, kwargs = _field_argument("variant")
+    parser.add_argument(*args, **kwargs)
 
 
 def _build_analyze(sub):
@@ -177,11 +222,7 @@ def _build_deadlock(sub):
     p = sub.add_parser("deadlock", help="skeleton liveness check")
     _add_seed(p)
     _add_ledger(p)
-    p.add_argument("topology")
-    _add_variant(p)
-    p.add_argument("--max-cycles", type=int, default=10_000,
-                   help="cycle budget for reaching the periodic "
-                        "regime; an inconclusive verdict exits 2")
+    _add_fields(p, "deadlock")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="instrument the liveness probes and write "
                         "their metrics snapshot as JSON")
@@ -195,40 +236,7 @@ def _build_inject(sub):
     _add_jobs(p)
     _add_ledger(p)
     _add_progress(p)
-    p.add_argument("--topology", default="feedback",
-                   help="topology spec (default: feedback, the "
-                        "paper's Figure 2 loop)")
-    _add_variant(p)
-    p.add_argument("--faults", default="stop,void",
-                   help="comma-separated fault classes or kinds "
-                        "(see repro.inject.FAULT_CLASSES)")
-    p.add_argument("--cycles", type=int, default=200,
-                   help="run length of every experiment")
-    p.add_argument("--samples", type=int, default=64,
-                   help="seeded-random sample size from the "
-                        "fault universe")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="run every kind x target x cycle of the "
-                        "window instead of sampling")
-    p.add_argument("--window", default=None, metavar="LO:HI",
-                   help="restrict injection cycles to [LO, HI)")
-    p.add_argument("--engine", choices=ENGINES, default="lid",
-                   help="lid: token-level scalar engine with "
-                        "monitors; skeleton: batched "
-                        "valid/stop-only engine (boundary "
-                        "control faults)")
-    p.add_argument("--backend", choices=BACKENDS, default="auto",
-                   help="skeleton engine backend (auto/bitsim: "
-                        "one bit-parallel run, one plane per "
-                        "fault; scalar: the reference engine)")
-    p.add_argument("--strict", action="store_true",
-                   help="arm the strict stop-shape monitor "
-                        "(detects stops landing on voids under "
-                        "the refined protocol)")
-    p.add_argument("--smoke", action="store_true",
-                   help="small fast campaign for CI (64 cycles, "
-                        "12 samples)")
-    p.add_argument("--format", choices=FORMATS, default="table")
+    _add_fields(p, "campaign")
     p.add_argument("--output", "-o", default=None,
                    help="write the report here (default: stdout)")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
@@ -303,13 +311,11 @@ def _build_stats(sub):
 
 
 def _build_series(sub):
-    from .analysis.sweep import SERIES_GENERATORS
-
     p = sub.add_parser("series",
                        help="emit a figure-style data series as CSV")
     _add_seed(p)
     _add_ledger(p)
-    p.add_argument("which", choices=sorted(SERIES_GENERATORS))
+    _add_fields(p, "series")
     p.add_argument("--output", "-o", default=None)
 
 
@@ -603,8 +609,7 @@ def main(argv=None) -> int:
             print(result.render_witness())
         return 0 if result.live else 1
     elif args.command == "series":
-        outcome = _run_manifest(args, command_parser,
-                                {"kind": "series", "which": args.which})
+        outcome = _run_manifest(args, command_parser, "series")
         _emit(outcome, args.output)
         if args.ledger is not None:
             _ledger_note(args.ledger, outcome.record)
@@ -638,15 +643,29 @@ def _ledger_note(ledger_arg: str, record) -> None:
           f"to {path}", file=sys.stderr)
 
 
-def _run_manifest(args, parser, fields, **side_channels):
-    """Validate *fields* as a :class:`~repro.serve.Manifest` and run it
+def _manifest_fields(args, kind: str) -> dict:
+    """The manifest of *kind* that parsed *args* spell: every field of
+    the kind that the subparser (or the global ``--seed``) set.
+    ``--smoke`` stands in for the fields it pins."""
+    fields = {"kind": kind}
+    for row in FIELDS.values():
+        if kind in row.kinds and hasattr(args, row.name):
+            fields[row.name] = getattr(args, row.name)
+    if fields.get("smoke"):
+        for name in SMOKE:
+            del fields[name]
+    return fields
+
+
+def _run_manifest(args, parser, kind: str, **side_channels):
+    """Validate the *kind* manifest that *args* spell and run it
     through :func:`repro.serve.execute_manifest`, the path the campaign
     service runs too.  A field the manifest rejects exits 2 through
     *parser*; an execution-time refusal exits 1 with one line."""
     from .serve import DispatchError, Manifest, ManifestError, execute_manifest
 
     try:
-        manifest = Manifest.from_dict(fields)
+        manifest = Manifest.from_dict(_manifest_fields(args, kind))
     except ManifestError as exc:
         parser.error(str(exc))
     try:
@@ -689,10 +708,8 @@ def _deadlock(args, parser) -> int:
 
         telemetry = Telemetry.metrics_only()
     # The liveness check never touches the disk cache.
-    outcome = _run_manifest(args, parser, {
-        "kind": "deadlock", "topology": args.topology, "seed": args.seed,
-        "variant": str(args.variant), "max_cycles": args.max_cycles,
-    }, use_cache=False, telemetry=telemetry)
+    outcome = _run_manifest(args, parser, "deadlock", use_cache=False,
+                            telemetry=telemetry)
     _emit(outcome, None)
     if args.metrics_out:
         _write_metrics(args.metrics_out, telemetry.metrics.snapshot(),
@@ -1015,17 +1032,6 @@ def _reproduce(args) -> None:
 
 def _inject(args, parser) -> int:
     """``inject``: run a fault campaign and emit the report."""
-    fields = {"kind": "campaign", "topology": args.topology,
-              "seed": args.seed, "variant": str(args.variant),
-              "engine": args.engine, "backend": args.backend,
-              "faults": args.faults, "window": args.window,
-              "strict": args.strict, "format": args.format}
-    if args.smoke:
-        # The manifest's smoke flag pins cycles/samples/exhaustive.
-        fields["smoke"] = True
-    else:
-        fields.update(cycles=args.cycles, samples=args.samples,
-                      exhaustive=args.exhaustive)
     telemetry = trace = progress = None
     if args.metrics_out or args.trace_out:
         from .obs import EventStream, MetricsRegistry, Profiler, Telemetry
@@ -1044,7 +1050,7 @@ def _inject(args, parser) -> int:
         progress = ProgressReporter(
             0, label="inject",
             stream=telemetry.events if telemetry is not None else None)
-    outcome = _run_manifest(args, parser, fields,
+    outcome = _run_manifest(args, parser, "campaign",
                             use_cache=not args.no_cache,
                             telemetry=telemetry, progress=progress,
                             trace=trace)

@@ -5,8 +5,6 @@ probes use every core **without changing a single output byte**:
 
 * :func:`map_deterministic` — chunked process-pool map whose result is
   exactly ``[fn(u) for u in units]`` for any ``jobs`` value;
-* :class:`WorkUnit` / :func:`run_unit` — picklable, name-addressed
-  units of work;
 * :class:`GraphRef` — a picklable recipe for rebuilding an (often
   unpicklable) :class:`~repro.graph.model.SystemGraph` inside workers;
 * :class:`ResultCache` / :func:`graph_fingerprint` — content-addressed
@@ -31,11 +29,9 @@ from .graphs import GraphRef
 from .pool import (
     TraceCollection,
     WorkerTrace,
-    WorkUnit,
     chunk_units,
     map_deterministic,
     resolve_callable,
-    run_unit,
     worker_telemetry,
 )
 
@@ -46,7 +42,6 @@ __all__ = [
     "GraphRef",
     "ResultCache",
     "TraceCollection",
-    "WorkUnit",
     "WorkerTrace",
     "atomic_write_bytes",
     "cache_max_bytes",
@@ -55,6 +50,5 @@ __all__ = [
     "graph_fingerprint",
     "map_deterministic",
     "resolve_callable",
-    "run_unit",
     "worker_telemetry",
 ]

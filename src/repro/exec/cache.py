@@ -23,11 +23,11 @@ content-addressed:
 Storage is two-level: an in-process dict, plus an optional on-disk
 layer under ``~/.cache/repro-lid/`` (override with
 ``$REPRO_LID_CACHE_DIR`` or ``directory=``).  Disk writes are atomic —
-``mkstemp`` + ``os.replace``, the same pattern as the bench runner's
-``_atomic_write_text`` — so readers never see a torn entry.  Reads are
-poison-tolerant: a truncated or unpicklable file is a *warning and a
-miss*, never a crash; the offender is unlinked so it cannot warn
-twice.
+``mkstemp`` + ``os.replace`` in :func:`atomic_write_bytes`, which the
+bench runner's files use too — so readers never see a torn entry.
+Reads are poison-tolerant: a truncated or unpicklable file is a
+*warning and a miss*, never a crash; the offender is unlinked so it
+cannot warn twice.
 """
 
 from __future__ import annotations

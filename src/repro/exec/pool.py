@@ -22,8 +22,6 @@ How that is achieved:
 
 ``fn`` and every unit must be picklable (module-level functions,
 ``functools.partial`` of module-level functions, frozen dataclasses).
-For callables that must be named across the process boundary there is
-the :class:`WorkUnit` indirection: ``"module:qualname"`` plus args.
 
 **Worker tracing** (``trace=``): a :class:`TraceCollection` threads a
 run/span id through the fan-out; each chunk then runs with a fresh
@@ -241,25 +239,6 @@ def map_deterministic(
     return results
 
 
-@dataclasses.dataclass(frozen=True)
-class WorkUnit:
-    """A picklable, self-describing unit of work.
-
-    ``fn`` names a module-level callable as ``"module:qualname"``; the
-    worker resolves it with :func:`resolve_callable` and applies the
-    args.  Use this when the callable itself cannot be captured in a
-    closure/partial (or when units must be serialized to disk, e.g. a
-    campaign manifest).
-    """
-
-    fn: str
-    args: Tuple[Any, ...] = ()
-    kwargs: Tuple[Tuple[str, Any], ...] = ()
-
-    def __call__(self) -> Any:
-        return run_unit(self)
-
-
 def resolve_callable(ref: str) -> Callable[..., Any]:
     """``"module:qualname"`` -> the callable, or :class:`ExecutionError`."""
     module_name, sep, qualname = ref.partition(":")
@@ -284,9 +263,3 @@ def resolve_callable(ref: str) -> Callable[..., Any]:
     if not callable(obj):
         raise ExecutionError(f"work unit {ref!r} is not callable")
     return obj
-
-
-def run_unit(unit: WorkUnit) -> Any:
-    """Execute one :class:`WorkUnit` (worker-side entry point)."""
-    fn = resolve_callable(unit.fn)
-    return fn(*unit.args, **dict(unit.kwargs))

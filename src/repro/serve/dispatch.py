@@ -209,7 +209,7 @@ def _execute_campaign(manifest: Manifest, *, jobs: int, cache, progress,
     if execution.get("cache") is not None:
         meta["cache"] = execution["cache"]
     record = make_record(
-        "inject-campaign",
+        manifest.record_kind,
         topology=manifest.topology,
         fingerprint=fingerprint,
         variant=str(variant),
@@ -238,7 +238,7 @@ def _execute_deadlock(manifest: Manifest, *, cache,
                              telemetry=telemetry)
     wall = perf_counter() - started
     record = make_record(
-        "deadlock-check",
+        manifest.record_kind,
         topology=manifest.topology,
         fingerprint=graph_fingerprint(graph),
         variant=str(variant),
@@ -268,7 +268,7 @@ def _execute_series(manifest: Manifest) -> ServeOutcome:
     text = series.to_csv()
     wall = perf_counter() - started
     record = make_record(
-        "series",
+        manifest.record_kind,
         params=manifest.params(),
         verdict={"lines": len(text.splitlines())},
         meta={"wall_seconds": round(wall, 6)})

@@ -5,8 +5,12 @@ campaign, deadlock check, or a figure-style data series), on which
 topology spec, with which parameters.  Clients POST it to the campaign
 service, and the ``repro-lid inject``/``deadlock``/``series`` handlers
 build one from their flags; both hand it to
-:func:`repro.serve.execute_manifest`.  Fields carry the CLI flag
-names.
+:func:`repro.serve.execute_manifest`.
+
+:data:`FIELDS` declares every request field once: the kinds that take
+it, its default, its checker, its choices, and its command-line
+spelling and help.  :class:`Manifest`, its validation, its dict forms
+and the three CLI subparsers all read that table.
 
 Validation happens entirely up front (:meth:`Manifest.from_dict`):
 unknown kinds, topologies, variants, fault classes, counts below 1 and
@@ -23,17 +27,15 @@ the same work share span and run ids.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-#: Work kinds the service dispatches.
-KINDS = ("campaign", "deadlock", "series")
+#: Work kinds the service dispatches -> the ledger record kind each
+#: writes.
+KINDS = {"campaign": "inject-campaign", "deadlock": "deadlock-check",
+         "series": "series"}
 
-#: Allowed values; also the CLI's ``--engine``/``--backend``/
-#: ``--format`` choices.
-ENGINES = ("lid", "skeleton")
-BACKENDS = ("auto", "scalar", "bitsim")
-FORMATS = ("json", "table")
-VARIANTS = ("casu", "carloni")
+#: ``smoke`` stands for these values: the small fast campaign of CI.
+SMOKE = {"cycles": 64, "samples": 12, "exhaustive": False}
 
 
 class ManifestError(ValueError):
@@ -52,13 +54,37 @@ def _as_int(value: Any, field: str) -> int:
     return value
 
 
-def _as_bool(value: Any, field: str) -> bool:
-    if not isinstance(value, bool):
-        raise ManifestError(f"{field} must be a boolean, got {value!r}")
+# -- checkers: (row, value, fields validated so far) -> stored value ----
+
+
+def _integer(row: "Field", value: Any, fields: Dict[str, Any]) -> int:
+    return _as_int(value, row.name)
+
+
+def _count(row: "Field", value: Any, fields: Dict[str, Any]) -> int:
+    value = _as_int(value, row.name)
+    _require(value >= 1, f"{row.name} must be >= 1, got {value}")
     return value
 
 
-def validate_topology(spec: Any) -> str:
+def _boolean(row: "Field", value: Any, fields: Dict[str, Any]) -> bool:
+    if not isinstance(value, bool):
+        raise ManifestError(f"{row.name} must be a boolean, got {value!r}")
+    return value
+
+
+def _choice(row: "Field", value: Any, fields: Dict[str, Any]) -> str:
+    # str(): the command line hands --variant over as a ProtocolVariant.
+    text = str(value)
+    if text not in row.choices:
+        # The default first; the command line lists the table's order.
+        listed = sorted(row.choices, key=lambda choice: choice != row.default)
+        raise ManifestError(f"{row.name} must be one of "
+                            f"{', '.join(listed)}, got {value!r}")
+    return text
+
+
+def _topology(row: "Field", spec: Any, fields: Dict[str, Any]) -> str:
     """A topology spec string with a known family name."""
     from ..graph.specs import TOPOLOGY_CHOICES
 
@@ -71,7 +97,8 @@ def validate_topology(spec: Any) -> str:
     return spec
 
 
-def validate_faults(classes: Any) -> Tuple[str, ...]:
+def _faults(row: "Field", classes: Any,
+            fields: Dict[str, Any]) -> Tuple[str, ...]:
     """Fault classes/kinds as a tuple; every item must be known."""
     from ..errors import InjectionError
     from ..inject.faults import resolve_classes
@@ -89,8 +116,8 @@ def validate_faults(classes: Any) -> Tuple[str, ...]:
     return items
 
 
-def validate_window(window: Any,
-                    cycles: int) -> Optional[Tuple[int, int]]:
+def _window(row: "Field", window: Any,
+            fields: Dict[str, Any]) -> Optional[Tuple[int, int]]:
     """``[lo, hi)`` as an int pair inside the run, or ``None``."""
     if window is None:
         return None
@@ -107,51 +134,149 @@ def validate_window(window: Any,
              f"window must be a [lo, hi) pair, got {window!r}")
     lo, hi = (_as_int(window[0], "window lo"),
               _as_int(window[1], "window hi"))
+    cycles = fields["cycles"]
     _require(0 <= lo < hi <= cycles,
              f"bad cycle window [{lo}, {hi}) for a {cycles}-cycle run")
     return (lo, hi)
 
 
-@dataclasses.dataclass(frozen=True)
+def _series_names() -> Tuple[str, ...]:
+    from ..analysis.sweep import SERIES_GENERATORS
+
+    return tuple(sorted(SERIES_GENERATORS))
+
+
+def _series(row: "Field", which: Any, fields: Dict[str, Any]) -> str:
+    names = _series_names()
+    _require(which in names,
+             f"series 'which' must be one of {', '.join(names)}, "
+             f"got {which!r}")
+    return which
+
+
+def _variant(text: str):
+    """``--variant``'s argparse type (argparse names it in errors)."""
+    from ..lid.variant import ProtocolVariant
+
+    return ProtocolVariant(text)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Field:
+    """One request field: a manifest key and, unless *flag* is false, a
+    command-line argument of the same name (``--max-cycles`` for
+    ``max_cycles``)."""
+
+    name: str
+    #: Manifest kinds that take the field.
+    kinds: Tuple[str, ...]
+    #: Default; also the stored form of a value.
+    default: Any
+    #: ``check(row, value, fields) -> stored value``; runs on defaults
+    #: too, and *fields* holds the values checked before this one.
+    check: Callable[["Field", Any, Dict[str, Any]], Any]
+    #: Allowed values, or a function returning them (loaded on use).
+    choices: Union[Tuple[str, ...], Callable[[], Tuple[str, ...]]] = ()
+    #: Argparse ``type`` of the command-line argument.
+    parse: Optional[Callable[[str], Any]] = None
+    metavar: Optional[str] = None
+    help: Optional[str] = None
+    #: Command-line default where it differs from :attr:`default`.
+    cli_default: Any = None
+    #: Kinds whose command takes the field as its positional argument.
+    positional: Tuple[str, ...] = ()
+    #: False where no per-command flag exists.
+    flag: bool = True
+    #: Key in :meth:`Manifest.params` ("" = the field's name, ``None`` =
+    #: not part of the canonical params).
+    param: Optional[str] = ""
+
+    def allowed(self) -> Tuple[str, ...]:
+        """The allowed values (empty for a free-form field)."""
+        return self.choices() if callable(self.choices) else self.choices
+
+
+_BOTH = ("campaign", "deadlock")
+_CAMPAIGN = ("campaign",)
+
+#: Every request field, in command-line order (``inject --help`` lists
+#: the campaign flags, and ``Manifest.from_dict`` checks a manifest's
+#: fields, in this order).  ``format`` defaults to ``json``
+#: in a manifest and to ``table`` on the command line, ``stream``
+#: exists only in manifests, and ``smoke`` stands for :data:`SMOKE`.
+FIELDS: Dict[str, Field] = {row.name: row for row in (
+    Field("topology", _BOTH, "feedback", _topology, param=None,
+          positional=("deadlock",),
+          help="topology spec (default: %(default)s, the paper's "
+               "Figure 2 loop)"),
+    Field("seed", _BOTH, 0, _integer, flag=False),  # the global --seed
+    Field("variant", _BOTH, "casu", _choice, param=None,
+          choices=("carloni", "casu"), parse=_variant),
+    Field("faults", _CAMPAIGN, ("stop", "void"), _faults, param="classes",
+          help="comma-separated fault classes or kinds (see "
+               "repro.inject.FAULT_CLASSES)"),
+    Field("cycles", _CAMPAIGN, 200, _count, parse=int,
+          help="run length of every experiment"),
+    Field("samples", _CAMPAIGN, 64, _count, parse=int,
+          help="seeded-random sample size from the fault universe"),
+    Field("exhaustive", _CAMPAIGN, False, _boolean,
+          help="run every kind x target x cycle of the window instead "
+               "of sampling"),
+    Field("window", _CAMPAIGN, None, _window, metavar="LO:HI",
+          help="restrict injection cycles to [LO, HI)"),
+    Field("engine", _CAMPAIGN, "lid", _choice, choices=("lid", "skeleton"),
+          help="lid: token-level scalar engine with monitors; skeleton: "
+               "batched valid/stop-only engine (boundary control "
+               "faults)"),
+    Field("backend", _CAMPAIGN, "auto", _choice,
+          choices=("auto", "scalar", "bitsim"),
+          help="skeleton engine backend (auto/bitsim: one bit-parallel "
+               "run, one plane per fault; scalar: the reference engine)"),
+    Field("strict", _CAMPAIGN, False, _boolean,
+          help="arm the strict stop-shape monitor (detects stops landing "
+               "on voids under the refined protocol)"),
+    Field("smoke", _CAMPAIGN, False, _boolean, param=None,
+          help=f"small fast campaign for CI ({SMOKE['cycles']} cycles, "
+               f"{SMOKE['samples']} samples)"),
+    Field("format", _CAMPAIGN, "json", _choice, param=None,
+          choices=("json", "table"), cli_default="table"),
+    Field("max_cycles", ("deadlock",), 10_000, _count, parse=int,
+          help="cycle budget for reaching the periodic regime; an "
+               "inconclusive verdict exits 2"),
+    Field("which", ("series",), None, _series, choices=_series_names,
+          positional=("series",)),
+    Field("stream", tuple(KINDS), False, _boolean, param=None, flag=False),
+)}
+
+#: Rows by kind, in table order.
+_ROWS = {kind: tuple(row for row in FIELDS.values() if kind in row.kinds)
+         for kind in KINDS}
+
+
+def _plain(value: Any) -> Any:
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _stored_fields(cls):
+    """Give *cls* one dataclass field per stored row of :data:`FIELDS`
+    (all but ``smoke``), defaulting to the row's default."""
+    for row in FIELDS.values():
+        if row.name != "smoke":
+            cls.__annotations__[row.name] = "Any"
+            setattr(cls, row.name, row.default)
+    return dataclasses.dataclass(frozen=True)(cls)
+
+
+@_stored_fields
 class Manifest:
     """One validated unit of service work (picklable, hashable).
 
-    Field defaults match the CLI's argparse defaults except
-    :attr:`format`: ``json`` here, ``table`` on the command line.
-    :attr:`stream` is transport-level (NDJSON progress) and never
-    enters the canonical identity.
+    Besides :attr:`kind` it has one attribute per :data:`FIELDS` row
+    but ``smoke``.  :attr:`stream` is transport-level (NDJSON progress)
+    and never enters the canonical identity.
     """
 
     kind: str
-    topology: str = "feedback"
-    seed: int = 0
-    variant: str = "casu"
-    # campaign
-    engine: str = "lid"
-    backend: str = "auto"
-    faults: Tuple[str, ...] = ("stop", "void")
-    cycles: int = 200
-    samples: int = 64
-    exhaustive: bool = False
-    window: Optional[Tuple[int, int]] = None
-    strict: bool = False
-    format: str = "json"
-    # deadlock
-    max_cycles: int = 10_000
-    # series
-    which: Optional[str] = None
-    # transport
-    stream: bool = False
-
-    #: Manifest fields clients may set, by kind (plus the shared ones).
-    _SHARED = ("kind", "stream")
-    _BY_KIND = {
-        "campaign": ("topology", "seed", "variant", "engine", "backend",
-                     "faults", "cycles", "samples", "exhaustive",
-                     "window", "strict", "format", "smoke"),
-        "deadlock": ("topology", "seed", "variant", "max_cycles"),
-        "series": ("which",),
-    }
 
     @classmethod
     def from_dict(cls, payload: Any) -> "Manifest":
@@ -160,134 +285,46 @@ class Manifest:
                  f"manifest must be a JSON object, "
                  f"got {type(payload).__name__}")
         kind = payload.get("kind")
-        _require(kind in KINDS,
+        _require(isinstance(kind, str) and kind in KINDS,
                  f"manifest kind must be one of {', '.join(KINDS)}, "
                  f"got {kind!r}")
-        allowed = set(cls._SHARED) | set(cls._BY_KIND[kind])
-        unknown = sorted(set(payload) - allowed)
+        rows = _ROWS[kind]
+        unknown = sorted(set(payload) - {"kind"}
+                         - {row.name for row in rows})
         _require(not unknown,
                  f"unknown manifest field(s) for kind {kind!r}: "
                  f"{', '.join(unknown)}")
+        if payload.get("smoke") is True:
+            _require(not SMOKE.keys() & payload.keys(),
+                     f"smoke fixes {'/'.join(SMOKE)}; drop them")
+            payload = {**payload, **SMOKE}
         fields: Dict[str, Any] = {"kind": kind}
-        if "stream" in payload:
-            fields["stream"] = _as_bool(payload["stream"], "stream")
-
-        if kind == "series":
-            from ..analysis.sweep import SERIES_GENERATORS
-
-            which = payload.get("which")
-            _require(which in SERIES_GENERATORS,
-                     f"series 'which' must be one of "
-                     f"{', '.join(sorted(SERIES_GENERATORS))}, "
-                     f"got {which!r}")
-            fields["which"] = which
-            return cls(**fields)
-
-        fields["topology"] = validate_topology(
-            payload.get("topology", cls.topology))
-        fields["seed"] = _as_int(payload.get("seed", cls.seed), "seed")
-        variant = payload.get("variant", cls.variant)
-        _require(variant in VARIANTS,
-                 f"variant must be one of {', '.join(VARIANTS)}, "
-                 f"got {variant!r}")
-        fields["variant"] = variant
-
-        if kind == "deadlock":
-            max_cycles = _as_int(payload.get("max_cycles",
-                                             cls.max_cycles),
-                                 "max_cycles")
-            _require(max_cycles >= 1,
-                     f"max_cycles must be >= 1, got {max_cycles}")
-            fields["max_cycles"] = max_cycles
-            return cls(**fields)
-
-        # campaign
-        engine = payload.get("engine", cls.engine)
-        _require(engine in ENGINES,
-                 f"engine must be one of {', '.join(ENGINES)}, "
-                 f"got {engine!r}")
-        fields["engine"] = engine
-        backend = payload.get("backend", cls.backend)
-        _require(backend in BACKENDS,
-                 f"backend must be one of {', '.join(BACKENDS)}, "
-                 f"got {backend!r}")
-        fields["backend"] = backend
-        fields["faults"] = validate_faults(
-            payload.get("faults", ",".join(cls.faults)))
-        if payload.get("smoke"):
-            _as_bool(payload["smoke"], "smoke")
-            # CLI parity: `inject --smoke` pins a small fast campaign.
-            cycles, samples = 64, 12
-            _require("cycles" not in payload
-                     and "samples" not in payload
-                     and "exhaustive" not in payload,
-                     "smoke fixes cycles/samples/exhaustive; drop them")
-        else:
-            cycles = _as_int(payload.get("cycles", cls.cycles), "cycles")
-            samples = _as_int(payload.get("samples", cls.samples),
-                              "samples")
-        _require(cycles >= 1, f"cycles must be >= 1, got {cycles}")
-        _require(samples >= 1, f"samples must be >= 1, got {samples}")
-        fields["cycles"], fields["samples"] = cycles, samples
-        if "exhaustive" in payload:
-            fields["exhaustive"] = _as_bool(payload["exhaustive"],
-                                            "exhaustive")
-        fields["window"] = validate_window(payload.get("window"), cycles)
-        if "strict" in payload:
-            fields["strict"] = _as_bool(payload["strict"], "strict")
-        fmt = payload.get("format", cls.format)
-        _require(fmt in FORMATS,
-                 f"format must be one of {', '.join(FORMATS)}, "
-                 f"got {fmt!r}")
-        fields["format"] = fmt
+        for row in rows:
+            fields[row.name] = row.check(
+                row, payload.get(row.name, row.default), fields)
+        fields.pop("smoke", None)
         return cls(**fields)
 
     def to_dict(self) -> Dict[str, Any]:
         """Round-trippable plain-dict form (what travels to workers)."""
         payload: Dict[str, Any] = {"kind": self.kind}
-        if self.kind == "series":
-            payload["which"] = self.which
-            return payload
-        payload.update(topology=self.topology, seed=self.seed,
-                       variant=self.variant)
-        if self.kind == "deadlock":
-            payload.update(max_cycles=self.max_cycles)
-            return payload
-        payload.update(engine=self.engine, backend=self.backend,
-                       faults=list(self.faults), cycles=self.cycles,
-                       samples=self.samples, exhaustive=self.exhaustive,
-                       window=(list(self.window) if self.window
-                               else None),
-                       strict=self.strict, format=self.format)
+        for row in _ROWS[self.kind]:
+            if row.name not in ("smoke", "stream"):
+                payload[row.name] = _plain(getattr(self, row.name))
         return payload
 
     # -- canonical identity (ledger / cache / coalescing) --------------
 
     @property
     def record_kind(self) -> str:
-        """The ledger record kind the CLI writes for this work."""
-        return {"campaign": "inject-campaign",
-                "deadlock": "deadlock-check",
-                "series": "series"}[self.kind]
+        """The ledger record kind this work writes."""
+        return KINDS[self.kind]
 
     def params(self) -> Dict[str, Any]:
         """The canonical params dict of the ledger record, so served
         and offline runs share span and run ids."""
-        if self.kind == "campaign":
-            return {
-                "engine": self.engine,
-                "backend": self.backend,
-                "cycles": self.cycles,
-                "samples": self.samples,
-                "seed": self.seed,
-                "classes": list(self.faults),
-                "exhaustive": bool(self.exhaustive),
-                "window": list(self.window) if self.window else None,
-                "strict": bool(self.strict),
-            }
-        if self.kind == "deadlock":
-            return {"max_cycles": self.max_cycles, "seed": self.seed}
-        return {"which": self.which}
+        return {row.param or row.name: _plain(getattr(self, row.name))
+                for row in _ROWS[self.kind] if row.param is not None}
 
     def span(self, fingerprint: Optional[str]) -> str:
         """Deterministic pre-run identity (see :func:`repro.obs.span_id`).

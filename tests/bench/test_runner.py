@@ -184,8 +184,9 @@ class TestRecordIO:
     def test_failed_write_cleans_up_temp(self, tmp_path, monkeypatch):
         import os
 
-        from repro.bench.runner import _atomic_write_text
+        from repro.bench.runner import write_record
 
+        record = self._record()
         target = tmp_path / "BENCH_EXP-F1.json"
         target.write_text("previous complete file\n")
 
@@ -194,7 +195,7 @@ class TestRecordIO:
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError, match="simulated crash"):
-            _atomic_write_text(str(target), "half-writ")
+            write_record(str(tmp_path), record)
         monkeypatch.undo()
         # The previous complete file survives and no temp file leaks.
         assert target.read_text() == "previous complete file\n"

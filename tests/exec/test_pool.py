@@ -16,13 +16,7 @@ from repro.errors import (
     ReproError,
     WorkerCrashError,
 )
-from repro.exec import (
-    WorkUnit,
-    chunk_units,
-    map_deterministic,
-    resolve_callable,
-    run_unit,
-)
+from repro.exec import chunk_units, map_deterministic, resolve_callable
 
 
 def _square(x):
@@ -98,23 +92,7 @@ class TestMapDeterministic:
         assert issubclass(ExecutionError, ReproError)
 
 
-class TestWorkUnit:
-    def test_named_callable_roundtrip(self):
-        unit = WorkUnit(fn="tests.exec.test_pool:_square", args=(7,))
-        assert run_unit(unit) == 49
-        assert unit() == 49
-
-    def test_kwargs_apply(self):
-        unit = WorkUnit(fn="builtins:int", args=("2a",),
-                        kwargs=(("base", 16),))
-        assert run_unit(unit) == 0x2A
-
-    def test_units_map_across_processes(self):
-        units = [WorkUnit(fn="tests.exec.test_pool:_square", args=(i,))
-                 for i in range(9)]
-        got = map_deterministic(run_unit, units, jobs=3)
-        assert got == [i * i for i in range(9)]
-
+class TestResolveCallable:
     def test_bad_reference_shapes(self):
         with pytest.raises(ExecutionError):
             resolve_callable("no-colon-here")

@@ -1,14 +1,61 @@
 """Manifest validation and canonical-identity tests."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.serve import Manifest, ManifestError
 
 SERVING_DOC = Path(__file__).parents[2] / "docs" / "serving.md"
+
+#: The bare command of each kind, and the fields its positional
+#: argument sets.
+BARE_COMMANDS = {
+    "campaign": (["inject"], {}),
+    "deadlock": (["deadlock", "figure2"], {"topology": "figure2"}),
+    "series": (["series", "loop"], {"which": "loop"}),
+}
+
+#: ``span("f" * 64)`` of manifests covering every field of the three
+#: kinds.  ``params()`` feeds every span and ledger run id, so these
+#: literals must not move.
+PINNED_SPANS = [
+    ({"kind": "campaign"}, "081f203a1a4e"),
+    ({"kind": "campaign", "smoke": True}, "8df501aee772"),
+    ({"kind": "campaign", "topology": "ring:shells=3,relays=2", "seed": 7,
+      "variant": "carloni", "engine": "skeleton", "backend": "scalar",
+      "faults": "stop,void,payload", "cycles": 120, "samples": 16,
+      "window": [10, 18], "strict": True, "format": "table"},
+     "cfd39eda224e"),
+    ({"kind": "campaign", "engine": "skeleton", "backend": "bitsim",
+      "exhaustive": True, "window": "10:20", "cycles": 60},
+     "abedd7587c1c"),
+    ({"kind": "campaign", "topology": "gals-ring:rates=1+1/2,shells=2",
+      "engine": "skeleton", "faults": ["cdc", "stop"], "seed": 3,
+      "stream": True}, "4d3a23010440"),
+    ({"kind": "campaign", "smoke": True, "format": "table", "seed": 11,
+      "strict": True}, "733a955dc195"),
+    ({"kind": "deadlock"}, "0f682ad831ee"),
+    ({"kind": "deadlock", "topology": "ring:shells=2,relays=0",
+      "variant": "carloni", "seed": 5, "max_cycles": 500},
+     "1553c9d39d87"),
+    ({"kind": "deadlock", "topology": "dag:shells=5", "seed": 9,
+      "stream": True}, "c2649d666236"),
+    ({"kind": "series", "which": "loop"}, "cce17ea5ee7b"),
+    ({"kind": "series", "which": "backpressure", "stream": True},
+     "0feff65348d1"),
+]
+
+
+def _cli_manifest(argv, kind):
+    """The manifest ``repro-lid`` builds for *argv*, without running it."""
+    parser, _sub = cli._build_parser(argv[0])
+    return Manifest.from_dict(cli._manifest_fields(parser.parse_args(argv),
+                                                   kind))
 
 
 def _documented_manifests():
@@ -22,14 +69,31 @@ def _documented_manifests():
 
 class TestValidation:
     def test_defaults_mirror_cli(self):
-        m = Manifest.from_dict({"kind": "campaign"})
-        assert m.topology == "feedback"
-        assert m.variant == "casu"
-        assert m.engine == "lid" and m.backend == "auto"
-        assert m.faults == ("stop", "void")
-        assert m.cycles == 200 and m.samples == 64
-        assert m.window is None and not m.exhaustive and not m.strict
-        assert m.format == "json"
+        """A bare command builds the manifest of the bare kind, field
+        for field, but for ``format`` (``table`` on the command line)."""
+        for kind, (argv, positional) in BARE_COMMANDS.items():
+            via_cli = _cli_manifest(argv, kind)
+            direct = Manifest.from_dict({"kind": kind, **positional})
+            assert dataclasses.replace(via_cli, format="json") == direct
+        assert _cli_manifest(["inject"], "campaign").format == "table"
+
+    @pytest.mark.parametrize("kind,dest", [
+        ("campaign", "engine"), ("campaign", "backend"),
+        ("campaign", "format"), ("campaign", "variant"),
+        ("deadlock", "variant"), ("series", "which"),
+    ])
+    def test_cli_choices_are_the_manifest_values(self, kind, dest):
+        argv, positional = BARE_COMMANDS[kind]
+        _parser, sub = cli._build_parser(argv[0])
+        (action,) = [action for action in sub.choices[argv[0]]._actions
+                     if action.dest == dest]
+        offered = [str(choice) for choice in action.choices]
+        for value in offered:
+            Manifest.from_dict({"kind": kind, **positional, dest: value})
+        with pytest.raises(ManifestError) as rejected:
+            Manifest.from_dict({"kind": kind, **positional, dest: "x"})
+        listed = re.search(r"one of (.*), got", str(rejected.value))
+        assert sorted(listed.group(1).split(", ")) == sorted(offered)
 
     def test_smoke_pins_cycles_and_samples(self):
         m = Manifest.from_dict({"kind": "campaign", "smoke": True})
@@ -71,6 +135,10 @@ class TestValidation:
          "backend must be one of auto, scalar, bitsim, got 'codegen'"),
         ({"kind": "deadlock", "deadlock_backend": "scalar"},
          "unknown manifest field"),
+        ({"kind": "campaign", "smoke": 0}, "boolean"),
+        ({"kind": "campaign", "smoke": []}, "boolean"),
+        ({"kind": "campaign", "smoke": None}, "boolean"),
+        ({"kind": "series", "which": ["loop"]}, "which"),
     ])
     def test_rejects(self, payload, fragment):
         with pytest.raises(ManifestError, match=fragment):
@@ -130,6 +198,11 @@ class TestIdentity:
         fp = "f" * 64
         assert m.span(fp) == span_id("inject-campaign", fp, "casu",
                                      m.params())
+
+    @pytest.mark.parametrize("payload,span", PINNED_SPANS,
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_span_is_pinned(self, payload, span):
+        assert Manifest.from_dict(payload).span("f" * 64) == span
 
     def test_stream_does_not_change_identity(self):
         a = Manifest.from_dict({"kind": "campaign", "smoke": True})
